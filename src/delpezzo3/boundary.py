@@ -10,6 +10,7 @@ one entry means the (-1)-curve meets it in a node (contact 2).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -313,7 +314,7 @@ def _canonical_variants(comp: Component):
     return best, [v for k, v in keyed if k == best]
 
 
-def _encode_arrangement(ordered_variants, free_label_count: int):
+def _encode_arrangement(ordered_variants):
     """Linearize an arrangement, renaming labels by first occurrence.
 
     Returns the minimal encoding over the (rare) tie-break choices when
@@ -323,7 +324,7 @@ def _encode_arrangement(ordered_variants, free_label_count: int):
 
     def rec(vi, rename, acc):
         if vi == len(ordered_variants):
-            out = tuple(acc) + ("free", free_label_count)
+            out = tuple(acc)
             if best[0] is None or out < best[0]:
                 best[0] = out
             return
@@ -354,8 +355,8 @@ def _encode_arrangement(ordered_variants, free_label_count: int):
     return best[0]
 
 
-def _arrangements(d: DecoratedType):
-    canon = [_canonical_variants(c) for c in d.components]
+def _arrangements(components):
+    canon = [_canonical_variants(c) for c in components]
     order = sorted(range(len(canon)), key=lambda i: canon[i][0])
     groups = []
     for _, grp in itertools.groupby(order, key=lambda i: canon[i][0]):
@@ -365,129 +366,164 @@ def _arrangements(d: DecoratedType):
     ):
         comp_order = [i for g in perm_choice for i in g]
         variant_lists = [canon[i][1] for i in comp_order]
-        for variants in itertools.product(*variant_lists):
-            yield comp_order, list(variants)
+        yield from itertools.product(*variant_lists)
+
+
+def _label_blocks(d: DecoratedType) -> list[tuple[Component, ...]]:
+    """The label-connected blocks of ``d``: maximal sets of components
+    joined by shared (-1)-curve labels, found by union-find over labels."""
+    parent = list(range(len(d.components)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[int, int] = {}
+    for ci, comp in enumerate(d.components):
+        for e in comp_entries(comp):
+            for l in e.labels:
+                parent[find(ci)] = find(owner.setdefault(l, ci))
+    blocks: dict[int, list[Component]] = {}
+    for ci, comp in enumerate(d.components):
+        blocks.setdefault(find(ci), []).append(comp)
+    return [tuple(b) for b in blocks.values()]
+
+
+def _block_code(block: tuple[Component, ...]) -> bytes:
+    """Canonical form of one label-connected block: the minimal encoding
+    over every arrangement of its components."""
+    return repr(min(_encode_arrangement(v) for v in _arrangements(block))).encode()
 
 
 def canonical_form(d: DecoratedType) -> bytes:
     """Byte string equal for isomorphic decorated graphs: invariant under
     chain reversal, twig permutation, component reordering and any
-    relabeling of the (-1)-curves; deterministic across runs."""
-    best = None
-    for _, variants in _arrangements(d):
-        enc = _encode_arrangement(variants, len(d.free_labels))
-        if best is None or enc < best:
-            best = enc
-    return repr(best).encode()
+    relabeling of the (-1)-curves; deterministic across runs.
+
+    An isomorphism maps label-connected blocks (components joined by
+    shared labels) onto blocks, so the form is the sorted list of block
+    codes plus the number of free labels.  Each block code is a search
+    over the orders of the block's components, so the cost is factorial
+    only in identical components that labels link into one block;
+    identical components in separate blocks cost nothing extra.
+    """
+    codes = sorted(_block_code(b) for b in _label_blocks(d))
+    return repr((tuple(codes), len(d.free_labels))).encode()
 
 
 @dataclass(frozen=True)
 class AutGroup:
     order: int
-    permutations: tuple[tuple[int, ...], ...]
 
 
-def graph_automorphisms(d: DecoratedType) -> AutGroup:
-    """All self-isomorphisms in the sense of canonical_form equality.
+def _orientation_maps(src: Component, tgt: Component):
+    """Component-local index maps src position -> tgt position that
+    preserve the graph structure (ignoring label names)."""
+    maps = []
+    if src[0] == "chain" and tgt[0] == "chain":
+        if len(src[1]) != len(tgt[1]):
+            return []
+        m = len(src[1])
+        maps.append(list(range(m)))
+        if m > 1:
+            maps.append(list(range(m - 1, -1, -1)))
+    elif src[0] == "fork" and tgt[0] == "fork":
+        src_twigs, tgt_twigs = src[2], tgt[2]
+        starts = [1]
+        for t in tgt_twigs[:-1]:
+            starts.append(starts[-1] + len(t))
+        for perm in itertools.permutations(range(3)):
+            if any(len(src_twigs[i]) != len(tgt_twigs[perm[i]]) for i in range(3)):
+                continue
+            index_map = [0]
+            for i in range(3):
+                j = perm[i]
+                index_map.extend(range(starts[j], starts[j] + len(tgt_twigs[j])))
+            maps.append(index_map)
+    return maps
 
-    Returns the group order and the automorphisms as permutations of the
-    boundary entries (in document order).
+
+def _extends_to_labels(pairs) -> bool:
+    """Whether some bijection of label names carries every source entry's
+    labels onto its target entry's, multiplicities included."""
+    label_maps = [{}]
+    for src_e, tgt_e in pairs:
+        src_ls = sorted(set(src_e.labels))
+        tgt_ls = sorted(set(tgt_e.labels))
+        new_maps = []
+        for m in label_maps:
+            for assign in itertools.permutations(tgt_ls):
+                m2 = dict(m)
+                good = True
+                for a, b in zip(src_ls, assign):
+                    if src_e.labels.count(a) != tgt_e.labels.count(b):
+                        good = False
+                        break
+                    if m2.get(a, b) != b or (b in m2.values() and a not in m2):
+                        good = False
+                        break
+                    m2[a] = b
+                if good:
+                    new_maps.append(m2)
+        label_maps = new_maps
+        if not label_maps:
+            return False
+    return True
+
+
+def _block_aut_order(block: tuple[Component, ...]) -> int:
+    """Number of entry permutations of one block that preserve the graph
+    and its decorations and extend to a relabeling of its (-1)-curves.
+
+    Distinct (component target, orientation map) choices move some entry
+    differently, so they are counted without listing the permutations.
     """
-    n = len(d.entries())
-    offsets = []
-    k = 0
-    for c in d.components:
-        offsets.append(k)
-        k += len(comp_entries(c))
-
-    def orientation_maps(src: Component, tgt: Component):
-        """Component-local index maps src position -> tgt position that
-        preserve the graph structure (ignoring label names)."""
-        maps = []
-        if src[0] == "chain" and tgt[0] == "chain":
-            if len(src[1]) != len(tgt[1]):
-                return []
-            m = len(src[1])
-            maps.append(list(range(m)))
-            if m > 1:
-                maps.append(list(range(m - 1, -1, -1)))
-        elif src[0] == "fork" and tgt[0] == "fork":
-            src_twigs, tgt_twigs = src[2], tgt[2]
-            starts = [1]
-            for t in tgt_twigs[:-1]:
-                starts.append(starts[-1] + len(t))
-            for perm in itertools.permutations(range(3)):
-                if any(len(src_twigs[i]) != len(tgt_twigs[perm[i]]) for i in range(3)):
-                    continue
-                index_map = [0]
-                for i in range(3):
-                    j = perm[i]
-                    index_map.extend(range(starts[j], starts[j] + len(tgt_twigs[j])))
-                maps.append(index_map)
-        return maps
-
-    perms = set()
-    indices = range(len(d.components))
+    entries = [comp_entries(c) for c in block]
+    count = 0
+    indices = range(len(block))
     for target in itertools.permutations(indices):
         choices = []
-        feasible = True
         for i, j in zip(indices, target):
-            maps = orientation_maps(d.components[i], d.components[j])
-            src_entries = comp_entries(d.components[i])
-            tgt_entries = comp_entries(d.components[j])
             maps = [
                 m
-                for m in maps
+                for m in _orientation_maps(block[i], block[j])
                 if all(
-                    src_entries[si].skeleton() == tgt_entries[ti].skeleton()
+                    entries[i][si].skeleton() == entries[j][ti].skeleton()
                     for si, ti in enumerate(m)
                 )
             ]
             if not maps:
-                feasible = False
                 break
             choices.append(maps)
-        if not feasible:
-            continue
-        for choice in itertools.product(*choices):
-            perm = [0] * n
-            label_maps = [{}]
-            valid = True
-            for i, (j, index_map) in enumerate(zip(target, choice)):
-                src_entries = comp_entries(d.components[i])
-                tgt_entries = comp_entries(d.components[j])
-                for si, ti in enumerate(index_map):
-                    src_e, tgt_e = src_entries[si], tgt_entries[ti]
-                    perm[offsets[i] + si] = offsets[j] + ti
-                    src_ls = sorted(set(src_e.labels))
-                    tgt_ls = sorted(set(tgt_e.labels))
-                    new_maps = []
-                    for m in label_maps:
-                        for assign in itertools.permutations(tgt_ls):
-                            m2 = dict(m)
-                            good = True
-                            for a, b in zip(src_ls, assign):
-                                if src_e.labels.count(a) != tgt_e.labels.count(b):
-                                    good = False
-                                    break
-                                if m2.get(a, b) != b or (
-                                    b in m2.values() and a not in m2
-                                ):
-                                    good = False
-                                    break
-                                m2[a] = b
-                            if good:
-                                new_maps.append(m2)
-                    label_maps = new_maps
-                    if not label_maps:
-                        valid = False
-                        break
-                if not valid:
-                    break
-            if valid and label_maps:
-                perms.add(tuple(perm))
-    free = len(d.free_labels)
-    order = len(perms)
-    for i in range(2, free + 1):
-        order *= i
-    return AutGroup(order, tuple(sorted(perms)))
+        else:
+            for choice in itertools.product(*choices):
+                pairs = [
+                    (src_e, entries[j][ti])
+                    for i, (j, index_map) in enumerate(zip(target, choice))
+                    for src_e, ti in zip(entries[i], index_map)
+                ]
+                if _extends_to_labels(pairs):
+                    count += 1
+    return count
+
+
+def graph_automorphisms(d: DecoratedType) -> AutGroup:
+    """The self-isomorphisms in the sense of canonical_form equality.
+
+    An automorphism permutes the label-connected blocks, mapping each onto
+    an isomorphic one, and permutes the free labels.  So the order is
+    |free|! times the product, over classes of m isomorphic blocks, of
+    |Aut(block)|^m * m!.  |Aut(block)| is found by trying every order of
+    the block's components, which stays factorial in identical components
+    that labels link into one block.
+    """
+    classes: dict[bytes, list] = {}
+    for block in _label_blocks(d):
+        classes.setdefault(_block_code(block), []).append(block)
+    order = math.factorial(len(d.free_labels))
+    for blocks in classes.values():
+        m = len(blocks)
+        order *= _block_aut_order(blocks[0]) ** m * math.factorial(m)
+    return AutGroup(order)

@@ -79,12 +79,39 @@ def _disc_fork(f: Fork) -> int:
     return total
 
 
-def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
-    """det(-intersection matrix) of an arbitrary weighted graph.
+def det(m) -> int:
+    """Exact determinant of a square integer matrix.
 
-    Fraction-free Bareiss elimination on the integer matrix with
-    ``weights`` on the diagonal and -1 for each edge.  Used as the
-    independent oracle for the chain/fork recursions.
+    Fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968),
+    with a row swap for a zero pivot; a pivot column that is zero on and
+    below the diagonal makes the matrix singular and the result 0.
+    """
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
+    """det(-intersection matrix) of an arbitrary weighted graph: the
+    matrix with ``weights`` on the diagonal and -1 for each edge.  Used as
+    the independent oracle for the chain/fork recursions.
     """
     n = len(weights)
     m = [[0] * n for _ in range(n)]
@@ -93,22 +120,7 @@ def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
     for i, j in edges:
         m[i][j] -= 1
         m[j][i] -= 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                continue
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * (m[n - 1][n - 1] if n else 1)
+    return det(m)
 
 
 def is_admissible(t: Chain | Fork) -> bool:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 failed assertion (with --strict where noted),
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -170,18 +171,20 @@ def cascade(root_name, depth, cutoff, jobs, fmt):
     result = swaps.cascade(root, depth, jobs=jobs, excluded_labels=node_excl)
     known = _fixture_index(root_name, cutoff, jobs)
     report = Report("cascade", ("canonical", "depth", "status", "lhs", "match"))
-    for node in result.ok_nodes():
-        key = canonical_form(node.dtype)
+    for key, node in sorted(result.nodes.items()):
         match = known.get(key, "")
-        report.add(key[:24].decode(errors="replace"), node.depth, "PASS",
-                   node.lhs, match or "EXTRA")
+        report.add(_digest(key), node.depth, "PASS", node.lhs, match or "EXTRA")
         report.count("PASS")
         report.count("MATCHED" if match else "EXTRA")
-    for node in result.pruned_nodes():
-        report.add(canonical_form(node.dtype)[:24].decode(errors="replace"),
-                   node.depth, "PRUNED", node.lhs, node.status)
+    for key, node in sorted(result.pruned.items()):
+        report.add(_digest(key), node.depth, "PRUNED", node.lhs, node.status)
         report.count("PRUNED")
     _emit(report, fmt)
+
+
+def _digest(key: bytes) -> str:
+    """A short stable digest of a canonical form, for report columns."""
+    return hashlib.blake2b(key, digest_size=8).hexdigest()
 
 
 def _fixture_index(root_name: str, cutoff: int, jobs: int = 1) -> dict:

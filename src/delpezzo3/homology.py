@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from delpezzo3 import simulator as sim
+from delpezzo3.chains import det
 
 
 @dataclass(frozen=True)
@@ -42,28 +43,6 @@ class SmithForm:
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _det_unimodular(m) -> int:
-    # exact integer determinant by fraction-free elimination
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -164,8 +143,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 swap_cols(i, i + 1)
                 changed = True
     diag = tuple(a[i][i] for i in range(min(rows, cols)))
-    assert abs(_det_unimodular(u)) == 1
-    assert abs(_det_unimodular(v)) == 1
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     # exact product identity U M V = D
     prod = _mat_mul(_mat_mul(u, [list(r) for r in m.entries]), v)
     for i in range(rows):

@@ -1,0 +1,159 @@
+"""The block-split canonical form and automorphism count against the
+exhaustive search they replaced (``canonical_oracle``)."""
+
+import random
+import time
+
+import canonical_oracle as oracle
+
+from delpezzo3 import fixtures, notation, swaps
+from delpezzo3.boundary import (
+    DecoratedType,
+    Entry,
+    canonical_form,
+    chain_comp,
+    fork_comp,
+    graph_automorphisms,
+)
+
+
+def assert_same_partition(types):
+    """Both forms split ``types`` into the same isomorphism classes."""
+    new = [canonical_form(d) for d in types]
+    old = [oracle.canonical_form(d) for d in types]
+    assert len(set(zip(new, old))) == len(set(new)) == len(set(old))
+    return len(set(new))
+
+
+def fixture_instances(cutoff):
+    out = []
+    for rows in fixtures.load_all_tables().values():
+        for row in rows:
+            for assignment in fixtures.row_assignments(row, cutoff):
+                out.append(notation.substitute(row.expr, assignment))
+    out.extend(notation.substitute(row.expr, {}) for row in fixtures.load_negative())
+    for path in sorted((fixtures.data_dir() / "primitive").glob("*.types")):
+        row = fixtures.parse_fixture_file(path)[0]
+        out.append(notation.substitute(row.expr, {}))
+    return out
+
+
+def random_type(rng):
+    """Up to five chains and forks; components often repeat an earlier
+    shape, labels are often shared between components and sometimes met
+    twice by one entry; a few free labels."""
+    usage = {l: 0 for l in range(1, rng.randint(2, 7))}
+
+    def labels():
+        out = []
+        for l in usage:
+            if usage[l] < 3 and rng.random() < 0.15:
+                times = 2 if usage[l] < 2 and rng.random() < 0.2 else 1
+                usage[l] += times
+                out.extend([l] * times)
+        return tuple(out)
+
+    def entry(template):
+        w, h = template
+        return Entry(w, h, False, labels())
+
+    templates = []
+    comps = []
+    for _ in range(rng.randint(1, 5)):
+        if templates and rng.random() < 0.5:
+            kind, shape = rng.choice(templates)
+        elif rng.random() < 0.25:
+            kind = "fork"
+            shape = [(rng.choice([2, 2, 3]), False)] + [
+                [(rng.choice([2, 2, 3]), rng.random() < 0.1) for _ in range(rng.randint(1, 2))]
+                for _ in range(3)
+            ]
+        else:
+            kind = "chain"
+            shape = [(rng.choice([2, 2, 3]), rng.random() < 0.15) for _ in range(rng.randint(1, 3))]
+        templates.append((kind, shape))
+        if kind == "chain":
+            comps.append(chain_comp([entry(t) for t in shape]))
+        else:
+            comps.append(fork_comp(entry(shape[0]), [[entry(t) for t in twig] for twig in shape[1:]]))
+    free = frozenset(range(100, 100 + rng.choice([0, 0, 0, 1, 2])))
+    return DecoratedType(tuple(comps), free_labels=free)
+
+
+def relabelled_copy(d, rng):
+    """Components reordered, chains reversed, twigs permuted and every
+    label (free ones too) renamed."""
+    names = sorted(d.labels())
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    rename = {a: b + 1000 for a, b in zip(names, shuffled)}
+
+    def move(e):
+        return Entry(e.weight, e.horizontal, e.two_section, tuple(rename[l] for l in e.labels))
+
+    comps = []
+    for c in d.components:
+        if c[0] == "chain":
+            entries = [move(e) for e in c[1]]
+            if rng.random() < 0.5:
+                entries.reverse()
+            comps.append(chain_comp(entries))
+        else:
+            twigs = [[move(e) for e in t] for t in c[2]]
+            rng.shuffle(twigs)
+            comps.append(fork_comp(move(c[1]), twigs))
+    rng.shuffle(comps)
+    return DecoratedType(tuple(comps), d.width, d.char_tag,
+                         frozenset(rename[l] for l in d.free_labels))
+
+
+def test_fixture_instances_same_partition():
+    assert assert_same_partition(fixture_instances(6)) > 400
+
+
+def test_cascade_nodes_same_partition(monkeypatch):
+    """A depth-4 cascade keyed by the oracle keeps the same nodes, with the
+    same depths, statuses and lhs values."""
+    for stem in ("w3_a", "w3_b"):
+        row = fixtures.parse_fixture_file(fixtures.data_dir() / "primitive" / f"{stem}.types")[0]
+        root = notation.substitute(row.expr, {})
+        new = swaps.cascade(root, 4, excluded_labels=row.node_labels)
+        with monkeypatch.context() as m:
+            m.setattr(swaps, "canonical_form", oracle.canonical_form)
+            old = swaps.cascade(root, 4, excluded_labels=row.node_labels)
+        for new_nodes, old_nodes in ((new.nodes, old.nodes), (new.pruned, old.pruned)):
+            assert len(new_nodes) == len(old_nodes)
+            for node in new_nodes.values():
+                twin = old_nodes[oracle.canonical_form(node.dtype)]
+                assert (twin.depth, twin.status, twin.lhs) == (node.depth, node.status, node.lhs)
+        assert_same_partition([n.dtype for n in (*new.nodes.values(), *new.pruned.values())])
+
+
+def test_random_relabelled_copies_same_partition():
+    rng = random.Random(2024)
+    types = []
+    for _ in range(300):
+        d = random_type(rng)
+        types += [d, relabelled_copy(d, rng), relabelled_copy(d, rng)]
+    classes = assert_same_partition(types)
+    assert classes > 200
+    for i in range(0, len(types), 3):
+        assert canonical_form(types[i]) == canonical_form(types[i + 1]) == canonical_form(types[i + 2])
+
+
+def test_automorphism_orders_match_oracle():
+    rng = random.Random(2025)
+    types = [random_type(rng) for _ in range(300)]
+    types += [d for d in fixture_instances(4) if len(d.components) <= 6]
+    for d in types:
+        assert graph_automorphisms(d).order == oracle.graph_automorphisms(d).order
+
+
+def test_symmetric_orders_without_factorial_search():
+    seven = notation.substitute(notation.parse("+".join(["[2,2]"] * 7)), {})
+    t0 = time.perf_counter()
+    canonical_form(seven)
+    assert graph_automorphisms(seven).order == 2**7 * 5040 == 645120
+    assert time.perf_counter() - t0 < 0.1
+    eight = notation.substitute(notation.parse("+".join(f"[2@{i}]" for i in range(1, 9))), {})
+    assert graph_automorphisms(eight).order == 40320

@@ -11,6 +11,7 @@ from delpezzo3.chains import (
     chains_with_discriminant,
     contract_marker_gain,
     contracts_to_zero_curve,
+    det,
     discriminant,
     drop_after_two_neg1,
     dual_chain,
@@ -74,6 +75,21 @@ def test_discriminant_recursion(t, data):
     assert discriminant(t) == discriminant(d1) * discriminant(d2) - discriminant(
         d1[:-1]
     ) * discriminant(d2[1:])
+
+
+def test_tree_determinant_singular():
+    # a zero pivot column makes the matrix singular: the determinant is 0
+    assert tree_determinant([0, 1, 1], []) == 0
+    assert tree_determinant([0, 2, 2], [(1, 2)]) == 0
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4),
+       st.integers(1, 4))
+def test_det_matches_cofactor_expansion(rows, n):
+    from delpezzo3.homology import _det_exact
+
+    m = [row[:n] for row in rows[:n]]
+    assert det(m) == _det_exact(m)
 
 
 def test_disjoint_union_discriminant():

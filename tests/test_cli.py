@@ -89,3 +89,16 @@ def test_cascade_command_small():
     res = run("cascade", "--root", "w1b", "--depth", "2", "--cutoff", "3")
     assert res.exit_code == 0
     assert "MATCHED" in res.output
+
+
+def test_cascade_digest_column_is_distinct():
+    res = run("cascade", "--root", "w1b", "--depth", "3")
+    rows = [
+        row
+        for row in csv.reader(io.StringIO(res.output))
+        if row and not row[0].startswith("#")
+    ][1:]
+    digests = [row[0] for row in rows]
+    assert len(digests) == 42
+    assert len(set(digests)) == len(digests)
+    assert all(len(d) == 16 for d in digests)
