@@ -62,6 +62,65 @@ def fork_comp(branch: Entry, twigs) -> Component:
     return ("fork", branch, twigs)
 
 
+def walk_components(adj) -> list:
+    """Split the graph on nodes ``0..n-1`` (``adj[i]`` lists the
+    neighbors of node i) into chains and forks of node indices.
+
+    Components come in order of their smallest node, as
+    ``("chain", [i, ...])`` read from the smaller tip, or
+    ``("fork", b, (twig1, twig2, twig3))`` with the twigs in order of
+    their node next to the branch b, each listed tip first.  A cycle, or
+    a tree that is neither a chain nor a fork, raises ``ValueError``.
+    """
+    seen = [False] * len(adj)
+    out = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for i in comp:
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        if sum(len(adj[i]) for i in comp) != 2 * (len(comp) - 1):
+            raise ValueError("boundary component contains a cycle")
+        branch = [i for i in comp if len(adj[i]) >= 3]
+        if not branch:
+            tip = min(i for i in comp if len(adj[i]) <= 1)
+            out.append(("chain", _walk_path(adj, tip, None)))
+        elif len(branch) == 1 and len(adj[branch[0]]) == 3:
+            b = branch[0]
+            twigs = tuple(_walk_path(adj, first, b)[::-1] for first in sorted(adj[b]))
+            out.append(("fork", b, twigs))
+        else:
+            raise ValueError("boundary component is not a chain or fork")
+    return out
+
+
+def _walk_path(adj, start: int, prev) -> list[int]:
+    """The path from ``start`` away from ``prev`` to the end of its arm."""
+    path = [start]
+    while True:
+        nxts = [i for i in adj[path[-1]] if i != prev]
+        if not nxts:
+            return path
+        prev = path[-1]
+        path.append(nxts[0])
+
+
+def place_entries(layout, entries) -> tuple[Component, ...]:
+    """The components of a ``walk_components`` layout, with
+    ``entries[i]`` at node i."""
+    return tuple(
+        chain_comp([entries[i] for i in part[1]])
+        if part[0] == "chain"
+        else fork_comp(entries[part[1]], [[entries[i] for i in t] for t in part[2]])
+        for part in layout
+    )
+
+
 def comp_entries(comp: Component) -> list[Entry]:
     if comp[0] == "chain":
         return list(comp[1])

@@ -65,7 +65,7 @@ def main() -> None:
 @main.command()
 @click.argument("source")
 @click.option("--width", type=int, default=None, help="override the width tag")
-@click.option("--cutoff", type=int, default=12, show_default=True)
+@click.option("--cutoff", type=click.IntRange(min=0), default=12, show_default=True)
 @click.option("--strict", is_flag=True, help="exit 1 if any row fails")
 @format_option
 def check(source, width, cutoff, strict, fmt):
@@ -117,7 +117,7 @@ def _fmt_assign(assignment: dict) -> str:
 
 
 @main.command("enum-abcd")
-@click.option("--max", "cap", type=int, default=50, show_default=True)
+@click.option("--max", "cap", type=click.IntRange(min=0), default=50, show_default=True)
 @format_option
 def enum_abcd(cap, fmt):
     """Enumerate the width-3 two-chain family and verify the (a,b,c,d)
@@ -159,8 +159,8 @@ def _fmt_box(box) -> str:
 
 @main.command()
 @click.option("--root", "root_name", required=True, help="primitive model, e.g. w3a")
-@click.option("--depth", type=int, default=8, show_default=True)
-@click.option("--cutoff", type=int, default=8, show_default=True,
+@click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
+@click.option("--cutoff", type=click.IntRange(min=0), default=8, show_default=True,
               help="parameter bound when matching fixture families")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @format_option
@@ -169,7 +169,7 @@ def cascade(root_name, depth, cutoff, jobs, fmt):
     result against the fixture corpus."""
     root, node_excl = _load_root(root_name)
     result = swaps.cascade(root, depth, jobs=jobs, excluded_labels=node_excl)
-    known = _fixture_index(root_name, cutoff, jobs)
+    known = _fixture_index(root_name, cutoff)
     report = Report("cascade", ("canonical", "depth", "status", "lhs", "match"))
     for key, node in sorted(result.nodes.items()):
         match = known.get(key, "")
@@ -187,7 +187,7 @@ def _digest(key: bytes) -> str:
     return hashlib.blake2b(key, digest_size=8).hexdigest()
 
 
-def _fixture_index(root_name: str, cutoff: int, jobs: int = 1) -> dict:
+def _fixture_index(root_name: str, cutoff: int) -> dict:
     out = {}
     for stem in ("char0", "char3"):
         for row in fixtures.load_table(stem):
@@ -227,9 +227,9 @@ def _verify_instance(args):
 @main.command("verify-tables")
 @click.option("--table", "table_name", default="all", show_default=True,
               help="char0, char3, char2_moduli, char2, nonlt_char2 or all")
-@click.option("--cutoff", type=int, default=12, show_default=True)
+@click.option("--cutoff", type=click.IntRange(min=0), default=12, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--cascade-depth", type=int, default=0, show_default=True,
+@click.option("--cascade-depth", type=click.IntRange(min=0), default=0, show_default=True,
               help="also require width-3/width-1 rows to appear in the "
                    "cascade of their primitive root (0 = skip)")
 @format_option
@@ -373,11 +373,15 @@ main.add_command(homology_cmd, name="homology")
 @format_option
 def simulate(planfile, fmt):
     """Replay a blowup plan and report the resulting configuration."""
-    plan = sim.load_plan(Path(planfile))
+    try:
+        plan = sim.load_plan(Path(planfile))
+    except sim.SimulationError as err:
+        click.echo(f"plan error: {err}", err=True)
+        sys.exit(2)
     try:
         cfg = sim.replay(plan)
         d = sim.extract_decorated_type(cfg, plan.fibration)
-    except sim.SimulationError as err:
+    except ValueError as err:  # SimulationError, or the width/mark checks of DecoratedType
         click.echo(f"simulation error: {err}", err=True)
         sys.exit(1)
     report = Report("simulate", ("item", "value"))

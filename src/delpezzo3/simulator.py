@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from delpezzo3.boundary import DecoratedType, Entry, chain_comp, fork_comp
+from delpezzo3.boundary import DecoratedType, Entry, place_entries, walk_components
 
 
 class SimulationError(ValueError):
@@ -329,52 +329,57 @@ def parse_plan(text: str, name: str = "plan") -> Plan:
         if not line:
             continue
         words = line.split()
-        if words[0] == "base":
-            base = words[1]
-        elif words[0] == "curve":
-            if words[2] != "selfint":
-                raise SimulationError(f"bad curve line: {line}")
-            curves.append((words[1], int(words[3])))
-        elif words[0] == "point":
-            entry = {"name": words[1], "contact": {}, "cusp": []}
-            if words[2] != "on":
-                raise SimulationError(f"bad point line: {line}")
-            entry["on"] = words[3].split(",")
-            i = 4
-            while i < len(words):
-                if words[i] == "contact":
-                    i += 1
-                    while i < len(words) and "=" in words[i]:
-                        pair, t = words[i].split("=")
-                        a, b = pair.split(":")
-                        entry["contact"][(a, b)] = int(t)
+        try:
+            if words[0] == "base":
+                base = words[1]
+            elif words[0] == "curve":
+                if words[2] != "selfint":
+                    raise SimulationError(f"bad curve line: {line}")
+                curves.append((words[1], int(words[3])))
+            elif words[0] == "point":
+                entry = {"name": words[1], "contact": {}, "cusp": []}
+                if words[2] != "on":
+                    raise SimulationError(f"bad point line: {line}")
+                entry["on"] = words[3].split(",")
+                i = 4
+                while i < len(words):
+                    if words[i] == "contact":
                         i += 1
-                elif words[i] == "cusp":
-                    entry["cusp"].append(words[i + 1])
-                    i += 2
+                        while i < len(words) and "=" in words[i]:
+                            pair, t = words[i].split("=")
+                            a, b = pair.split(":")
+                            entry["contact"][(a, b)] = int(t)
+                            i += 1
+                    elif words[i] == "cusp":
+                        entry["cusp"].append(words[i + 1])
+                        i += 2
+                    else:
+                        raise SimulationError(f"bad point clause {words[i]!r}")
+                points.append(entry)
+            elif words[0] == "blowup":
+                if words[1] == "near":
+                    if words[3] != "along":
+                        raise SimulationError(f"bad blowup line: {line}")
+                    steps.append(("near", words[2], words[4]))
+                elif words[1] == "free-on":
+                    steps.append(("free-on", words[2]))
+                elif words[1] == "free":
+                    steps.append(("free",))
                 else:
-                    raise SimulationError(f"bad point clause {words[i]!r}")
-            points.append(entry)
-        elif words[0] == "blowup":
-            if words[1] == "near":
-                if words[3] != "along":
-                    raise SimulationError(f"bad blowup line: {line}")
-                steps.append(("near", words[2], words[4]))
-            elif words[1] == "free-on":
-                steps.append(("free-on", words[2]))
-            elif words[1] == "free":
-                steps.append(("free",))
+                    steps.append(("point", words[1]))
+            elif words[0] == "fibration":
+                opts = dict(w.split("=") for w in words[1:])
+                fibration = Fibration(
+                    int(opts["width"]),
+                    tuple(opts["horizontal"].split(",")),
+                    tuple(opts["base-fibers"].split(",")),
+                )
             else:
-                steps.append(("point", words[1]))
-        elif words[0] == "fibration":
-            opts = dict(w.split("=") for w in words[1:])
-            fibration = Fibration(
-                int(opts["width"]),
-                tuple(opts["horizontal"].split(",")),
-                tuple(opts["base-fibers"].split(",")),
-            )
-        else:
-            raise SimulationError(f"unknown plan directive {words[0]!r}")
+                raise SimulationError(f"unknown plan directive {words[0]!r}")
+        except SimulationError:
+            raise
+        except (IndexError, KeyError, ValueError):
+            raise SimulationError(f"bad {words[0]} line: {line}") from None
     if base is None or fibration is None:
         raise SimulationError("plan needs a base and a fibration block")
     return Plan(name, base, curves, points, steps, fibration)
@@ -497,33 +502,31 @@ def analyze_fiber(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str) -> 
     sigma = len(minus_ones)
     l_curve = minus_ones[0] if sigma == 1 else None
     mu = vec[l_curve] if l_curve else None
-    shape = _chain_shape(cfg, list(vec))
+    shape = _chain_shape({c: cfg.curves[c].self_int for c in vec}, cfg.intersection)
     return FiberData(base_fiber, vec, sigma, shape, l_curve, mu)
 
 
-def _chain_shape(cfg: SurfaceConfig, comps: list[str]) -> tuple:
-    """Weights of the reduced fiber ordered along the chain; () if the
-    components do not form a chain."""
-    if len(comps) == 1:
-        return (-cfg.curves[comps[0]].self_int,)
-    adj = {c: [] for c in comps}
-    for i, a in enumerate(comps):
-        for b in comps[i + 1 :]:
-            if cfg.intersection(a, b) > 0:
-                adj[a].append(b)
-                adj[b].append(a)
-    tips = [c for c in comps if len(adj[c]) == 1]
-    if len(tips) != 2 or any(len(v) > 2 for v in adj.values()):
+def _chain_shape(self_ints: dict, intersection) -> tuple:
+    """Weights of the curves ``self_ints`` ordered along the chain they
+    form, read from the tip met first in the dict's order; () if they do
+    not form one chain."""
+    names = list(self_ints)
+    try:
+        layout = walk_components(_adjacency(names, intersection))
+    except ValueError:
         return ()
-    order = [tips[0]]
-    prev = None
-    while len(order) < len(comps):
-        nxts = [c for c in adj[order[-1]] if c != prev]
-        if not nxts:
-            return ()
-        prev = order[-1]
-        order.append(nxts[0])
-    return tuple(-cfg.curves[c].self_int for c in order)
+    if len(layout) != 1 or layout[0][0] != "chain":
+        return ()
+    return tuple(-self_ints[names[i]] for i in layout[0][1])
+
+
+def _adjacency(names: list, intersection) -> list[list[int]]:
+    """Neighbor lists over the positions in ``names`` of the curves that
+    meet."""
+    return [
+        [j for j, b in enumerate(names) if j != i and intersection(a, b) > 0]
+        for i, a in enumerate(names)
+    ]
 
 
 def sigma_identity_check(cfg: SurfaceConfig, fibration: Fibration) -> bool:
@@ -627,6 +630,12 @@ def tau_shape(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
     fiber, whether the section meets it twice at one point, and the
     multiplicity of the surviving (-1)-curve.
     """
+    return _stabilize(cfg, fibration, base_fiber)[:3]
+
+
+def _stabilize(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
+    """The stabilizing contraction of one fiber: ``tau_shape``'s
+    (shape, node, mu) and the gain of the section's self-intersection."""
     data = analyze_fiber(cfg, fibration, base_fiber)
     h = fibration.horizontal[0]
     nodes = {c: cfg.curves[c].self_int for c in data.components}
@@ -639,7 +648,7 @@ def tau_shape(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
             if v:
                 inter[frozenset((a, b))] = v
     mults = dict(data.components)
-    contracted_into_h = set()
+    gain = 0
     while True:
         candidates = [
             c
@@ -651,12 +660,13 @@ def tau_shape(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
         if not candidates:
             break
         c = sorted(candidates)[0]
-        if inter.get(frozenset((h, c)), 0):
-            contracted_into_h.add(c)
+        gain += inter.get(frozenset((h, c)), 0) ** 2
         _contract_graph(nodes, inter, c)
         del mults[c]
     fiber_nodes = [c for c in nodes if c != h]
-    shape = _graph_chain_shape(nodes, inter, fiber_nodes)
+    shape = _chain_shape(
+        {c: nodes[c] for c in fiber_nodes}, lambda a, b: inter.get(frozenset((a, b)), 0)
+    )
     survivors_minus_one = [c for c in fiber_nodes if nodes[c] == -1]
     node = any(inter.get(frozenset((h, c)), 0) >= 2 for c in fiber_nodes)
     partners: list = []
@@ -667,7 +677,7 @@ def tau_shape(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
                 node = True
                 partners = others
     if len(survivors_minus_one) != 1:
-        return shape, node, None
+        return shape, node, None, gain
     l_hat = survivors_minus_one[0]
     # local contribution of the fiber to the section at the point on the
     # surviving (-1)-curve: the mu of the fiber-structure classification
@@ -675,30 +685,7 @@ def tau_shape(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
         mu = sum(mults[c] for c in partners)
     else:
         mu = mults[l_hat] * inter.get(frozenset((h, l_hat)), 0)
-    return shape, node, mu
-
-
-def _graph_chain_shape(nodes: dict, inter: dict, comps: list) -> tuple:
-    if len(comps) == 1:
-        return (-nodes[comps[0]],)
-    adj = {c: [] for c in comps}
-    for i, a in enumerate(comps):
-        for b in comps[i + 1 :]:
-            if inter.get(frozenset((a, b)), 0) > 0:
-                adj[a].append(b)
-                adj[b].append(a)
-    tips = [c for c in comps if len(adj[c]) <= 1]
-    if len(tips) != 2:
-        return ()
-    order = [tips[0]]
-    prev = None
-    while len(order) < len(comps):
-        nxts = [c for c in adj[order[-1]] if c != prev]
-        if not nxts:
-            return ()
-        prev = order[-1]
-        order.append(nxts[0])
-    return tuple(-nodes[c] for c in order)
+    return shape, node, mu, gain
 
 
 def width1_bookkeeping_check(cfg: SurfaceConfig, fibration: Fibration) -> bool:
@@ -715,8 +702,8 @@ def width1_bookkeeping_check(cfg: SurfaceConfig, fibration: Fibration) -> bool:
     nu2 = nu3 = 0
     touches = 0
     for bf in fibration.base_fibers:
-        shape, node, mu = tau_shape(cfg, fibration, bf)
-        touches += _tau_touches(cfg, fibration, bf)
+        shape, node, mu, gain = _stabilize(cfg, fibration, bf)
+        touches += gain
         if sorted(shape) == [1, 2, 2]:
             nu2 += 1
             expected_mu = 3 if node else 2
@@ -729,37 +716,6 @@ def width1_bookkeeping_check(cfg: SurfaceConfig, fibration: Fibration) -> bool:
             return False
     hat_h_sq = cfg.curves[h].self_int + touches
     return hat_h_sq == 6 - 2 * nu2 - 3 * nu3
-
-
-def _tau_touches(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str) -> int:
-    """Gain of the section's self-intersection during the stabilizing
-    contraction of one fiber."""
-    data = analyze_fiber(cfg, fibration, base_fiber)
-    h = fibration.horizontal[0]
-    nodes = {c: cfg.curves[c].self_int for c in data.components}
-    nodes[h] = cfg.curves[h].self_int
-    inter = {}
-    names = list(nodes)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            v = cfg.intersection(a, b)
-            if v:
-                inter[frozenset((a, b))] = v
-    gain = 0
-    while True:
-        candidates = [
-            c
-            for c in nodes
-            if c != h
-            and nodes[c] == -1
-            and sum(inter.get(frozenset((c, o)), 0) for o in nodes if o != c) <= 2
-        ]
-        if not candidates:
-            break
-        c = sorted(candidates)[0]
-        gain += inter.get(frozenset((h, c)), 0) ** 2
-        _contract_graph(nodes, inter, c)
-    return gain
 
 
 # ---------------------------------------------------------------------------
@@ -793,28 +749,17 @@ def extract_decorated_type(cfg: SurfaceConfig, fibration: Fibration) -> Decorate
             -cfg.curves[c].self_int, horizontal, two_section, tuple(entry_labels)
         )
 
-    adj = {c: [] for c in boundary}
-    for i, a in enumerate(boundary):
-        for b in boundary[i + 1 :]:
-            if cfg.intersection(a, b) > 0:
-                adj[a].append(b)
-                adj[b].append(a)
+    try:
+        layout = walk_components(_adjacency(boundary, cfg.intersection))
+    except ValueError as err:
+        raise SimulationError(str(err)) from None
     free = frozenset(
         labels[v]
         for v in verticals
         if not any(cfg.intersection(v, c) for c in boundary)
     )
-    components = []
-    seen = set()
-    for start in boundary:
-        if start in seen:
-            continue
-        comp = _collect_component(start, adj)
-        seen.update(comp)
-        components.append(_classify_component(comp, adj, entry_for))
-    return DecoratedType(
-        tuple(components), width=fibration.width, free_labels=free
-    )
+    components = place_entries(layout, [entry_for[c] for c in boundary])
+    return DecoratedType(components, width=fibration.width, free_labels=free)
 
 
 def node_labels(cfg: SurfaceConfig, fibration: Fibration) -> frozenset:
@@ -836,48 +781,3 @@ def node_labels(cfg: SurfaceConfig, fibration: Fibration) -> frozenset:
         if len(on_boundary) >= 2:
             out.update(through)
     return frozenset(out)
-
-
-def _collect_component(start, adj):
-    comp = [start]
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in comp:
-                comp.append(nxt)
-                stack.append(nxt)
-    return comp
-
-
-def _classify_component(comp, adj, entry_for):
-    degrees = {c: len([n for n in adj[c] if n in comp]) for c in comp}
-    branch_nodes = [c for c in comp if degrees[c] >= 3]
-    if not branch_nodes:
-        tips = [c for c in comp if degrees[c] <= 1]
-        if len(comp) == 1:
-            return chain_comp([entry_for[comp[0]]])
-        if len(tips) != 2:
-            raise SimulationError("boundary contains a circular component")
-        order = [min(tips)]
-        prev = None
-        while len(order) < len(comp):
-            nxts = [c for c in adj[order[-1]] if c in comp and c != prev]
-            prev = order[-1]
-            order.append(nxts[0])
-        return chain_comp([entry_for[c] for c in order])
-    if len(branch_nodes) > 1 or degrees[branch_nodes[0]] != 3:
-        raise SimulationError("boundary component is not a chain or fork")
-    b = branch_nodes[0]
-    twigs = []
-    for first in sorted(adj[b]):
-        twig = [first]
-        prev = b
-        while True:
-            nxts = [c for c in adj[twig[-1]] if c != prev]
-            if not nxts:
-                break
-            prev = twig[-1]
-            twig.append(nxts[0])
-        # twigs are stored from the far tip toward the branch
-        twigs.append(tuple(entry_for[c] for c in reversed(twig)))
-    return fork_comp(entry_for[b], twigs)

@@ -13,7 +13,6 @@ inequality, and deduplicating by canonical form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,10 +20,12 @@ from delpezzo3.boundary import (
     DecoratedType,
     Entry,
     canonical_form,
-    chain_comp,
+    comp_weights,
     delpezzo_check_width,
-    fork_comp,
+    place_entries,
+    walk_components,
 )
+from delpezzo3.chains import ld_chain, ld_fork
 
 
 class SwapError(ValueError):
@@ -57,62 +58,20 @@ def to_graph(d: DecoratedType):
 
 
 def from_graph(entries, edges, width, char_tag, free_labels) -> DecoratedType:
-    n = len(entries)
-    adj = {i: [] for i in range(n)}
-    for e in edges:
-        a, b = tuple(e)
+    components = place_entries(_layout(len(entries), edges), entries)
+    return DecoratedType(components, width, char_tag, frozenset(free_labels))
+
+
+def _layout(n: int, edges) -> list:
+    """``walk_components`` of the graph on ``n`` nodes with these edges."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    seen: set = set()
-    components = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = [start]
-        stack = [start]
-        seen.add(start)
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.append(nxt)
-                    stack.append(nxt)
-        branch = [i for i in comp if len(adj[i]) >= 3]
-        if not branch:
-            tips = [i for i in comp if len(adj[i]) <= 1]
-            if len(comp) == 1:
-                components.append(chain_comp([entries[comp[0]]]))
-                continue
-            if len(tips) != 2:
-                raise SwapError("boundary acquired a circular component")
-            order = [min(tips)]
-            prev = None
-            while len(order) < len(comp):
-                nxts = [i for i in adj[order[-1]] if i != prev]
-                if not nxts:
-                    raise SwapError("disconnected chain data")
-                prev = order[-1]
-                order.append(nxts[0])
-            components.append(chain_comp([entries[i] for i in order]))
-        elif len(branch) == 1 and len(adj[branch[0]]) == 3:
-            b = branch[0]
-            twigs = []
-            for first in sorted(adj[b]):
-                twig = [first]
-                prev = b
-                while True:
-                    nxts = [i for i in adj[twig[-1]] if i != prev]
-                    if len(nxts) > 1:
-                        raise SwapError("boundary component is not a fork")
-                    if not nxts:
-                        break
-                    prev = twig[-1]
-                    twig.append(nxts[0])
-                twigs.append(tuple(entries[i] for i in reversed(twig)))
-            components.append(fork_comp(entries[b], twigs))
-        else:
-            raise SwapError("boundary component is not a chain or fork")
-    return DecoratedType(tuple(components), width, char_tag, frozenset(free_labels))
+    try:
+        return walk_components(adj)
+    except ValueError as err:
+        raise SwapError(str(err)) from None
 
 
 def _attachments(entries, label):
@@ -131,24 +90,6 @@ def _strip_label(e: Entry, label: int) -> Entry:
 
 def _add_label(e: Entry, label: int) -> Entry:
     return Entry(e.weight, e.horizontal, e.two_section, e.labels + (label,))
-
-
-def _node_pair(edges, attachments) -> bool:
-    idx = [i for i, _ in attachments]
-    return any(frozenset((a, b)) in edges for a, b in itertools.combinations(idx, 2))
-
-
-def adjacent_attachment_labels(d: DecoratedType) -> frozenset:
-    """Labels attached to two adjacent boundary entries.  Such a curve
-    either passes through a node of the boundary or closes a triangle
-    with it; the decorated data cannot tell the two apart, so the node
-    curves of the primitive models are recorded explicitly."""
-    entries, edges = to_graph(d)
-    out = set()
-    for label in d.labels():
-        if _node_pair(edges, _attachments(entries, label)):
-            out.add(label)
-    return frozenset(out)
 
 
 # -- the swaps ---------------------------------------------------------------
@@ -210,28 +151,33 @@ def reverse_swap(d: DecoratedType, label: int, target: int,
         raise SwapError(f"label {label} meets the boundary in a node")
     entries, edges = to_graph(d)
     att = _attachments(entries, label)
-    idx = {i for i, _ in att}
-    if target not in idx:
+    if target not in {i for i, _ in att}:
         raise SwapError(f"entry {target} is not an attachment of label {label}")
     if any(k > 1 for _, k in att):
         raise SwapError("the curve meets a boundary component twice")
+    new_entries, new_edges = _blow_up_graph(entries, edges, label, target)
+    return from_graph(new_entries, new_edges, d.width, d.char_tag, d.free_labels)
+
+
+def _blow_up_graph(entries, edges, label: int, target: int):
+    """The reverse swap in graph form: every entry keeps its index, the
+    target gains one weight, the label moves from the other attachments
+    to the new (-2)-curve, which is appended and meets them."""
+    att = {i for i, _ in _attachments(entries, label)}
     new_entries = []
     for i, e in enumerate(entries):
         if i == target:
-            new_entries.append(
-                Entry(e.weight + 1, e.horizontal, e.two_section, e.labels)
-            )
-        elif i in idx:
-            new_entries.append(_strip_label(e, label))
-        else:
-            new_entries.append(e)
+            e = Entry(e.weight + 1, e.horizontal, e.two_section, e.labels)
+        elif i in att:
+            e = _strip_label(e, label)
+        new_entries.append(e)
     c_index = len(new_entries)
     new_entries.append(Entry(2, labels=(label,)))
     new_edges = set(edges)
-    for i in idx:
+    for i in att:
         if i != target:
             new_edges.add(frozenset((i, c_index)))
-    return from_graph(new_entries, new_edges, d.width, d.char_tag, d.free_labels)
+    return new_entries, new_edges
 
 
 def legal_forward_labels(d: DecoratedType,
@@ -294,106 +240,28 @@ class CascadeResult:
 
 def graph_lds(entries, edges) -> list[Fraction]:
     """Log discrepancy of every graph node, indexed like ``entries``."""
-    d = from_graph(entries, edges, None, "any", frozenset())
-    # rebuild the index correspondence: from_graph walks components in
-    # order of their smallest node index and lays twigs out |branch|twig1..
-    n = len(entries)
-    adj = {i: [] for i in range(n)}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    lds: dict[int, Fraction] = {}
-    seen: set = set()
-    comp_iter = iter(d.components)
-    for start in range(n):
-        if start in seen:
-            continue
-        nodes = [start]
-        stack = [start]
-        seen.add(start)
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    nodes.append(nxt)
-                    stack.append(nxt)
-        comp = next(comp_iter)
-        ordered = _graph_order(nodes, adj)
-        if comp[0] == "chain":
-            values = [d.ld(d.components.index(comp), j)
-                      for j in range(1, len(comp[1]) + 1)]
-            seq = [e for e in comp[1]]
-            if [entries[i] for i in ordered] != seq:
-                ordered = list(reversed(ordered))
-            for i, v in zip(ordered, values):
-                lds[i] = v
+    lds: list = [None] * len(entries)
+    layout = _layout(len(entries), edges)
+    for part, comp in zip(layout, place_entries(layout, entries)):
+        shape = comp_weights(comp)
+        if part[0] == "chain":
+            for j, i in enumerate(part[1], start=1):
+                lds[i] = ld_chain(shape, j)
         else:
-            ci = d.components.index(comp)
-            b = [i for i in nodes if len([x for x in adj[i] if x in nodes]) == 3][0]
-            lds[b] = d.ld(ci, "branch")
-            used_twigs = set()
-            for first in sorted(adj[b]):
-                walk = [first]
-                prev = b
-                while True:
-                    nxts = [x for x in adj[walk[-1]] if x != prev]
-                    if not nxts:
-                        break
-                    prev = walk[-1]
-                    walk.append(nxts[0])
-                tipfirst = list(reversed(walk))
-                shape = tuple(entries[i] for i in tipfirst)
-                for ti, t in enumerate(comp[2], start=1):
-                    if ti in used_twigs or t != shape:
-                        continue
-                    used_twigs.add(ti)
-                    for j, i in enumerate(tipfirst, start=1):
-                        lds[i] = d.ld(ci, (ti, j))
-                    break
-    return [lds[i] for i in range(n)]
-
-
-def _graph_order(nodes, adj):
-    inside = set(nodes)
-    degree = {i: len([x for x in adj[i] if x in inside]) for i in nodes}
-    tips = [i for i in nodes if degree[i] <= 1]
-    if len(nodes) == 1:
-        return list(nodes)
-    order = [min(tips)]
-    prev = None
-    while len(order) < len(nodes):
-        nxts = [x for x in adj[order[-1]] if x in inside and x != prev]
-        if not nxts:
-            return list(nodes)
-        prev = order[-1]
-        order.append(nxts[0])
-    return order
+            lds[part[1]] = ld_fork(shape, "branch")
+            for ti, twig in enumerate(part[2], start=1):
+                for j, i in enumerate(twig, start=1):
+                    lds[i] = ld_fork(shape, (ti, j))
+    return lds
 
 
 def _check_monotone(child: DecoratedType, parent: DecoratedType, move) -> None:
     """Log discrepancies do not decrease under the forward swap
     from child back to parent.  The reverse swap keeps every parent entry
     at its graph index and appends the new (-2)-curve, so indices match."""
-    label, target = move
     p_entries, p_edges = to_graph(parent)
-    att = {i for i, _ in _attachments(p_entries, label)}
-    c_index = len(p_entries)
-    child_entries = []
-    for i, e in enumerate(p_entries):
-        if i == target:
-            child_entries.append(Entry(e.weight + 1, e.horizontal, e.two_section, e.labels))
-        elif i in att:
-            child_entries.append(_strip_label(e, label))
-        else:
-            child_entries.append(e)
-    child_entries.append(Entry(2, labels=(label,)))
-    child_edges = set(p_edges)
-    for i in att:
-        if i != target:
-            child_edges.add(frozenset((i, c_index)))
     parent_lds = graph_lds(p_entries, p_edges)
-    child_lds = graph_lds(child_entries, child_edges)
+    child_lds = graph_lds(*_blow_up_graph(p_entries, p_edges, *move))
     for i in range(len(p_entries)):
         if child_lds[i] > parent_lds[i]:
             raise AssertionError(

@@ -331,8 +331,9 @@ def test_failed_check_stays_failed_under_weight_growth():
 
 def test_canonical_form_collision_sweep():
     # canonical forms are injective up to isomorphism: any two random
-    # types that collide must carry identical label-free data, and the
-    # sweep must produce many distinct classes
+    # types that collide must carry identical label-free data (the same
+    # singularity type and multiset of entry skeletons), and the sweep
+    # must produce many distinct classes
     import random as _random
 
     rng = _random.Random(99)
@@ -357,9 +358,7 @@ def test_canonical_form_collision_sweep():
     assert len(buckets) > 1200
     for key, members in buckets.items():
         base = singularity_type_of(members[0])
-        pattern = sorted(
-            sorted(e.labels and len(e.labels) or 0 for e in m.entries())
-            for m in members
-        )
+        skeletons = sorted(e.skeleton() for e in members[0].entries())
         for m in members:
             assert singularity_type_of(m) == base
+            assert sorted(e.skeleton() for e in m.entries()) == skeletons

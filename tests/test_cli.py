@@ -102,3 +102,50 @@ def test_cascade_digest_column_is_distinct():
     assert len(digests) == 42
     assert len(set(digests)) == len(digests)
     assert all(len(d) == 16 for d in digests)
+
+
+def plan_file(tmp_path, text):
+    path = tmp_path / "bad.plan"
+    path.write_text(text)
+    return str(path)
+
+
+def assert_one_line_error(res, code, prefix):
+    assert res.exit_code == code, res.output
+    assert res.output.startswith(prefix) and res.output.count("\n") == 1, res.output
+    assert "Traceback" not in res.output
+
+
+def test_simulate_plan_errors_exit_2(tmp_path):
+    good = (fixtures.data_dir() / "plans" / "ex31a.plan").read_text()
+    broken = {
+        "selfint": good.replace("curve V1 selfint 0", "curve V1 selfint x"),
+        "width": good.replace("width=3", "width=three"),
+        "short line": good.replace("curve V1 selfint 0", "curve V1"),
+        "no width": good.replace("width=3 ", ""),
+    }
+    for name, text in broken.items():
+        res = run("simulate", plan_file(tmp_path, text))
+        assert_one_line_error(res, 2, "plan error:")
+
+
+def test_simulate_width_mismatch_is_one_line(tmp_path):
+    good = (fixtures.data_dir() / "plans" / "ex31a.plan").read_text()
+    res = run("simulate", plan_file(tmp_path, good.replace("width=3", "width=2")))
+    assert_one_line_error(res, 1, "simulation error:")
+    assert "horizontal marks" in res.output
+
+
+def test_negative_counts_are_usage_errors():
+    for args in (
+        ("cascade", "--root", "w1b", "--depth", "-1"),
+        ("cascade", "--root", "w1b", "--cutoff", "-1"),
+        ("check", "[2h]+[2h]+[2h];width=3", "--cutoff", "-1"),
+        ("verify-tables", "--table", "char2_moduli", "--cutoff", "-1"),
+        ("verify-tables", "--table", "char2_moduli", "--cascade-depth", "-1"),
+        ("enum-abcd", "--max", "-1"),
+    ):
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert "Traceback" not in res.output
+    assert run("cascade", "--root", "w1b", "--depth", "0").exit_code == 0

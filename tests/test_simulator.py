@@ -190,3 +190,49 @@ def test_free_blowup_centers():
     on_curve = sim.blow_up_free_on(cfg, "H1")
     assert on_curve.curves["H1"].self_int == -1
     assert on_curve.intersection("E3", "H1") == 1
+
+
+# A triangle of (-2)-curves on P1xP1 (the fiber {a}, the section {b} and
+# the (1,1)-curve D, blown up free 2/2/4 times) with a (-2)-tail E8 on D:
+# the boundary contains a cycle.
+CYCLIC_PLAN = """
+base P1xP1
+curve {a} selfint 0
+curve {b} selfint 0
+curve D selfint 2
+point p on {a},{b}
+point q on {a},D
+point r on {b},D
+blowup free-on {a}
+blowup free-on {a}
+blowup free-on {b}
+blowup free-on {b}
+blowup free-on D
+blowup free-on D
+blowup free-on D
+blowup free-on D
+blowup free-on E8
+fibration width=2 horizontal={b},D base-fibers={a}
+"""
+
+
+@pytest.mark.parametrize("names", [("A", "B"), ("V1", "H1")])
+def test_cyclic_boundary_is_rejected(names, tmp_path):
+    """The fork walk once followed the cycle: with curves A,B,D it never
+    returned, with V1,H1,D it built a fork whose entries repeat."""
+    from click.testing import CliRunner
+
+    from delpezzo3.cli import main
+
+    text = CYCLIC_PLAN.format(a=names[0], b=names[1])
+    plan = sim.parse_plan(text)
+    cfg = sim.replay(plan)
+    assert sim.boundary_curves(cfg) == sorted([*names, "D", "E8"])
+    with pytest.raises(sim.SimulationError, match="cycle"):
+        sim.extract_decorated_type(cfg, plan.fibration)
+    path = tmp_path / "cyclic.plan"
+    path.write_text(text)
+    res = CliRunner().invoke(main, ["simulate", str(path)])
+    assert res.exit_code == 1
+    assert res.output.startswith("simulation error:") and res.output.count("\n") == 1
+    assert "Traceback" not in res.output

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from delpezzo3 import fixtures, notation, swaps
-from delpezzo3.boundary import canonical_form, delpezzo_check_width
+from delpezzo3.boundary import Entry, canonical_form, delpezzo_check_width
 
 
 def load_primitive(stem):
@@ -146,3 +146,56 @@ def test_width2_families_cascade_reachable():
             if canonical_form(d) not in caches[row.root]:
                 missing.append((row.name, assignment))
     assert not missing, missing
+
+
+def to_graph_positions(d):
+    """(component index, position) of every entry, in to_graph order."""
+    for ci, comp in enumerate(d.components):
+        if comp[0] == "chain":
+            yield from ((ci, j) for j in range(1, len(comp[1]) + 1))
+        else:
+            yield ci, "branch"
+            for ti, twig in enumerate(comp[2], start=1):
+                yield from ((ci, (ti, j)) for j in range(1, len(twig) + 1))
+
+
+def test_graph_round_trip_and_lds():
+    """from_graph inverts to_graph exactly, and graph_lds reads every
+    entry's log discrepancy off the graph layout, on the fixture
+    instances and on seeded random types with relabelled copies."""
+    from test_canonical import fixture_instances, random_type, relabelled_copy
+
+    rng = random.Random(2024)
+    types = fixture_instances(6)
+    for _ in range(300):
+        d = random_type(rng)
+        types += [d, relabelled_copy(d, rng)]
+    admissible = 0
+    for d in types:
+        entries, edges = swaps.to_graph(d)
+        assert swaps.from_graph(entries, edges, d.width, d.char_tag, d.free_labels) == d
+        # the same graph with its nodes renumbered at random
+        perm = list(range(len(entries)))
+        rng.shuffle(perm)
+        moved = [None] * len(entries)
+        for i, e in enumerate(entries):
+            moved[perm[i]] = e
+        moved_edges = {frozenset(perm[i] for i in e) for e in edges}
+        again = swaps.from_graph(moved, moved_edges, d.width, d.char_tag, d.free_labels)
+        assert canonical_form(again) == canonical_form(d)
+        if d.is_admissible():
+            admissible += 1
+            expected = [d.ld(ci, pos) for ci, pos in to_graph_positions(d)]
+            assert swaps.graph_lds(entries, edges) == expected
+            moved_lds = swaps.graph_lds(moved, moved_edges)
+            assert [moved_lds[perm[i]] for i in range(len(entries))] == expected
+    assert len(types) >= 1290 and admissible > 900
+
+
+def test_from_graph_rejects_cycles_and_non_forks():
+    two = Entry(2)
+    triangle = {frozenset(p) for p in ((0, 1), (1, 2), (0, 2))}
+    star = {frozenset((0, i)) for i in range(1, 5)}
+    for n, edges in ((3, triangle), (4, triangle | {frozenset((2, 3))}), (5, star)):
+        with pytest.raises(swaps.SwapError):
+            swaps.from_graph([two] * n, edges, None, "any", frozenset())
