@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from delpezzo3.chains import (
     Fork,
-    discriminant,
     is_admissible,
     is_log_canonical_fork,
     ld_chain,
@@ -298,8 +297,7 @@ def singularity_type_of(d: DecoratedType) -> tuple:
     for comp in d.components:
         shape = comp_weights(comp)
         if isinstance(shape, Fork):
-            twigs = tuple(sorted(shape.twigs, key=lambda t: (discriminant(t), t)))
-            out.append(("fork", shape.branch, twigs))
+            out.append(("fork", shape.branch, shape.sorted_twigs()))
         else:
             out.append(("chain", min(shape, tuple(reversed(shape)))))
     return tuple(sorted(out))

@@ -8,29 +8,20 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
 
-from delpezzo3 import fixtures, homology, notation, swaps
+from delpezzo3 import fixtures, homology, notation, swaps, verify
 from delpezzo3 import simulator as sim
 from delpezzo3.boundary import (
-    canonical_form,
-    delpezzo_check_width,
     graph_automorphisms,
     render_singularity_type,
     singularity_type_of,
 )
 from delpezzo3.chains import dual_chain, ld_chain
 from delpezzo3.reports import Report
-
-ROOT_STEMS = {
-    "w3a": "w3_a", "w3b": "w3_b",
-    "w2a": "w2_a", "w2b": "w2_b", "w2c": "w2_c",
-    "w2x2a": "w2x2_a", "w2x2b": "w2x2_b", "w2x2c": "w2x2_c",
-    "w1a": "w1_a", "w1b": "w1_b", "w1c3": "w1_c3_notGK",
-}
+from delpezzo3.verify import fmt_assignment
 
 
 def _emit(report: Report, fmt: str) -> None:
@@ -40,14 +31,21 @@ def _emit(report: Report, fmt: str) -> None:
         click.echo(report.render_markdown(), nl=False)
 
 
-def _load_root(name: str):
-    stem = ROOT_STEMS.get(name)
-    if stem is None:
+def _load_root(name: str) -> verify.Root:
+    if name not in verify.ROOTS:
         raise click.UsageError(f"unknown primitive root {name!r}")
-    row = fixtures.parse_fixture_file(
-        fixtures.data_dir() / "primitive" / f"{stem}.types"
-    )[0]
-    return notation.substitute(row.expr, {}), row.node_labels
+    return verify.load_root(name)
+
+
+def _read(step, *args):
+    """Run a parse or substitution ``step`` on user input.  A NotationError,
+    or the validation ValueError of DecoratedType/Entry, becomes one
+    ``parse error:`` line and exit 2."""
+    try:
+        return step(*args)
+    except ValueError as err:  # NotationError is a ValueError
+        click.echo(f"parse error: {err}", err=True)
+        sys.exit(2)
 
 
 format_option = click.option(
@@ -70,50 +68,29 @@ def main() -> None:
 @format_option
 def check(source, width, cutoff, strict, fmt):
     """Run the del Pezzo criterion on a type expression or fixture file."""
-    rows = []
     path = Path(source)
-    try:
-        if path.exists():
-            rows = fixtures.parse_fixture_file(path)
-        else:
-            expr = notation.parse(source)
-            if width is not None:
-                expr = notation.TypeExpr(expr.components, expr.constraints, width, expr.char_tag)
-            rows = [fixtures.FixtureRow(name="arg", text=source, expr=expr)]
-    except notation.NotationError as err:
-        click.echo(f"parse error: {err}", err=True)
-        sys.exit(2)
+    if path.exists():
+        rows = _read(fixtures.parse_fixture_file, path)
+    else:
+        expr = _read(notation.parse, source)
+        if width is not None:
+            expr = notation.TypeExpr(expr.components, expr.constraints, width, expr.char_tag)
+        rows = [fixtures.FixtureRow(name="arg", text=source, expr=expr)]
     report = Report("check", ("name", "assignment", "admissible", "lhs", "satisfied", "status"))
-    failed = False
     for row in rows:
         for assignment in fixtures.row_assignments(row, cutoff):
+            d = _read(notation.substitute, row.expr, assignment)
             try:
-                d = notation.substitute(row.expr, assignment)
-            except notation.NotationError as err:
-                click.echo(f"substitution error in {row.name}: {err}", err=True)
-                sys.exit(2)
-            admissible = d.is_admissible()
-            if not admissible:
-                report.add(row.name, _fmt_assign(assignment), False, "", False, "FAIL")
-                report.count("FAIL")
-                failed = True
-                continue
-            try:
-                res = delpezzo_check_width(d)
+                inst = verify.evaluate(row.name, d, tuple(sorted(assignment.items())))
             except ValueError as err:
                 click.echo(f"cannot check {row.name}: {err}", err=True)
                 sys.exit(2)
-            status = "PASS" if res.satisfied else "FAIL"
-            report.add(row.name, _fmt_assign(assignment), True, res.lhs, res.satisfied, status)
-            report.count(status)
-            failed = failed or not res.satisfied
+            report.add(inst.name, fmt_assignment(inst.assignment), inst.admissible, inst.lhs,
+                       inst.status == "PASS", inst.status)
+            report.count(inst.status)
     _emit(report, fmt)
-    if strict and failed:
+    if strict and report.failures():
         sys.exit(1)
-
-
-def _fmt_assign(assignment: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(assignment.items()))
 
 
 @main.command("enum-abcd")
@@ -167,9 +144,11 @@ def _fmt_box(box) -> str:
 def cascade(root_name, depth, cutoff, jobs, fmt):
     """Close a primitive model under reverse vertical swaps and match the
     result against the fixture corpus."""
-    root, node_excl = _load_root(root_name)
-    result = swaps.cascade(root, depth, jobs=jobs, excluded_labels=node_excl)
-    known = _fixture_index(root_name, cutoff)
+    root = _load_root(root_name)
+    result = root.cascade(depth, jobs)
+    tables = fixtures.load_all_tables(verify.CASCADE_STEMS)
+    targets, _ = verify.cascade_targets(tables, root, cutoff, depth)
+    known = {t.key: f"{t.name} {fmt_assignment(t.assignment)}".strip() for t in targets}
     report = Report("cascade", ("canonical", "depth", "status", "lhs", "match"))
     for key, node in sorted(result.nodes.items()):
         match = known.get(key, "")
@@ -187,43 +166,6 @@ def _digest(key: bytes) -> str:
     return hashlib.blake2b(key, digest_size=8).hexdigest()
 
 
-def _fixture_index(root_name: str, cutoff: int) -> dict:
-    out = {}
-    for stem in ("char0", "char3"):
-        for row in fixtures.load_table(stem):
-            if row.root != root_name:
-                continue
-            for assignment in fixtures.row_assignments(row, cutoff):
-                d = notation.substitute(row.expr, assignment)
-                out[canonical_form(d)] = f"{row.name} {_fmt_assign(assignment)}".strip()
-    return out
-
-
-def _verify_instance(args):
-    stem, name, text, sing_text, assignment = args
-    expr = notation.parse(text)
-    d = notation.substitute(expr, assignment)
-    if stem == "nonlt_char2":
-        ok = d.is_log_canonical() and not d.is_admissible()
-        lhs = None
-        status = "PASS" if ok else "FAIL"
-    else:
-        if not d.is_admissible():
-            return (name, assignment, "", "FAIL", "not admissible")
-        res = delpezzo_check_width(d)
-        lhs = res.lhs
-        status = "PASS" if res.satisfied else "FAIL"
-    detail = ""
-    if sing_text:
-        expected = notation.substitute(
-            notation.parse(sing_text, require_declared=False), assignment
-        )
-        if singularity_type_of(d) != singularity_type_of(expected):
-            status = "FAIL"
-            detail = "singularity type mismatch"
-    return (name, assignment, lhs, status, detail)
-
-
 @main.command("verify-tables")
 @click.option("--table", "table_name", default="all", show_default=True,
               help="char0, char3, char2_moduli, char2, nonlt_char2 or all")
@@ -236,117 +178,40 @@ def _verify_instance(args):
 def verify_tables(table_name, cutoff, jobs, cascade_depth, fmt):
     """Check every fixture instance: admissibility, the width inequality,
     expected singularity types, and cross-row distinctness."""
+    if table_name != "all" and table_name not in fixtures.TABLE_STEMS:
+        raise click.UsageError(f"unknown table {table_name!r}")
     stems = fixtures.TABLE_STEMS if table_name == "all" else (table_name,)
-    tasks = []
-    for stem in stems:
-        if stem not in fixtures.TABLE_STEMS:
-            raise click.UsageError(f"unknown table {stem!r}")
-        for row in fixtures.load_table(stem):
-            sing_text = notation.render(row.sing) if row.sing else None
-            for assignment in fixtures.row_assignments(row, cutoff):
-                tasks.append((stem, row.name, row.text, sing_text, assignment))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_instance, tasks, chunksize=16))
-    else:
-        results = [_verify_instance(t) for t in tasks]
+    tables = fixtures.load_all_tables(stems)
+    cases = verify.table_cases(tables, cutoff)
+    instances = verify.verify_instances(cases, jobs)
     report = Report("verify-tables", ("row", "assignment", "lhs", "status", "detail"))
-    failed = False
-    for name, assignment, lhs, status, detail in results:
-        report.add(name, _fmt_assign(assignment), lhs, status, detail)
-        report.count(status)
-        failed = failed or status == "FAIL"
-    dup_fail = _distinctness(report, stems, cutoff)
-    cascade_fail = False
+    for inst in instances:
+        report.add(inst.name, fmt_assignment(inst.assignment), inst.lhs, inst.status, inst.detail)
+        report.count(inst.status)
+    for c in verify.distinctness(cases, instances):
+        if c.kind == "FAIL":
+            report.add("distinctness", render_singularity_type(c.sing), "", "FAIL",
+                       "; ".join(f"{n} {fmt_assignment(a)}" for n, a in c.hits))
+        report.count(c.kind)
     if cascade_depth > 0:
-        cascade_fail = _cascade_coverage(report, stems, cutoff, cascade_depth, jobs)
+        for root_name in verify.table_roots(tables):
+            root = _load_root(root_name)
+            targets, _ = verify.cascade_targets(tables, root, cutoff, cascade_depth)
+            if not targets:
+                continue
+            result, missing = verify.coverage(root, targets, cascade_depth, jobs)
+            for t in missing:
+                report.add(t.name, fmt_assignment(t.assignment), "", "FAIL",
+                           f"not reached from {root_name}")
+                report.count("FAIL")
+            report.count(f"cascade-extra[{root_name}]",
+                         len(result.nodes) - len({t.key for t in targets} & result.nodes.keys()) - 1)
     _emit(report, fmt)
-    if failed or dup_fail or cascade_fail:
+    if report.failures():
         sys.exit(1)
 
 
-def _cascade_coverage(report: Report, stems, cutoff: int, depth: int, jobs: int) -> bool:
-    failed = False
-    roots = sorted({
-        row.root
-        for stem in stems
-        if stem in ("char0", "char3")
-        for row in fixtures.load_table(stem)
-        if row.root
-    })
-    for root_name in roots:
-        root, node_excl = _load_root(root_name)
-        root_size = len(root.entries())
-        targets = []
-        for stem in stems:
-            if stem not in ("char0", "char3"):
-                continue
-            for row in fixtures.load_table(stem):
-                if row.root != root_name:
-                    continue
-                for assignment in fixtures.row_assignments(row, cutoff):
-                    d = notation.substitute(row.expr, assignment)
-                    if len(d.entries()) - root_size <= depth:
-                        targets.append((row.name, assignment, canonical_form(d)))
-        if not targets:
-            continue
-        result = swaps.cascade(root, depth, jobs=jobs, excluded_labels=node_excl)
-        keys = set(result.nodes)
-        for name, assignment, key in targets:
-            ok = key in keys
-            if not ok:
-                failed = True
-                report.add(name, _fmt_assign(assignment), "", "FAIL",
-                           f"not reached from {root_name}")
-                report.count("FAIL")
-        report.count(f"cascade-extra[{root_name}]",
-                     len(keys) - len({k for _, _, k in targets} & keys) - 1)
-    return failed
-
-
-ALLOWED_COINCIDENCES = {
-    # the exotic pair: two non-isomorphic surfaces share one type
-    frozenset({"w3.rivet_A", "w3.nu_3=1_c2"}),
-    # one family presented along two fibration choices
-    frozenset({"w3.nu_3=1_s1", "w3.chains"}),
-}
-
-
-def _distinctness(report: Report, stems, cutoff: int) -> bool:
-    """Cross-row singularity types must be pairwise distinct, except the
-    documented coincidences and corners where two parameterizations give
-    the identical decorated type."""
-    seen: dict = {}
-    for stem in stems:
-        if stem == "nonlt_char2":
-            continue
-        for row in fixtures.load_table(stem):
-            base = row.name.split("(")[0]
-            for assignment in fixtures.row_assignments(row, cutoff):
-                d = notation.substitute(row.expr, assignment)
-                sing = singularity_type_of(d)
-                seen.setdefault(sing, []).append(
-                    (base, tuple(sorted(assignment.items())), canonical_form(d))
-                )
-    failed = False
-    for sing, hits in seen.items():
-        distinct_rows = {n for n, _, _ in hits}
-        if len(hits) == 1 or len({(n, a) for n, a, _ in hits}) == 1:
-            continue
-        if len({c for _, _, c in hits}) == 1:
-            report.count("duplicate-presentation")
-            continue
-        if frozenset(distinct_rows) in ALLOWED_COINCIDENCES:
-            report.count("documented-coincidence")
-            continue
-        failed = True
-        report.add("distinctness", render_singularity_type(sing), "", "FAIL",
-                   "; ".join(f"{n} {_fmt_assign(dict(a))}" for n, a, _ in hits))
-        report.count("FAIL")
-    return failed
-
-
-@main.command()
+@main.command("homology")
 @click.option("--fixture", "fixture_id", type=click.Choice(["1", "2"]), default=None)
 @click.option("--construct", "construct", type=click.Choice(["x1", "x2"]), default=None)
 def homology_cmd(fixture_id, construct):
@@ -363,9 +228,6 @@ def homology_cmd(fixture_id, construct):
         m = homology.build_restriction_matrix(cfg, plan.fibration)
     group = homology.cokernel(m)
     click.echo(group.render())
-
-
-main.add_command(homology_cmd, name="homology")
 
 
 @main.command()
@@ -406,18 +268,18 @@ def simulate(planfile, fmt):
     _emit(report, fmt)
 
 
+def _chain_weights(text: str) -> tuple[int, ...]:
+    d = notation.substitute(notation.parse(text), {})
+    if not d.components or d.components[0][0] != "chain":
+        raise notation.NotationError("expected a chain")
+    return tuple(e.weight for e in d.components[0][1])
+
+
 @main.command()
 @click.argument("chain_text")
 def dual(chain_text):
     """Dual chain: dp3 dual "[3]" prints [2,2]."""
-    try:
-        expr = notation.parse(chain_text)
-        d = notation.substitute(expr, {})
-        comp = d.components[0]
-        weights = tuple(e.weight for e in comp[1])
-    except (notation.NotationError, IndexError) as err:
-        click.echo(f"parse error: {err}", err=True)
-        sys.exit(2)
+    weights = _read(_chain_weights, chain_text)
     try:
         out = dual_chain(weights)
     except ValueError as err:
@@ -431,14 +293,7 @@ def dual(chain_text):
 @click.argument("position", type=int)
 def ld(chain_text, position):
     """Log discrepancy of a chain component: dp3 ld "[2,3]" 2."""
-    try:
-        expr = notation.parse(chain_text)
-        d = notation.substitute(expr, {})
-        comp = d.components[0]
-        weights = tuple(e.weight for e in comp[1])
-    except (notation.NotationError, IndexError) as err:
-        click.echo(f"parse error: {err}", err=True)
-        sys.exit(2)
+    weights = _read(_chain_weights, chain_text)
     try:
         value = ld_chain(weights, position)
     except (ValueError, IndexError) as err:
@@ -447,69 +302,17 @@ def ld(chain_text, position):
     click.echo(f"{value.numerator}/{value.denominator}")
 
 
-@main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True)
-def selftest(seed, trials):
-    """Randomized property checks: discriminant recursion, dual-chain
-    blowdowns, subgraph monotonicity, swap inversion."""
-    import random as _random
-
-    from delpezzo3.chains import (
-        contracts_to_zero_curve,
-        discriminant,
-        dual_chain,
-        ld_chain,
-        tree_determinant,
-    )
-
-    rng = _random.Random(seed)
-    for _ in range(trials):
-        t = tuple(rng.randint(2, 6) for _ in range(rng.randint(2, 8)))
-        det = tree_determinant(list(t), [(i, i + 1) for i in range(len(t) - 1)])
-        assert discriminant(t) == det
-        cut = rng.randint(1, len(t) - 1)
-        assert det == discriminant(t[:cut]) * discriminant(t[cut:]) - discriminant(
-            t[:cut][:-1]
-        ) * discriminant(t[cut:][1:])
-        dual = dual_chain(t)
-        assert contracts_to_zero_curve(t + (1,) + dual)
-        smaller = tuple(rng.randint(2, w) for w in t)
-        for j in range(1, len(t) + 1):
-            assert ld_chain(smaller, j) >= ld_chain(t, j)
-    corpus = [r for r in fixtures.load_table("char0")]
-    inversions = 0
-    for _ in range(trials):
-        row = corpus[rng.randrange(len(corpus))]
-        d = notation.substitute(row.expr, next(fixtures.row_assignments(row, 4)))
-        moves = swaps.reverse_moves(d)
-        if not moves:
-            continue
-        move = moves[rng.randrange(len(moves))]
-        try:
-            child = swaps.reverse_swap(d, *move)
-        except swaps.SwapError:
-            continue
-        assert canonical_form(swaps.forward_swap(child, move[0])) == canonical_form(d)
-        inversions += 1
-    click.echo(f"selftest passed: {trials} chain trials, {inversions} swap inversions")
-
-
 @main.command("parse")
 @click.argument("text")
 def parse_cmd(text):
     """Parse a type expression; print the canonical rendering and data."""
-    try:
-        expr = notation.parse(text)
-    except notation.NotationError as err:
-        click.echo(f"parse error: {err}", err=True)
-        sys.exit(2)
-    click.echo(notation.render(expr))
+    expr = _read(notation.parse, text)
     params = expr.parameters()
+    d = None if params else _read(notation.substitute, expr, {})
+    click.echo(notation.render(expr))
     if params:
         click.echo("parameters: " + ", ".join(params))
     else:
-        d = notation.substitute(expr, {})
         click.echo("singularity type: " + render_singularity_type(singularity_type_of(d)))
         aut = graph_automorphisms(d)
         click.echo(f"graph automorphisms: {aut.order}")

@@ -108,35 +108,24 @@ def parse_fixture_file(path: Path) -> list[FixtureRow]:
         )
         sing_text = pending.get("sing")
         if "expand" in pending:
-            for t in _chain_family(pending["expand"]):
-                text = _expand_placeholders(line, t)
-                sing = None
-                if sing_text:
-                    sing = notation.parse(_expand_placeholders(sing_text, t), require_declared=False)
-                rows.append(
-                    FixtureRow(
-                        name=f"{name}(T={_chain_text(t)})",
-                        text=text,
-                        expr=notation.parse(text),
-                        sing=sing,
-                        root=root,
-                        lhs=lhs,
-                        abcd_table=abcd,
-                        chain_choice=_chain_text(t),
-                        node_labels=nodes,
-                    )
-                )
+            variants = [
+                (f"{name}(T={_chain_text(t)})", _expand_placeholders(line, t),
+                 sing_text and _expand_placeholders(sing_text, t), _chain_text(t))
+                for t in _chain_family(pending["expand"])
+            ]
         else:
-            sing = notation.parse(sing_text, require_declared=False) if sing_text else None
+            variants = [(name, line, sing_text, None)]
+        for row_name, text, sing, choice in variants:
             rows.append(
                 FixtureRow(
-                    name=name,
-                    text=line,
-                    expr=notation.parse(line),
-                    sing=sing,
+                    name=row_name,
+                    text=text,
+                    expr=notation.parse(text),
+                    sing=notation.parse(sing, require_declared=False) if sing else None,
                     root=root,
                     lhs=lhs,
                     abcd_table=abcd,
+                    chain_choice=choice,
                     node_labels=nodes,
                 )
             )
@@ -155,8 +144,8 @@ def load_negative() -> list[FixtureRow]:
 TABLE_STEMS = ("char0", "char3", "char2_moduli", "char2", "nonlt_char2")
 
 
-def load_all_tables() -> dict[str, list[FixtureRow]]:
-    return {stem: load_table(stem) for stem in TABLE_STEMS}
+def load_all_tables(stems=TABLE_STEMS) -> dict[str, list[FixtureRow]]:
+    return {stem: load_table(stem) for stem in stems}
 
 
 # ---------------------------------------------------------------------------

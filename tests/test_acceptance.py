@@ -9,13 +9,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from delpezzo3 import fixtures, homology, notation, swaps
+from delpezzo3 import fixtures, homology, notation, swaps, verify
 from delpezzo3 import simulator as sim
-from delpezzo3.boundary import (
-    canonical_form,
-    delpezzo_check_width,
-    singularity_type_of,
-)
+from delpezzo3.boundary import canonical_form, delpezzo_check_width
 from delpezzo3.chains import (
     contracts_to_zero_curve,
     discriminant,
@@ -107,70 +103,41 @@ def test_criterion_4_homology():
 
 def test_criterion_5_table_verification():
     t0 = time.time()
-    instances = 0
-    failures = []
-    seen: dict = {}
-    for stem in fixtures.TABLE_STEMS:
-        for row in fixtures.load_table(stem):
-            for assignment in fixtures.row_assignments(row, 12):
-                instances += 1
-                d = notation.substitute(row.expr, assignment)
-                if stem == "nonlt_char2":
-                    if not (d.is_log_canonical() and not d.is_admissible()):
-                        failures.append((row.name, assignment, "not lc\\lt"))
-                else:
-                    if not d.is_admissible():
-                        failures.append((row.name, assignment, "inadmissible"))
-                        continue
-                    if not delpezzo_check_width(d).satisfied:
-                        failures.append((row.name, assignment, "inequality"))
-                if row.sing is not None:
-                    expected = notation.substitute(row.sing, assignment)
-                    if singularity_type_of(d) != singularity_type_of(expected):
-                        failures.append((row.name, assignment, "sing mismatch"))
-                base = row.name.split("(")[0]
-                sing = singularity_type_of(d)
-                seen.setdefault(sing, []).append(
-                    (base, tuple(sorted(assignment.items())), canonical_form(d))
-                )
-    allowed = {
-        frozenset({"w3.rivet_A", "w3.nu_3=1_c2"}),  # the exotic pair
-        frozenset({"w3.nu_3=1_s1", "w3.chains"}),   # two fibration presentations
-    }
-    exotic_seen = False
-    for sing, hits in seen.items():
-        row_names = {n for n, _, _ in hits}
-        if len({(n, a) for n, a, _ in hits}) == 1:
-            continue
-        if len({c for _, _, c in hits}) == 1:
-            continue  # identical decorated type parameterized twice
-        if frozenset(row_names) == frozenset({"w3.rivet_A", "w3.nu_3=1_c2"}):
-            exotic_seen = True
-            continue
-        if frozenset(row_names) in allowed:
-            continue
-        failures.append(("distinctness", row_names, "unexpected coincidence"))
+    cases = verify.table_cases(fixtures.load_all_tables(fixtures.TABLE_STEMS), 12)
+    instances = verify.verify_instances(cases)
+    failures = [(i.name, i.assignment, i.detail) for i in instances if i.status != "PASS"]
+    coincidences = verify.distinctness(cases, instances)
+    failures += [("distinctness", c.rows, "unexpected coincidence")
+                 for c in coincidences if c.kind == "FAIL"]
+    exotic_seen = any(
+        c.kind == "documented-coincidence" and c.rows == verify.EXOTIC_PAIR for c in coincidences
+    )
+    # the non-log-terminal types, outside the distinctness pass, meet no other type
+    lc_only = [i.sing for (stem, _, _), i in zip(cases, instances) if stem == verify.LC_ONLY_STEM]
+    others = {i.sing for (stem, _, _), i in zip(cases, instances) if stem != verify.LC_ONLY_STEM}
+    if len(set(lc_only)) != len(lc_only) or others & set(lc_only):
+        failures.append(("distinctness", verify.LC_ONLY_STEM, "shared singularity type"))
     elapsed = time.time() - t0
     ok = not failures and exotic_seen and elapsed < 30.0
-    report(5, ok, f"{instances} instances over 5 tables verified, "
+    report(5, ok, f"{len(instances)} instances over 5 tables verified, "
                   f"exotic coincidence found, {elapsed:.1f}s"
                   + (f"; failures: {failures[:3]}" if failures else ""))
 
 
 EXPECTED_REPLAYS = {
-    "ex31a": (9, 1, 8, "w3_a"), "ex31b": (9, 1, 8, "w3_b"),
-    "ex32a": (10, 0, 9, "w2_a"), "ex32b": (9, 1, 8, "w2_b"),
-    "ex32c": (9, 1, 8, "w2_c"),
-    "ex32x2a": (10, 0, 9, "w2x2_a"), "ex32x2b": (11, -1, 10, "w2x2_b"),
-    "ex32x2c": (9, 1, 8, "w2x2_c"),
-    "ex33a": (10, 0, 9, "w1_a"), "ex33b": (10, 0, 9, "w1_b"),
-    "ex33c": (11, -1, 10, "w1_c3_notGK"),
+    "ex31a": (9, 1, 8, "w3a"), "ex31b": (9, 1, 8, "w3b"),
+    "ex32a": (10, 0, 9, "w2a"), "ex32b": (9, 1, 8, "w2b"),
+    "ex32c": (9, 1, 8, "w2c"),
+    "ex32x2a": (10, 0, 9, "w2x2a"), "ex32x2b": (11, -1, 10, "w2x2b"),
+    "ex32x2c": (9, 1, 8, "w2x2c"),
+    "ex33a": (10, 0, 9, "w1a"), "ex33b": (10, 0, 9, "w1b"),
+    "ex33c": (11, -1, 10, "w1c3"),
 }
 
 
 def test_criterion_6_construction_replays():
     checked = 0
-    for name, (rho, k2, nd, fixture_stem) in EXPECTED_REPLAYS.items():
+    for name, (rho, k2, nd, root_name) in EXPECTED_REPLAYS.items():
         plan = sim.load_plan(PLANS / f"{name}.plan")
         cfg = sim.replay(plan)
         assert (cfg.picard_rank, cfg.k_squared) == (rho, k2), name
@@ -181,61 +148,32 @@ def test_criterion_6_construction_replays():
         if plan.fibration.width == 1:
             assert sim.width1_bookkeeping_check(cfg, plan.fibration), name
         d = sim.extract_decorated_type(cfg, plan.fibration)
-        row = fixtures.parse_fixture_file(
-            fixtures.data_dir() / "primitive" / f"{fixture_stem}.types"
-        )[0]
-        ref = notation.substitute(row.expr, {})
+        ref = verify.load_root(root_name).dtype
         assert canonical_form(d) == canonical_form(ref), name
         checked += 1
     report(6, checked == len(EXPECTED_REPLAYS),
            f"{checked} primitive-model plans replay exactly")
 
 
-CASCADE_ROOTS = {
-    "w3a": "w3_a", "w3b": "w3_b",
-    "w1a": "w1_a", "w1b": "w1_b", "w1c3": "w1_c3_notGK",
-}
-
-
 def test_criterion_7_cascade_completeness():
     t0 = time.time()
-    targets: dict = {r: [] for r in CASCADE_ROOTS}
-    for stem in ("char0", "char3"):
-        for row in fixtures.load_table(stem):
-            if row.root not in CASCADE_ROOTS:
-                continue
-            for assignment in fixtures.row_assignments(row, 8):
-                d = notation.substitute(row.expr, assignment)
-                targets[row.root].append((row.name, assignment, d))
+    tables = fixtures.load_all_tables(verify.CASCADE_STEMS)
     missing = []
     extra_total = 0
     skipped = 0
-    for root_name, stem in CASCADE_ROOTS.items():
-        row = fixtures.parse_fixture_file(
-            fixtures.data_dir() / "primitive" / f"{stem}.types"
-        )[0]
-        root = notation.substitute(row.expr, {})
-        root_size = len(root.entries())
-        node_excl = row.node_labels
-        in_scope = []
-        needed = 0
-        for name, assignment, d in targets[root_name]:
-            depth = len(d.entries()) - root_size
-            if depth > 10:
-                skipped += 1  # not reachable within 10 swaps by counting
-                continue
-            needed = max(needed, depth)
-            in_scope.append((name, assignment, d))
-        result = swaps.cascade(root, min(needed, 10), excluded_labels=node_excl)
-        keys = set(result.nodes)
-        matched = set()
-        for name, assignment, d in in_scope:
-            if canonical_form(d) in keys:
-                matched.add(canonical_form(d))
-            else:
-                missing.append((root_name, name, assignment))
+    for root_name in verify.table_roots(tables):
+        root = verify.load_root(root_name)
+        if root.dtype.width == 2:
+            continue  # the criterion covers the width-3 and width-1 tables
+        # in scope: not beyond 10 swaps by counting components
+        in_scope, beyond = verify.cascade_targets(tables, root, 8, 10)
+        skipped += beyond
+        needed = max([0] + [t.depth for t in in_scope])
+        result, missed = verify.coverage(root, in_scope, min(needed, 10))
+        missing += [(root_name, t.name, t.assignment) for t in missed]
+        matched = {t.key for t in in_scope} & result.nodes.keys()
         extra_total += sum(
-            1 for k in keys if k not in matched and result.nodes[k].depth > 0
+            1 for k, node in result.nodes.items() if k not in matched and node.depth > 0
         )
     elapsed = time.time() - t0
     ok = not missing and elapsed < 120.0

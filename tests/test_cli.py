@@ -1,7 +1,10 @@
 import csv
 import io
+import shutil
 
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delpezzo3.cli import main
 from delpezzo3 import fixtures
@@ -149,3 +152,81 @@ def test_negative_counts_are_usage_errors():
         assert res.exit_code == 2, args
         assert "Traceback" not in res.output
     assert run("cascade", "--root", "w1b", "--depth", "0").exit_code == 0
+
+
+# -- malformed type text: exit 0, 1 or 2, never a traceback --------------------
+
+_marks = st.sampled_from(["", "h", "u", "hu"])
+_entry = st.builds(
+    lambda w, m, labels: f"{w}{m}" + "".join(f"@{l}" for l in labels),
+    st.integers(0, 5), _marks, st.lists(st.integers(1, 3), max_size=4),
+)
+_chain = st.lists(_entry, min_size=1, max_size=4).map(lambda es: "[" + ",".join(es) + "]")
+_fork = st.builds(lambda b, t1, t2, t3: f"<{b};{t1},{t2},{t3}>", _entry, _chain, _chain, _chain)
+_type_text = st.builds(
+    lambda comps, width: "+".join(comps) + ("" if width is None else f";width={width}"),
+    st.lists(st.one_of(_chain, _fork), min_size=1, max_size=3),
+    st.one_of(st.none(), st.integers(0, 5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(text="[2]+[2];width=5", position=1)
+@example(text="[2h@1@1@1@1];width=1", position=1)
+@example(text="[2,0u]", position=1)
+@example(text="<2;[2],[2],[2]>", position=1)
+@given(text=_type_text, position=st.integers(0, 5))
+def test_type_text_commands_exit_cleanly(text, position):
+    for args in (("check", text), ("parse", text), ("dual", text), ("ld", text, str(position))):
+        res = run(*args)
+        assert res.exit_code in (0, 1, 2), (args, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
+
+
+def test_validation_errors_are_parse_errors():
+    for args in (
+        ("check", "[2]+[2];width=5"),
+        ("check", "[2h@1@1@1@1];width=1"),
+        ("parse", "[2,0u]"),
+        ("dual", "<2;[2],[2],[2]>"),
+        ("ld", "[2h@1@1@1@1]", "1"),
+    ):
+        assert_one_line_error(run(*args), 2, "parse error:")
+
+
+# -- --jobs changes no output --------------------------------------------------
+
+
+def test_jobs_do_not_change_output():
+    for args in (
+        ("verify-tables", "--table", "char3", "--cutoff", "6", "--cascade-depth", "3"),
+        ("cascade", "--root", "w1b", "--depth", "3"),
+    ):
+        one, two = run(*args, "--jobs", "1"), run(*args, "--jobs", "2")
+        assert one.exit_code == two.exit_code == 0
+        assert one.stdout_bytes == two.stdout_bytes
+
+
+# -- distinctness on a copy of the corpus ---------------------------------------
+
+
+def test_distinctness_on_a_copied_corpus(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(fixtures.DATA_DIR, data)
+    monkeypatch.setenv("DP_FIXTURES", str(data))
+    res = run("verify-tables", "--table", "all", "--cutoff", "12")
+    assert res.exit_code == 0
+    assert "# documented-coincidence: 2\n" in res.output
+    assert "# duplicate-presentation: 2\n" in res.output
+    assert "distinctness" not in res.output
+
+    table = data / "tables" / "char0.types"
+    text = table.read_text()
+    assert text.count("# name: w3.rivet_A\n") == 1
+    table.write_text(text.replace("# name: w3.rivet_A\n", "# name: w3.rivet_A_renamed\n"))
+    res = run("verify-tables", "--table", "all", "--cutoff", "12")
+    assert res.exit_code == 1
+    assert "# documented-coincidence: 1\n" in res.output
+    fail_rows = [line for line in res.output.splitlines() if line.startswith("distinctness,")]
+    assert len(fail_rows) == 1
+    assert fail_rows[0].endswith(",,FAIL,w3.rivet_A_renamed k=3; w3.nu_3=1_c2 k=3")
