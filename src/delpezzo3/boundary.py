@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from delpezzo3.chains import (
     Fork,
+    fork_lds,
     is_admissible,
     is_log_canonical_fork,
     ld_chain,
@@ -37,14 +38,19 @@ class Entry:
     def __post_init__(self) -> None:
         if self.two_section and not self.horizontal:
             raise ValueError("the 2-section mark implies the horizontal mark")
-        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
-        if any(self.labels.count(l) > 2 for l in self.labels):
+        labels = tuple(sorted(self.labels))
+        mults = tuple(sorted(map(labels.count, set(labels)))) if len(labels) > 1 else (1,) * len(labels)
+        if mults and mults[-1] > 2:
             raise ValueError("a (-1)-curve meets a component at most twice")
+        object.__setattr__(self, "labels", labels)
+        # not a field: equality, hashing and repr ignore it
+        object.__setattr__(
+            self, "_skeleton", (self.weight, self.horizontal, self.two_section, mults)
+        )
 
     def skeleton(self) -> tuple:
         """Label-name-free data used by canonical forms."""
-        mults = tuple(sorted(self.labels.count(l) for l in sorted(set(self.labels))))
-        return (self.weight, self.horizontal, self.two_section, mults)
+        return self._skeleton
 
 
 Component = tuple  # ("chain", entries) | ("fork", branch, (t1, t2, t3))
@@ -271,22 +277,36 @@ def delpezzo_check_width(d: DecoratedType) -> CheckResult:
     """
     if d.width not in (1, 2, 3):
         raise ValueError("decorated type carries no usable width")
-    positions = d.horizontal_positions()
-    if not d.is_admissible():
+    res = width_check(d)
+    if res is None:
         raise ValueError("log discrepancies undefined: non-admissible component")
-    if d.width == 3:
-        lhs = sum((d.ld(ci, pos) for ci, pos in positions), Fraction(0))
-        rhs = Fraction(1)
-    elif d.width == 2:
-        lhs = Fraction(0)
-        for ci, pos in positions:
-            mult = 2 if d.entry_at(ci, pos).two_section else 1
-            lhs += d.ld(ci, pos) * mult
-        rhs = Fraction(1)
-    else:
-        (ci, pos), = positions
-        lhs = d.ld(ci, pos)
-        rhs = Fraction(1, 3)
+    return res
+
+
+def width_check(d: DecoratedType) -> CheckResult | None:
+    """``delpezzo_check_width`` of a type of width 1, 2 or 3 in one pass
+    over its components, or None if one is not admissible.  Each
+    component's shape is built once, a fork's discriminants once for all
+    its horizontal entries.  Chains are always admissible: every weight
+    is at least 2.  The 2-section, which only width 2 allows, counts
+    twice."""
+    lhs = Fraction(0)
+    for comp in d.components:
+        shape = comp_weights(comp)
+        if comp[0] == "chain":
+            for j, e in enumerate(comp[1], start=1):
+                if e.horizontal:
+                    lhs += ld_chain(shape, j) * (2 if e.two_section else 1)
+            continue
+        marked = [("branch", comp[1])] if comp[1].horizontal else []
+        for ti, twig in enumerate(comp[2], start=1):
+            marked += [((ti, j), e) for j, e in enumerate(twig, start=1) if e.horizontal]
+        lds = fork_lds(shape, [pos for pos, _ in marked])
+        if lds is None:
+            return None
+        for ld, (_, e) in zip(lds, marked):
+            lhs += ld * (2 if e.two_section else 1)
+    rhs = Fraction(1, 3) if d.width == 1 else Fraction(1)
     return CheckResult(lhs > rhs, lhs, rhs)
 
 
@@ -351,16 +371,15 @@ def _variant_skeleton(variant) -> tuple:
         shape: tuple = ("chain",)
     else:
         shape = ("fork", tuple(len(t) for t in variant[2]))
-    entries = _variant_entries(variant)
-    partition = {}
+    partition: dict = {}
     local = []
-    for e in entries:
-        ids = []
-        for l in e.labels:
-            if l not in partition:
-                partition[l] = len(partition)
-            ids.append(partition[l])
-        local.append((e.skeleton(), tuple(sorted(ids))))
+    for e in _variant_entries(variant):
+        if e.labels:
+            ids = [partition.setdefault(l, len(partition)) for l in e.labels]
+            ids.sort()
+            local.append((e._skeleton, tuple(ids)))
+        else:
+            local.append((e._skeleton, ()))
     return shape + tuple(local)
 
 
@@ -371,44 +390,72 @@ def _canonical_variants(comp: Component):
     return best, [v for k, v in keyed if k == best]
 
 
+def _variant_head(variant) -> tuple:
+    if variant[0] == "chain":
+        return ("chain", len(variant) - 1)
+    return ("fork", tuple(len(t) for t in variant[2]))
+
+
+def _arrangement_items(ordered_variants) -> list:
+    """Each variant's head followed by its entries, in order."""
+    items: list = []
+    for variant in ordered_variants:
+        items.append(_variant_head(variant))
+        items.extend(_variant_entries(variant))
+    return items
+
+
 def _encode_arrangement(ordered_variants):
     """Linearize an arrangement, renaming labels by first occurrence.
 
-    Returns the minimal encoding over the (rare) tie-break choices when
-    several fresh labels appear on a single entry.
+    While no entry brings more than one fresh label the renaming is
+    forced, so one linear pass gives the encoding; from the first entry
+    that brings several, ``_encode_search`` finds the minimum over the
+    orders in which they can be named.
     """
+    items = _arrangement_items(ordered_variants)
+    rename: dict = {}
+    out: list = []
+    for i, e in enumerate(items):
+        if isinstance(e, tuple):
+            out.append(e)
+            continue
+        fresh = {l for l in e.labels if l not in rename}
+        if len(fresh) > 1:
+            return _encode_search(items, i, rename, out)
+        for l in fresh:
+            rename[l] = len(rename)
+        out.append((e.weight, e.horizontal, e.two_section,
+                    tuple(sorted([rename[l] for l in e.labels]))))
+    return tuple(out)
+
+
+def _encode_search(items, start: int = 0, rename=None, prefix=()):
+    """The minimal encoding of ``items[start:]`` after ``prefix`` (with
+    the labels named so far in ``rename``) over every order in which
+    each entry's fresh labels can be named."""
     best = [None]
 
-    def rec(vi, rename, acc):
-        if vi == len(ordered_variants):
+    def rec(i, rename, acc):
+        if i == len(items):
             out = tuple(acc)
             if best[0] is None or out < best[0]:
                 best[0] = out
             return
-        variant = ordered_variants[vi]
-        entries = _variant_entries(variant)
-        if variant[0] == "chain":
-            head: tuple = ("chain", len(entries))
-        else:
-            head = ("fork", tuple(len(t) for t in variant[2]))
+        e = items[i]
+        if isinstance(e, tuple):
+            rec(i + 1, rename, acc + [e])
+            return
+        fresh = sorted({l for l in e.labels if l not in rename})
+        for order in itertools.permutations(fresh):
+            r2 = dict(rename)
+            for l in order:
+                r2[l] = len(r2)
+            enc = (e.weight, e.horizontal, e.two_section,
+                   tuple(sorted(r2[l] for l in e.labels)))
+            rec(i + 1, r2, acc + [enc])
 
-        def rec_entries(ei, rename, acc2):
-            if ei == len(entries):
-                rec(vi + 1, rename, acc2)
-                return
-            e = entries[ei]
-            fresh = sorted({l for l in e.labels if l not in rename})
-            for order in itertools.permutations(fresh):
-                r2 = dict(rename)
-                for l in order:
-                    r2[l] = len(r2)
-                enc = (e.weight, e.horizontal, e.two_section,
-                       tuple(sorted(r2[l] for l in e.labels)))
-                rec_entries(ei + 1, r2, acc2 + [enc])
-
-        rec_entries(0, rename, acc + [head])
-
-    rec(0, {}, [])
+    rec(start, rename or {}, list(prefix))
     return best[0]
 
 

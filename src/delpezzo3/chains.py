@@ -250,30 +250,47 @@ def ld_chain(t: Chain, j: int) -> Fraction:
     return Fraction(_disc_chain(t[j:]) + _disc_chain(t[: j - 1]), _disc_chain(t))
 
 
-def fork_delta_e(f: Fork) -> tuple[Fraction, Fraction]:
-    """delta = sum 1/d(T_i), e = sum d(T_i minus last tip)/d(T_i)."""
-    delta = sum(Fraction(1, _disc_chain(t)) for t in f.twigs)
-    e = sum(Fraction(_disc_chain(t[:-1]), _disc_chain(t)) for t in f.twigs)
-    return delta, e
-
-
 def ld_fork(f: Fork, position: str | tuple[int, int]) -> Fraction:
     """Log discrepancy of a fork component.
 
     ``position`` is either ``"branch"`` or a pair ``(twig_index, j)``
     with both indices 1-based; twig entries are counted from the branch.
     """
-    if not is_admissible(f):
+    lds = fork_lds(f, [position])
+    if lds is None:
         raise ValueError("log discrepancies need an admissible fork")
-    delta, e = fork_delta_e(f)
-    ld_branch = (delta - 1) / (f.branch - e)
-    if position == "branch":
-        return ld_branch
-    i, j = position
-    t = f.twigs[i - 1]
-    if not 1 <= j <= len(t):
-        raise IndexError(f"position {j} out of range for twig of length {len(t)}")
-    return (ld_branch * _disc_chain(t[: j - 1]) + _disc_chain(t[j:])) / _disc_chain(t)
+    return lds[0]
+
+
+def fork_lds(f: Fork, positions) -> list[Fraction] | None:
+    """``ld_fork`` at each of ``positions``, reading the twig
+    discriminants once; None if the fork is not admissible.
+
+    With D = d(T_1) d(T_2) d(T_3), delta - 1 = (sum of D/d(T_i) - D) / D
+    and branch - e = d(fork) / D, so ld(branch) = (sum D/d(T_i) - D) / d(fork).
+    """
+    if f.branch < 2 or not all(is_admissible(t) for t in f.twigs):
+        return None
+    ds = [_disc_chain(t) for t in f.twigs]
+    big_d = ds[0] * ds[1] * ds[2]
+    num = sum(big_d // d for d in ds) - big_d
+    if num <= 0:  # delta <= 1
+        return None
+    den = f.branch * big_d - sum(
+        _disc_chain(t[:-1]) * (big_d // d) for t, d in zip(f.twigs, ds)
+    )
+    out = []
+    for position in positions:
+        if position == "branch":
+            out.append(Fraction(num, den))
+            continue
+        i, j = position
+        t = f.twigs[i - 1]
+        if not 1 <= j <= len(t):
+            raise IndexError(f"position {j} out of range for twig of length {len(t)}")
+        out.append(Fraction(num * _disc_chain(t[: j - 1]) + den * _disc_chain(t[j:]),
+                            den * ds[i - 1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

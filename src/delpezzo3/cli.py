@@ -69,7 +69,11 @@ def main() -> None:
 def check(source, width, cutoff, strict, fmt):
     """Run the del Pezzo criterion on a type expression or fixture file."""
     path = Path(source)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # a type expression too long to be a file name
+        is_file = False
+    if is_file:
         rows = _read(fixtures.parse_fixture_file, path)
     else:
         expr = _read(notation.parse, source)
@@ -139,7 +143,8 @@ def _fmt_box(box) -> str:
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--cutoff", type=click.IntRange(min=0), default=8, show_default=True,
               help="parameter bound when matching fixture families")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="worker processes, at most one per core")
 @format_option
 def cascade(root_name, depth, cutoff, jobs, fmt):
     """Close a primitive model under reverse vertical swaps and match the
@@ -170,7 +175,8 @@ def _digest(key: bytes) -> str:
 @click.option("--table", "table_name", default="all", show_default=True,
               help="char0, char3, char2_moduli, char2, nonlt_char2 or all")
 @click.option("--cutoff", type=click.IntRange(min=0), default=12, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="worker processes, at most one per core")
 @click.option("--cascade-depth", type=click.IntRange(min=0), default=0, show_default=True,
               help="also require width-3/width-1 rows to appear in the "
                    "cascade of their primitive root (0 = skip)")
@@ -243,28 +249,28 @@ def simulate(planfile, fmt):
     try:
         cfg = sim.replay(plan)
         d = sim.extract_decorated_type(cfg, plan.fibration)
+        report = Report("simulate", ("item", "value"))
+        report.add("plan", plan.name)
+        report.add("picard-rank", cfg.picard_rank)
+        report.add("K^2", cfg.k_squared)
+        report.add("boundary-components", len(sim.boundary_curves(cfg)))
+        report.add("singularity-type", render_singularity_type(singularity_type_of(d)))
+        report.add("sigma-identity", sim.sigma_identity_check(cfg, plan.fibration))
+        if plan.fibration.width == 2:
+            report.add("width2-bookkeeping", sim.width2_bookkeeping_check(cfg, plan.fibration))
+        if plan.fibration.width == 1:
+            report.add("width1-bookkeeping", sim.width1_bookkeeping_check(cfg, plan.fibration))
+        for bf in plan.fibration.base_fibers:
+            data = sim.analyze_fiber(cfg, plan.fibration, bf)
+            report.add(f"fiber[{bf}]",
+                       f"shape={list(data.shape)} sigma={data.sigma} mu={data.mu}")
+        report.add(
+            "vertically-primitive",
+            swaps.is_vertically_primitive(d, sim.node_labels(cfg, plan.fibration)),
+        )
     except ValueError as err:  # SimulationError, or the width/mark checks of DecoratedType
         click.echo(f"simulation error: {err}", err=True)
         sys.exit(1)
-    report = Report("simulate", ("item", "value"))
-    report.add("plan", plan.name)
-    report.add("picard-rank", cfg.picard_rank)
-    report.add("K^2", cfg.k_squared)
-    report.add("boundary-components", len(sim.boundary_curves(cfg)))
-    report.add("singularity-type", render_singularity_type(singularity_type_of(d)))
-    report.add("sigma-identity", sim.sigma_identity_check(cfg, plan.fibration))
-    if plan.fibration.width == 2:
-        report.add("width2-bookkeeping", sim.width2_bookkeeping_check(cfg, plan.fibration))
-    if plan.fibration.width == 1:
-        report.add("width1-bookkeeping", sim.width1_bookkeeping_check(cfg, plan.fibration))
-    for bf in plan.fibration.base_fibers:
-        data = sim.analyze_fiber(cfg, plan.fibration, bf)
-        report.add(f"fiber[{bf}]",
-                   f"shape={list(data.shape)} sigma={data.sigma} mu={data.mu}")
-    report.add(
-        "vertically-primitive",
-        swaps.is_vertically_primitive(d, sim.node_labels(cfg, plan.fibration)),
-    )
     _emit(report, fmt)
 
 

@@ -150,6 +150,9 @@ def blow_up(cfg: SurfaceConfig, point_name: str) -> SurfaceConfig:
     if point_name not in cfg.points:
         raise SimulationError(f"unknown or already used center {point_name!r}")
     pt = cfg.points[point_name]
+    unknown = [b for b in pt.branches if b not in cfg.curves]
+    if unknown:
+        raise SimulationError(f"center {point_name!r} lies on undeclared curves {unknown}")
     step_name = f"s{len(cfg.history) + 1}"
     e_name = f"E{len(cfg.history) + 1}"
 
@@ -724,6 +727,9 @@ def width1_bookkeeping_check(cfg: SurfaceConfig, fibration: Fibration) -> bool:
 
 def extract_decorated_type(cfg: SurfaceConfig, fibration: Fibration) -> DecoratedType:
     """Boundary graph with fibration decorations from a replayed plan."""
+    unknown = [c for c in (*fibration.horizontal, *fibration.base_fibers) if c not in cfg.curves]
+    if unknown:
+        raise SimulationError(f"the fibration names undeclared curves {unknown}")
     boundary = boundary_curves(cfg)
     fiber_vec = fiber_vector(cfg, fibration, fibration.base_fibers[0])
     verticals = [

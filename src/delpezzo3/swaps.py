@@ -13,6 +13,7 @@ inequality, and deduplicating by canonical form.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from delpezzo3.boundary import (
     delpezzo_check_width,
     place_entries,
     walk_components,
+    width_check,
 )
 from delpezzo3.chains import ld_chain, ld_fork
 
@@ -144,26 +146,27 @@ def forward_swap(d: DecoratedType, label: int,
 
 
 def reverse_swap(d: DecoratedType, label: int, target: int,
-                 excluded_labels: frozenset = frozenset()) -> DecoratedType:
+                 excluded_labels: frozenset = frozenset(), graph=None) -> DecoratedType:
     """Blow up the intersection of the labeled (-1)-curve with the
-    boundary entry at graph index ``target``."""
+    boundary entry at graph index ``target``.  ``graph`` is ``to_graph(d)``,
+    passed by a caller that builds it once for many swaps of ``d``."""
     if label in excluded_labels:
         raise SwapError(f"label {label} meets the boundary in a node")
-    entries, edges = to_graph(d)
+    entries, edges = to_graph(d) if graph is None else graph
     att = _attachments(entries, label)
     if target not in {i for i, _ in att}:
         raise SwapError(f"entry {target} is not an attachment of label {label}")
     if any(k > 1 for _, k in att):
         raise SwapError("the curve meets a boundary component twice")
-    new_entries, new_edges = _blow_up_graph(entries, edges, label, target)
+    new_entries, new_edges = _blow_up_graph(entries, edges, att, label, target)
     return from_graph(new_entries, new_edges, d.width, d.char_tag, d.free_labels)
 
 
-def _blow_up_graph(entries, edges, label: int, target: int):
+def _blow_up_graph(entries, edges, att, label: int, target: int):
     """The reverse swap in graph form: every entry keeps its index, the
     target gains one weight, the label moves from the other attachments
-    to the new (-2)-curve, which is appended and meets them."""
-    att = {i for i, _ in _attachments(entries, label)}
+    ``att`` to the new (-2)-curve, which is appended and meets them."""
+    att = {i for i, _ in att}
     new_entries = []
     for i, e in enumerate(entries):
         if i == target:
@@ -259,37 +262,60 @@ def _check_monotone(child: DecoratedType, parent: DecoratedType, move) -> None:
     """Log discrepancies do not decrease under the forward swap
     from child back to parent.  The reverse swap keeps every parent entry
     at its graph index and appends the new (-2)-curve, so indices match."""
-    p_entries, p_edges = to_graph(parent)
-    parent_lds = graph_lds(p_entries, p_edges)
-    child_lds = graph_lds(*_blow_up_graph(p_entries, p_edges, *move))
-    for i in range(len(p_entries)):
-        if child_lds[i] > parent_lds[i]:
+    graph = to_graph(parent)
+    _check_lds_monotone(graph, graph_lds(*graph), move)
+
+
+def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
+    """``_check_monotone`` given the parent's graph and lds."""
+    entries, edges = parent_graph
+    att = _attachments(entries, move[0])
+    child_lds = graph_lds(*_blow_up_graph(entries, edges, att, *move))
+    for i, parent_ld in enumerate(parent_lds):
+        if child_lds[i] > parent_ld:
             raise AssertionError(
                 f"log discrepancy decreased under forward swap {move}"
             )
 
 
 def _expand_parent(args):
-    """Generate and classify all reverse-swap children of one parent."""
+    """Generate and classify all reverse-swap children of one parent.
+
+    The parent's graph and, for the monotonicity check, its lds are
+    built once and shared by every child."""
     parent_key, parent, check_monotone, excluded = args
+    graph = to_graph(parent)
+    parent_lds = graph_lds(*graph) if check_monotone else None
     out = []
     for move in reverse_moves(parent, excluded):
         try:
-            child = reverse_swap(parent, *move, excluded_labels=excluded)
+            child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
         except SwapError:
             continue
         key = canonical_form(child)
-        if not child.is_admissible():
+        res = width_check(child)
+        if res is None:
             out.append((key, parent_key, move, "inadmissible", None, child))
             continue
-        res = delpezzo_check_width(child)
         if not res.satisfied:
             out.append((key, parent_key, move, "inequality", res.lhs, child))
             continue
         if check_monotone:
-            _check_monotone(child, parent, move)
+            _check_lds_monotone(graph, parent_lds, move)
         out.append((key, parent_key, move, "ok", res.lhs, child))
     return out
+
+
+def process_pool(jobs: int):
+    """A process pool of ``jobs`` workers capped at the core count, or
+    None if that leaves one: ProcessPoolExecutor starts all of its
+    workers at once."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers < 2:
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def cascade(
@@ -315,11 +341,7 @@ def cascade(
     pruned: dict = {}
     frontier = [(root_key, root)]
     depth = 0
-    pool = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = process_pool(jobs)
     try:
         while frontier and depth < max_depth:
             depth += 1

@@ -8,7 +8,6 @@ instances whose singularity type another row shares.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,10 +124,11 @@ def _evaluate_case(case) -> Instance:
 
 def verify_instances(cases, jobs: int = 1) -> list[Instance]:
     """One ``Instance`` per case, in case order for every ``jobs``."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_evaluate_case, cases, chunksize=16))
-    return [_evaluate_case(case) for case in cases]
+    pool = swaps.process_pool(jobs)
+    if pool is None:
+        return [_evaluate_case(case) for case in cases]
+    with pool:
+        return list(pool.map(_evaluate_case, cases, chunksize=16))
 
 
 # -- distinctness ------------------------------------------------------------------

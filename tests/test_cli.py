@@ -1,9 +1,11 @@
 import csv
 import io
 import shutil
+import signal
+from contextlib import contextmanager
 
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo3.cli import main
@@ -175,6 +177,7 @@ _type_text = st.builds(
 @example(text="[2h@1@1@1@1];width=1", position=1)
 @example(text="[2,0u]", position=1)
 @example(text="<2;[2],[2],[2]>", position=1)
+@example(text="+".join(["[2,2]"] * 60), position=1)  # too long for a file name
 @given(text=_type_text, position=st.integers(0, 5))
 def test_type_text_commands_exit_cleanly(text, position):
     for args in (("check", text), ("parse", text), ("dual", text), ("ld", text, str(position))):
@@ -230,3 +233,147 @@ def test_distinctness_on_a_copied_corpus(tmp_path, monkeypatch):
     fail_rows = [line for line in res.output.splitlines() if line.startswith("distinctness,")]
     assert len(fail_rows) == 1
     assert fail_rows[0].endswith(",,FAIL,w3.rivet_A_renamed k=3; w3.nu_3=1_c2 k=3")
+
+
+# -- --jobs is at least 1 and capped at the core count ---------------------------
+
+
+def test_jobs_below_one_are_usage_errors():
+    for jobs in ("0", "-1"):
+        for args in (
+            ("cascade", "--root", "w1b", "--depth", "1"),
+            ("verify-tables", "--table", "char2_moduli", "--cutoff", "3"),
+        ):
+            res = run(*args, "--jobs", jobs)
+            assert res.exit_code == 2, (args, jobs)
+            assert "Traceback" not in res.output
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and
+    runs the work in this process, so no pool is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def shutdown(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
+def test_pool_is_capped_at_the_core_count(monkeypatch):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for args in (
+        ("cascade", "--root", "w1b", "--depth", "2"),
+        ("verify-tables", "--table", "char2_moduli", "--cutoff", "3"),
+    ):
+        one, many = run(*args, "--jobs", "1"), run(*args, "--jobs", "100000")
+        assert one.exit_code == many.exit_code == 0
+        assert one.stdout_bytes == many.stdout_bytes
+    assert RecordingExecutor.sizes == [2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run("cascade", "--root", "w1b", "--depth", "2", "--jobs", "8").exit_code == 0
+    assert RecordingExecutor.sizes == [2, 2]
+
+
+# -- generated blowup plans: exit 0, 1 or 2, never a traceback or a hang ---------
+
+_curves = st.sampled_from(["A", "B", "C", "D"])
+_points = st.sampled_from(["p", "q", "r"])
+_centers = st.sampled_from(["p", "q", "r", "s1", "s2", "s3", "A", "x"])
+_plan_line = st.one_of(
+    st.builds("curve {} selfint {}".format, _curves, st.sampled_from([0, 0, 0, 1, 4, 9, -1, 2])),
+    st.builds(
+        lambda p, on, contact, cusp: f"point {p} on {','.join(on)}"
+        + ("" if contact is None else " contact {}:{}={}".format(*contact))
+        + ("" if cusp is None else f" cusp {cusp}"),
+        _points, st.lists(_curves, min_size=1, max_size=3, unique=True),
+        st.one_of(st.none(), st.tuples(_curves, _curves, st.integers(1, 3))),
+        st.one_of(st.none(), _curves),
+    ),
+    st.builds("blowup {}".format, _centers),
+    st.builds("blowup near {} along {}".format, _centers, _curves),
+    st.builds("blowup free-on {}".format, _curves),
+    st.just("blowup free"),
+)
+_fibration_line = st.builds(
+    lambda w, h, b: f"fibration width={w} horizontal={','.join(h)} base-fibers={','.join(b)}",
+    st.integers(0, 4), st.lists(_curves, min_size=1, max_size=3),
+    st.lists(_curves, min_size=1, max_size=3),
+)
+
+
+def _plan(base, body, fibration, how, at):
+    """The plan's lines, one of them (at ``at``) cut short or with one
+    field made non-integer, or none."""
+    lines = [base, *body, fibration]
+    i, at = at % len(lines), at // len(lines)
+    words = lines[i].split()
+    if how == "cut":
+        lines[i] = " ".join(words[: at % len(words)])
+    elif how == "non-integer":
+        j = at % len(words)
+        lines[i] = " ".join(words[:j] + [words[j].replace("=", "=x", 1) + "x"] + words[j + 1:])
+    return "\n".join(lines) + "\n"
+
+
+_plan_text = st.builds(
+    _plan, st.sampled_from(["base P2", "base P1xP1", "base P1xP1", "base F1"]),
+    st.lists(_plan_line, max_size=12), _fibration_line,
+    st.sampled_from(["keep", "keep", "cut", "non-integer"]), st.integers(0, 10**4),
+)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this thread once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# each ended in a traceback before: a KeyError for the undeclared curve of a
+# blowup center or of the fibration, the SimulationError of a fiber check
+# raised while the report was built
+REPLAY_ERRORS = (
+    "base P2\nblowup free-on A\nfibration width=1 horizontal=A base-fibers=A\n",
+    "base P1xP1\ncurve B selfint 0\nfibration width=0 horizontal=A base-fibers=A\n",
+    "base P1xP1\ncurve A selfint 1\nfibration width=0 horizontal=A base-fibers=A\n",
+)
+
+
+def test_simulate_replay_errors_are_one_line(tmp_path):
+    for text in REPLAY_ERRORS:
+        assert_one_line_error(run("simulate", plan_file(tmp_path, text)), 1, "simulation error:")
+
+
+@settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(text=(fixtures.data_dir() / "plans" / "ex31a.plan").read_text())
+@given(text=_plan_text)
+def test_simulate_generated_plans_exit_cleanly(tmp_path, text):
+    with time_limit(10):
+        res = run("simulate", plan_file(tmp_path, text))
+    assert res.exit_code in (0, 1, 2), (text, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (text, res.exception)

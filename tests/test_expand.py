@@ -1,0 +1,208 @@
+"""The one-pass cascade expansion against the per-child work it replaced:
+children built from the parent's shared graph against ``reverse_swap``,
+the linear label encoding against the exhaustive tie-break search, and
+the one-pass width verdict against ``width_oracle``."""
+
+import random
+
+import pytest
+import width_oracle as oracle
+from test_canonical import fixture_instances, random_type, relabelled_copy
+
+from delpezzo3 import fixtures, notation, swaps
+from delpezzo3.boundary import (
+    _arrangement_items,
+    _arrangements,
+    _encode_arrangement,
+    _encode_search,
+    _label_blocks,
+    canonical_form,
+    comp_weights,
+    delpezzo_check_width,
+    width_check,
+)
+from delpezzo3.chains import Fork, fork_lds, ld_fork
+
+
+def cascade_of(stem, depth):
+    row = fixtures.parse_fixture_file(fixtures.data_dir() / "primitive" / f"{stem}.types")[0]
+    root = notation.substitute(row.expr, {})
+    return swaps.cascade(root, depth, excluded_labels=row.node_labels), row.node_labels
+
+
+@pytest.fixture(scope="module")
+def cascades():
+    return [cascade_of(stem, 4) for stem in ("w3_a", "w3_b")]
+
+
+def every_pair(d, excluded_labels=frozenset()):
+    """Every (label, graph index) pair, legal reverse swap or not."""
+    n = len(swaps.to_graph(d)[0])
+    return [(label, i) for label in sorted(d.labels()) for i in range(n)]
+
+
+def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
+    """For every parent of the depth-4 w3a/w3b cascades and every move,
+    ``reverse_swap`` on the parent's shared graph builds the child it
+    builds alone, or both raise SwapError, and ``_expand_parent`` keeps
+    that child with its key, status and lhs; also with every
+    (label, index) pair as a move."""
+    children = rejected = 0
+    for result, excluded in cascades:
+        parents = [(k, n.dtype) for k, n in result.nodes.items() if n.depth < 4]
+        for moves in (swaps.reverse_moves, every_pair):
+            with monkeypatch.context() as m:
+                m.setattr(swaps, "reverse_moves", moves)
+                for key, parent in parents:
+                    got = {
+                        move: (child_key, status, lhs, child)
+                        for child_key, _, move, status, lhs, child
+                        in swaps._expand_parent((key, parent, True, excluded))
+                    }
+                    graph = swaps.to_graph(parent)
+                    for move in moves(parent, excluded):
+                        try:
+                            child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
+                        except swaps.SwapError:
+                            with pytest.raises(swaps.SwapError):
+                                swaps.reverse_swap(parent, *move, excluded, graph=graph)
+                            assert move not in got
+                            rejected += 1
+                            continue
+                        assert swaps.reverse_swap(parent, *move, excluded, graph=graph) == child
+                        if not child.is_admissible():
+                            expected = ("inadmissible", None)
+                        else:
+                            res = oracle.delpezzo_check_width(child)
+                            expected = ("ok" if res.satisfied else "inequality", res.lhs)
+                        assert got[move] == (canonical_form(child), *expected, child)
+                        children += 1
+    assert children > 5000 and rejected > 5000
+
+
+def test_monotone_check_once_per_parent(cascades, monkeypatch):
+    """The cascade checks each ok child's lds against its parent's graph
+    and lds, built once per parent."""
+    calls = []
+    original = swaps._check_lds_monotone
+
+    def recording(parent_graph, parent_lds, move):
+        calls.append((parent_graph, parent_lds, move))
+        original(parent_graph, parent_lds, move)
+
+    monkeypatch.setattr(swaps, "_check_lds_monotone", recording)
+    result, excluded = cascades[0]
+    checked = 0
+    for key, parent in [(k, n.dtype) for k, n in result.nodes.items() if n.depth < 2]:
+        calls.clear()
+        out = swaps._expand_parent((key, parent, True, excluded))
+        ok_moves = [move for _, _, move, status, _, _ in out if status == "ok"]
+        assert [move for *_, move in calls] == ok_moves
+        graph = swaps.to_graph(parent)
+        lds = swaps.graph_lds(*graph)
+        for parent_graph, parent_lds, _ in calls:
+            assert parent_graph is calls[0][0] and parent_lds is calls[0][1]
+            assert (parent_graph, parent_lds) == (graph, lds)
+        checked += len(calls)
+    assert checked > 30
+
+
+def encoding_cases(types):
+    """Every arrangement of every block of ``types``."""
+    for d in types:
+        for block in _label_blocks(d):
+            yield from _arrangements(block)
+
+
+def assert_linear_matches_search(types):
+    linear = ties = 0
+    for variants in encoding_cases(types):
+        items = _arrangement_items(variants)
+        assert _encode_arrangement(variants) == _encode_search(items)
+        named: set = set()
+        tie = False
+        for e in items:
+            if not isinstance(e, tuple):
+                tie = tie or len(set(e.labels) - named) > 1
+                named.update(e.labels)
+        ties += tie
+        linear += not tie
+    return linear, ties
+
+
+def test_linear_encoding_matches_search_on_fixtures():
+    linear, ties = assert_linear_matches_search(fixture_instances(6))
+    assert linear > 1000 and ties > 50
+
+
+def test_linear_encoding_matches_search_on_random_types():
+    rng = random.Random(909)
+    types = [notation.substitute(notation.parse(text), {}) for text in (
+        "[2@1@2]", "[2@1@2]+[3@1,2@2]", "[2@2@1,2@1]+[2@2]", "[2@1@1@2,2@2]",
+        "<2@1@2;[2@1],[2@2],[2@3@4]>+[2@3,2@4]",
+    )]
+    for _ in range(500):
+        d = random_type(rng)
+        types += [d, relabelled_copy(d, rng)]
+    linear, ties = assert_linear_matches_search(types)
+    assert linear > 1000 and ties > 200
+
+
+def assert_width_verdicts_match(types):
+    admissible = 0
+    for d in types:
+        if d.width not in (1, 2, 3):
+            continue
+        if not d.is_admissible():
+            assert width_check(d) is None
+            with pytest.raises(ValueError):
+                delpezzo_check_width(d)
+            continue
+        expected = oracle.delpezzo_check_width(d)
+        assert width_check(d) == delpezzo_check_width(d) == expected
+        admissible += 1
+    return admissible
+
+
+def test_width_verdict_matches_oracle_on_fixtures():
+    assert assert_width_verdicts_match(fixture_instances(6)) > 600
+
+
+def test_width_verdict_matches_oracle_on_cascade_nodes(cascades):
+    types = [
+        n.dtype for result, _ in cascades for n in (*result.nodes.values(), *result.pruned.values())
+    ]
+    for stem in ("w1_a", "w1_b", "w1_c3_notGK"):
+        result, _ = cascade_of(stem, 6)
+        types += [n.dtype for n in (*result.nodes.values(), *result.pruned.values())]
+    assert len(types) > 2300
+    assert assert_width_verdicts_match(types) > 1200
+
+
+def test_fork_lds_match_oracle():
+    """Every position of every fork in the fixture instances, and of
+    random forks, admissible or not."""
+    rng = random.Random(77)
+    forks = {
+        comp_weights(c) for d in fixture_instances(6) for c in d.components if c[0] == "fork"
+    }
+    for _ in range(500):
+        forks.add(Fork(rng.randint(1, 4), tuple(
+            tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))) for _ in range(3)
+        )))
+    admissible = 0
+    for f in forks:
+        positions = ["branch"] + [
+            (i, j) for i, t in enumerate(f.twigs, start=1) for j in range(1, len(t) + 1)
+        ]
+        lds = fork_lds(f, positions)
+        if lds is None:
+            with pytest.raises(ValueError):
+                oracle.ld_fork(f, "branch")
+            with pytest.raises(ValueError):
+                ld_fork(f, "branch")
+            continue
+        admissible += 1
+        assert lds == [oracle.ld_fork(f, p) for p in positions]
+        assert lds == [ld_fork(f, p) for p in positions]
+    assert admissible > 100 and len(forks) - admissible > 100
