@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -275,8 +276,6 @@ def delpezzo_check_width(d: DecoratedType) -> CheckResult:
     H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
     these normalizations.
     """
-    if d.width not in (1, 2, 3):
-        raise ValueError("decorated type carries no usable width")
     res = width_check(d)
     if res is None:
         raise ValueError("log discrepancies undefined: non-admissible component")
@@ -284,12 +283,13 @@ def delpezzo_check_width(d: DecoratedType) -> CheckResult:
 
 
 def width_check(d: DecoratedType) -> CheckResult | None:
-    """``delpezzo_check_width`` of a type of width 1, 2 or 3 in one pass
-    over its components, or None if one is not admissible.  Each
-    component's shape is built once, a fork's discriminants once for all
-    its horizontal entries.  Chains are always admissible: every weight
-    is at least 2.  The 2-section, which only width 2 allows, counts
-    twice."""
+    """``delpezzo_check_width`` in one pass over the components, but None
+    if one is not admissible, so the result also decides admissibility.
+    Only an admissible type with a width outside 1-3 raises ValueError.
+    Each component's shape is built once, a fork's discriminants once for
+    all its horizontal entries.  Chains are always admissible: every
+    weight is at least 2.  The 2-section, which only width 2 allows,
+    counts twice."""
     lhs = Fraction(0)
     for comp in d.components:
         shape = comp_weights(comp)
@@ -306,6 +306,8 @@ def width_check(d: DecoratedType) -> CheckResult | None:
             return None
         for ld, (_, e) in zip(lds, marked):
             lhs += ld * (2 if e.two_section else 1)
+    if d.width not in (1, 2, 3):
+        raise ValueError("decorated type carries no usable width")
     rhs = Fraction(1, 3) if d.width == 1 else Fraction(1)
     return CheckResult(lhs > rhs, lhs, rhs)
 
@@ -340,42 +342,29 @@ def render_singularity_type(sing: tuple) -> str:
 # Canonical forms and graph automorphisms.
 
 
-def _chain_variants(comp: Component):
-    entries = comp[1]
-    yield ("chain",) + tuple(entries)
-    if len(entries) > 1:
-        yield ("chain",) + tuple(reversed(entries))
-
-
-def _fork_variants(comp: Component):
-    branch, twigs = comp[1], comp[2]
-    for perm in itertools.permutations(range(3)):
-        yield ("fork", branch, tuple(twigs[i] for i in perm))
-
-
-def _variants(comp: Component):
+def _variants(comp: Component) -> list[Component]:
+    """The orientations of a component, as components: a chain read from
+    either end, a fork with its twigs in each order."""
     if comp[0] == "chain":
-        yield from _chain_variants(comp)
-    else:
-        yield from _fork_variants(comp)
+        return [comp, ("chain", comp[1][::-1])] if len(comp[1]) > 1 else [comp]
+    return [("fork", comp[1], twigs) for twigs in itertools.permutations(comp[2])]
 
 
-def _variant_entries(variant) -> list[Entry]:
-    if variant[0] == "chain":
-        return list(variant[1:])
-    return [variant[1]] + [e for t in variant[2] for e in t]
-
-
-def _variant_skeleton(variant) -> tuple:
+def _variant_skeleton(variant: Component) -> tuple:
+    """A label-name-free key of one orientation: its shape, then each
+    entry's skeleton and its labels' ids.  A label's id is the number of
+    labels met before its first entry, so the fresh labels of one entry
+    share an id and no name decides the key."""
     if variant[0] == "chain":
         shape: tuple = ("chain",)
     else:
         shape = ("fork", tuple(len(t) for t in variant[2]))
     partition: dict = {}
     local = []
-    for e in _variant_entries(variant):
+    for e in comp_entries(variant):
         if e.labels:
-            ids = [partition.setdefault(l, len(partition)) for l in e.labels]
+            seen = len(partition)
+            ids = [partition.setdefault(l, seen) for l in e.labels]
             ids.sort()
             local.append((e._skeleton, tuple(ids)))
         else:
@@ -384,34 +373,31 @@ def _variant_skeleton(variant) -> tuple:
 
 
 def _canonical_variants(comp: Component):
-    variants = list(_variants(comp))
-    keyed = [(_variant_skeleton(v), v) for v in variants]
+    keyed = [(_variant_skeleton(v), v) for v in _variants(comp)]
     best = min(k for k, _ in keyed)
     return best, [v for k, v in keyed if k == best]
-
-
-def _variant_head(variant) -> tuple:
-    if variant[0] == "chain":
-        return ("chain", len(variant) - 1)
-    return ("fork", tuple(len(t) for t in variant[2]))
 
 
 def _arrangement_items(ordered_variants) -> list:
     """Each variant's head followed by its entries, in order."""
     items: list = []
     for variant in ordered_variants:
-        items.append(_variant_head(variant))
-        items.extend(_variant_entries(variant))
+        if variant[0] == "chain":
+            items.append(("chain", len(variant[1])))
+        else:
+            items.append(("fork", tuple(len(t) for t in variant[2])))
+        items.extend(comp_entries(variant))
     return items
 
 
 def _encode_arrangement(ordered_variants):
-    """Linearize an arrangement, renaming labels by first occurrence.
+    """Linearize an arrangement, renaming labels by first occurrence:
+    the minimal encoding and the number of namings that reach it.
 
     While no entry brings more than one fresh label the renaming is
     forced, so one linear pass gives the encoding; from the first entry
-    that brings several, ``_encode_search`` finds the minimum over the
-    orders in which they can be named.
+    that brings several, ``_encode_search`` goes through the orders in
+    which they can be named.
     """
     items = _arrangement_items(ordered_variants)
     rename: dict = {}
@@ -427,20 +413,22 @@ def _encode_arrangement(ordered_variants):
             rename[l] = len(rename)
         out.append((e.weight, e.horizontal, e.two_section,
                     tuple(sorted([rename[l] for l in e.labels]))))
-    return tuple(out)
+    return tuple(out), 1
 
 
 def _encode_search(items, start: int = 0, rename=None, prefix=()):
     """The minimal encoding of ``items[start:]`` after ``prefix`` (with
     the labels named so far in ``rename``) over every order in which
-    each entry's fresh labels can be named."""
-    best = [None]
+    each entry's fresh labels can be named, and how many orders reach it."""
+    best: list = [None, 0]
 
     def rec(i, rename, acc):
         if i == len(items):
             out = tuple(acc)
             if best[0] is None or out < best[0]:
-                best[0] = out
+                best[:] = [out, 1]
+            elif out == best[0]:
+                best[1] += 1
             return
         e = items[i]
         if isinstance(e, tuple):
@@ -456,7 +444,7 @@ def _encode_search(items, start: int = 0, rename=None, prefix=()):
             rec(i + 1, r2, acc + [enc])
 
     rec(start, rename or {}, list(prefix))
-    return best[0]
+    return best[0], best[1]
 
 
 def _arrangements(components):
@@ -495,10 +483,29 @@ def _label_blocks(d: DecoratedType) -> list[tuple[Component, ...]]:
     return [tuple(b) for b in blocks.values()]
 
 
-def _block_code(block: tuple[Component, ...]) -> bytes:
-    """Canonical form of one label-connected block: the minimal encoding
-    over every arrangement of its components."""
-    return repr(min(_encode_arrangement(v) for v in _arrangements(block))).encode()
+def _block_search(block: tuple[Component, ...]) -> tuple[bytes, int]:
+    """The code of one label-connected block, the minimal encoding over
+    every arrangement of its components, and the number of (arrangement,
+    naming) pairs that reach it."""
+    best, count = None, 0
+    for variants in _arrangements(block):
+        code, n = _encode_arrangement(variants)
+        if best is None or code < best:
+            best, count = code, n
+        elif code == best:
+            count += n
+    return repr(best).encode(), count
+
+
+def _twin_labels(block: tuple[Component, ...]) -> int:
+    """The product of k! over each class of k labels that meet the same
+    entries of ``block`` the same number of times."""
+    met: dict[int, list[int]] = {}
+    for i, e in enumerate(e for c in block for e in comp_entries(c)):
+        for l in e.labels:
+            met.setdefault(l, []).append(i)
+    classes = Counter(tuple(entries) for entries in met.values())
+    return math.prod(math.factorial(k) for k in classes.values())
 
 
 def canonical_form(d: DecoratedType) -> bytes:
@@ -508,12 +515,15 @@ def canonical_form(d: DecoratedType) -> bytes:
 
     An isomorphism maps label-connected blocks (components joined by
     shared labels) onto blocks, so the form is the sorted list of block
-    codes plus the number of free labels.  Each block code is a search
-    over the orders of the block's components, so the cost is factorial
+    codes plus the number of free labels.  A block's code is the least
+    encoding over its arrangements: its components in every order that
+    sorts them by a label-name-free key, each in every orientation of
+    least key, with the labels named in order of first occurrence (every
+    order, among the fresh labels of one entry).  The cost is factorial
     only in identical components that labels link into one block;
     identical components in separate blocks cost nothing extra.
     """
-    codes = sorted(_block_code(b) for b in _label_blocks(d))
+    codes = sorted(_block_search(b)[0] for b in _label_blocks(d))
     return repr((tuple(codes), len(d.free_labels))).encode()
 
 
@@ -522,112 +532,26 @@ class AutGroup:
     order: int
 
 
-def _orientation_maps(src: Component, tgt: Component):
-    """Component-local index maps src position -> tgt position that
-    preserve the graph structure (ignoring label names)."""
-    maps = []
-    if src[0] == "chain" and tgt[0] == "chain":
-        if len(src[1]) != len(tgt[1]):
-            return []
-        m = len(src[1])
-        maps.append(list(range(m)))
-        if m > 1:
-            maps.append(list(range(m - 1, -1, -1)))
-    elif src[0] == "fork" and tgt[0] == "fork":
-        src_twigs, tgt_twigs = src[2], tgt[2]
-        starts = [1]
-        for t in tgt_twigs[:-1]:
-            starts.append(starts[-1] + len(t))
-        for perm in itertools.permutations(range(3)):
-            if any(len(src_twigs[i]) != len(tgt_twigs[perm[i]]) for i in range(3)):
-                continue
-            index_map = [0]
-            for i in range(3):
-                j = perm[i]
-                index_map.extend(range(starts[j], starts[j] + len(tgt_twigs[j])))
-            maps.append(index_map)
-    return maps
-
-
-def _extends_to_labels(pairs) -> bool:
-    """Whether some bijection of label names carries every source entry's
-    labels onto its target entry's, multiplicities included."""
-    label_maps = [{}]
-    for src_e, tgt_e in pairs:
-        src_ls = sorted(set(src_e.labels))
-        tgt_ls = sorted(set(tgt_e.labels))
-        new_maps = []
-        for m in label_maps:
-            for assign in itertools.permutations(tgt_ls):
-                m2 = dict(m)
-                good = True
-                for a, b in zip(src_ls, assign):
-                    if src_e.labels.count(a) != tgt_e.labels.count(b):
-                        good = False
-                        break
-                    if m2.get(a, b) != b or (b in m2.values() and a not in m2):
-                        good = False
-                        break
-                    m2[a] = b
-                if good:
-                    new_maps.append(m2)
-        label_maps = new_maps
-        if not label_maps:
-            return False
-    return True
-
-
-def _block_aut_order(block: tuple[Component, ...]) -> int:
-    """Number of entry permutations of one block that preserve the graph
-    and its decorations and extend to a relabeling of its (-1)-curves.
-
-    Distinct (component target, orientation map) choices move some entry
-    differently, so they are counted without listing the permutations.
-    """
-    entries = [comp_entries(c) for c in block]
-    count = 0
-    indices = range(len(block))
-    for target in itertools.permutations(indices):
-        choices = []
-        for i, j in zip(indices, target):
-            maps = [
-                m
-                for m in _orientation_maps(block[i], block[j])
-                if all(
-                    entries[i][si].skeleton() == entries[j][ti].skeleton()
-                    for si, ti in enumerate(m)
-                )
-            ]
-            if not maps:
-                break
-            choices.append(maps)
-        else:
-            for choice in itertools.product(*choices):
-                pairs = [
-                    (src_e, entries[j][ti])
-                    for i, (j, index_map) in enumerate(zip(target, choice))
-                    for src_e, ti in zip(entries[i], index_map)
-                ]
-                if _extends_to_labels(pairs):
-                    count += 1
-    return count
-
-
 def graph_automorphisms(d: DecoratedType) -> AutGroup:
-    """The self-isomorphisms in the sense of canonical_form equality.
+    """The self-isomorphisms in the sense of canonical_form equality,
+    counted as permutations of the boundary entries.
 
     An automorphism permutes the label-connected blocks, mapping each onto
     an isomorphic one, and permutes the free labels.  So the order is
     |free|! times the product, over classes of m isomorphic blocks, of
-    |Aut(block)|^m * m!.  |Aut(block)| is found by trying every order of
-    the block's components, which stays factorial in identical components
-    that labels link into one block.
+    |Aut(block)|^m * m!.  The same search that gives a block's code gives
+    |Aut(block)|: the (arrangement, naming) pairs that reach the code are
+    one orbit of the block's isomorphisms of entries and labels, each
+    reached once, since the searched pairs are closed under isomorphism.
+    Renaming labels that meet the same entries the same number of times
+    moves no entry, so |Aut(block)| is that count divided by k! for each
+    class of k such labels.
     """
-    classes: dict[bytes, list] = {}
+    classes: dict[bytes, list[int]] = {}
     for block in _label_blocks(d):
-        classes.setdefault(_block_code(block), []).append(block)
+        code, count = _block_search(block)
+        classes.setdefault(code, []).append(count // _twin_labels(block))
     order = math.factorial(len(d.free_labels))
-    for blocks in classes.values():
-        m = len(blocks)
-        order *= _block_aut_order(blocks[0]) ** m * math.factorial(m)
+    for orders in classes.values():
+        order *= orders[0] ** len(orders) * math.factorial(len(orders))
     return AutGroup(order)

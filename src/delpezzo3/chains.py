@@ -3,7 +3,7 @@
 A chain ``[a_1, ..., a_n]`` is stored as a tuple of integers, each entry
 being minus the self-intersection of the corresponding rational curve.  A
 fork ``<b; T_1, T_2, T_3>`` is a branch weight together with three chains,
-each ordered with its first entry adjacent to the branch.
+each ordered from its far tip, so its last entry is adjacent to the branch.
 
 Everything here is exact: discriminants are Python integers, log
 discrepancies are ``fractions.Fraction``.
@@ -254,7 +254,8 @@ def ld_fork(f: Fork, position: str | tuple[int, int]) -> Fraction:
     """Log discrepancy of a fork component.
 
     ``position`` is either ``"branch"`` or a pair ``(twig_index, j)``
-    with both indices 1-based; twig entries are counted from the branch.
+    with both indices 1-based; twig entries are counted from the far tip,
+    as they are stored, so ``(i, len(T_i))`` meets the branch.
     """
     lds = fork_lds(f, [position])
     if lds is None:

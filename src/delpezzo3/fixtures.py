@@ -222,12 +222,13 @@ _ABCD_EXPR = (
 
 
 def abcd_passes(a: int, b: int, c: int, d: int) -> bool:
-    from delpezzo3.boundary import delpezzo_check_width
+    from delpezzo3.boundary import width_check
 
     dec = notation.substitute(
         notation.parse(_ABCD_EXPR), {"a": a, "b": b, "c": c, "d": d}
     )
-    return dec.is_admissible() and delpezzo_check_width(dec).satisfied
+    res = width_check(dec)
+    return res is not None and res.satisfied
 
 
 def abcd_enumerate(cap: int) -> set[tuple[int, int, int, int]]:

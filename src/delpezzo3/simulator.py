@@ -338,12 +338,18 @@ def parse_plan(text: str, name: str = "plan") -> Plan:
             elif words[0] == "curve":
                 if words[2] != "selfint":
                     raise SimulationError(f"bad curve line: {line}")
+                if any(words[1] == c for c, _ in curves):
+                    raise SimulationError(f"curve {words[1]} declared twice")
                 curves.append((words[1], int(words[3])))
             elif words[0] == "point":
                 entry = {"name": words[1], "contact": {}, "cusp": []}
                 if words[2] != "on":
                     raise SimulationError(f"bad point line: {line}")
+                if any(words[1] == p["name"] for p in points):
+                    raise SimulationError(f"point {words[1]} declared twice")
                 entry["on"] = words[3].split(",")
+                if len(set(entry["on"])) < len(entry["on"]):
+                    raise SimulationError(f"point {words[1]} lists a curve twice")
                 i = 4
                 while i < len(words):
                     if words[i] == "contact":

@@ -22,7 +22,6 @@ from delpezzo3.boundary import (
     Entry,
     canonical_form,
     comp_weights,
-    delpezzo_check_width,
     place_entries,
     walk_components,
     width_check,
@@ -333,8 +332,8 @@ def cascade(
     The result is independent of ``jobs``: per-level expansions merge in
     frontier order and deduplicate by canonical form.
     """
-    root_check = delpezzo_check_width(root)
-    if not root.is_admissible() or not root_check.satisfied:
+    root_check = width_check(root)
+    if root_check is None or not root_check.satisfied:
         raise SwapError("cascade root must be admissible and satisfy the inequality")
     root_key = canonical_form(root)
     nodes = {root_key: CascadeNode(root, 0, None, None, "ok", root_check.lhs)}

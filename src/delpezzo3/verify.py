@@ -15,8 +15,8 @@ from delpezzo3 import fixtures, notation, swaps
 from delpezzo3.boundary import (
     DecoratedType,
     canonical_form,
-    delpezzo_check_width,
     singularity_type_of,
+    width_check,
 )
 
 # primitive models: name used by "# root:" directives -> file stem under data/primitive
@@ -100,15 +100,15 @@ def evaluate(name: str, d: DecoratedType, assignment: tuple,
     when log canonical and not admissible; and, given the ``expected``
     singularity type expression, only if the types agree."""
     sing = singularity_type_of(d)
-    admissible = d.is_admissible()
     lhs = None
     if lc_only:
+        admissible = d.is_admissible()
         ok = d.is_log_canonical() and not admissible
-    elif not admissible:
-        return Instance(name, assignment, False, None, "FAIL", "not admissible", sing)
     else:
-        res = delpezzo_check_width(d)
-        ok, lhs = res.satisfied, res.lhs
+        res = width_check(d)
+        if res is None:
+            return Instance(name, assignment, False, None, "FAIL", "not admissible", sing)
+        admissible, ok, lhs = True, res.satisfied, res.lhs
     detail = ""
     if expected is not None and singularity_type_of(
             notation.substitute(expected, dict(assignment))) != sing:

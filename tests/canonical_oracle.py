@@ -50,10 +50,11 @@ def _variant_skeleton(variant) -> tuple:
     partition = {}
     local = []
     for e in entries:
+        seen = len(partition)
         ids = []
         for l in e.labels:
             if l not in partition:
-                partition[l] = len(partition)
+                partition[l] = seen
             ids.append(partition[l])
         local.append((e.skeleton(), tuple(sorted(ids))))
     return shape + tuple(local)

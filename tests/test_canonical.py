@@ -1,6 +1,8 @@
 """The block-split canonical form and automorphism count against the
 exhaustive search they replaced (``canonical_oracle``)."""
 
+import dataclasses
+import itertools
 import random
 import time
 
@@ -80,31 +82,68 @@ def random_type(rng):
     return DecoratedType(tuple(comps), free_labels=free)
 
 
+def renamed(d, rename):
+    """``d`` with every label l (free ones too) named ``rename.get(l, l)``."""
+
+    def move(e):
+        return Entry(e.weight, e.horizontal, e.two_section,
+                     tuple(rename.get(l, l) for l in e.labels))
+
+    comps = tuple(
+        chain_comp(map(move, c[1])) if c[0] == "chain"
+        else fork_comp(move(c[1]), [map(move, t) for t in c[2]])
+        for c in d.components
+    )
+    return DecoratedType(comps, d.width, d.char_tag,
+                         frozenset(rename.get(l, l) for l in d.free_labels))
+
+
 def relabelled_copy(d, rng):
     """Components reordered, chains reversed, twigs permuted and every
     label (free ones too) renamed."""
     names = sorted(d.labels())
     shuffled = names[:]
     rng.shuffle(shuffled)
-    rename = {a: b + 1000 for a, b in zip(names, shuffled)}
-
-    def move(e):
-        return Entry(e.weight, e.horizontal, e.two_section, tuple(rename[l] for l in e.labels))
-
+    d = renamed(d, {a: b + 1000 for a, b in zip(names, shuffled)})
     comps = []
     for c in d.components:
         if c[0] == "chain":
-            entries = [move(e) for e in c[1]]
-            if rng.random() < 0.5:
-                entries.reverse()
-            comps.append(chain_comp(entries))
+            comps.append(chain_comp(c[1][::-1] if rng.random() < 0.5 else c[1]))
         else:
-            twigs = [[move(e) for e in t] for t in c[2]]
+            twigs = list(c[2])
             rng.shuffle(twigs)
-            comps.append(fork_comp(move(c[1]), twigs))
+            comps.append(fork_comp(c[1], twigs))
     rng.shuffle(comps)
-    return DecoratedType(tuple(comps), d.width, d.char_tag,
-                         frozenset(rename[l] for l in d.free_labels))
+    return DecoratedType(tuple(comps), d.width, d.char_tag, d.free_labels)
+
+
+def parsed(text, free=()):
+    d = notation.substitute(notation.parse(text), {})
+    return dataclasses.replace(d, free_labels=frozenset(free))
+
+
+def label_cycle(n):
+    """``[2@1,2@2]+[2@2,2@3]+...+[2@n,2@1]``."""
+    return parsed("+".join(f"[2@{i},2@{i % n + 1}]" for i in range(1, n + 1)))
+
+
+# An entry brings two fresh labels, on which a form that numbered them in
+# order of their names changed under 1<->2 and under 3<->4 respectively.
+NAME_SENSITIVE = [
+    parsed("[2,2@3]+[2@2@3@3,2]+[2@1@2@2,2]", {100, 101}),
+    parsed("[2]+[3h@4,2@1]+[3@3@4,2,3@1@4]"),
+]
+
+# types whose automorphism order a miscounted search gets wrong
+PINNED_ORDERS = [
+    (label_cycle(3), 6),
+    (label_cycle(4), 8),
+    (label_cycle(5), 10),
+    (parsed("[2@1@2]"), 1),
+    (parsed("[2@1@2]+[2@1@2]"), 2),
+    (parsed("[2@1@2,2,2@3@4]"), 2),
+    (parsed("[2@4,3@1@1@3@4@4,2@1]", {100, 101}), 4),
+]
 
 
 def test_fixture_instances_same_partition():
@@ -141,12 +180,27 @@ def test_random_relabelled_copies_same_partition():
         assert canonical_form(types[i]) == canonical_form(types[i + 1]) == canonical_form(types[i + 2])
 
 
+def test_canonical_form_ignores_label_names():
+    """Every renaming of a type's labels among their own names gives one
+    form, on random types (at most six labels) and on NAME_SENSITIVE."""
+    rng = random.Random(7)
+    types = [random_type(rng) for _ in range(300)] + NAME_SENSITIVE
+    for d in types:
+        names = sorted(d.labels() - d.free_labels)
+        forms = {canonical_form(renamed(d, dict(zip(names, perm))))
+                 for perm in itertools.permutations(names)}
+        assert len(forms) == 1, d
+
+
 def test_automorphism_orders_match_oracle():
     rng = random.Random(2025)
     types = [random_type(rng) for _ in range(300)]
     types += [d for d in fixture_instances(4) if len(d.components) <= 6]
+    types += NAME_SENSITIVE + [d for d, _ in PINNED_ORDERS]
     for d in types:
         assert graph_automorphisms(d).order == oracle.graph_automorphisms(d).order
+    for d, order in PINNED_ORDERS:
+        assert graph_automorphisms(d).order == order
 
 
 def test_symmetric_orders_without_factorial_search():

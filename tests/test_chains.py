@@ -195,6 +195,10 @@ def test_ld_fork_examples():
     fork = Fork(2, ((2,), (2,), (2, 3, 2, 2, 2, 2)))
     assert ld_fork(fork, (3, 2)) == F(1, 3)
     assert ld_fork(fork, "branch") == F(1, 3)
+    # twig entries count from the far tip: (3, 1) is the tip of [2, 3]
+    tip_first = Fork(2, ((2,), (3,), (2, 3)))
+    assert ld_fork(tip_first, (3, 1)) == F(14, 23)
+    assert ld_fork(tip_first, (3, 2)) == F(5, 23)
     with pytest.raises(ValueError):
         ld_fork(Fork(2, ((3,), (3,), (3,))), "branch")
 

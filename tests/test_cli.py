@@ -128,6 +128,9 @@ def test_simulate_plan_errors_exit_2(tmp_path):
         "width": good.replace("width=3", "width=three"),
         "short line": good.replace("curve V1 selfint 0", "curve V1"),
         "no width": good.replace("width=3 ", ""),
+        "curve twice": good.replace("curve V1 selfint 0", "curve V1 selfint 0\ncurve V1 selfint 0"),
+        "point twice": good.replace("point p12 on V1,H2", "point p11 on V1,H2"),
+        "curve twice at a point": good.replace("point p12 on V1,H2", "point p12 on V1,V1"),
     }
     for name, text in broken.items():
         res = run("simulate", plan_file(tmp_path, text))
@@ -302,7 +305,7 @@ _plan_line = st.one_of(
         lambda p, on, contact, cusp: f"point {p} on {','.join(on)}"
         + ("" if contact is None else " contact {}:{}={}".format(*contact))
         + ("" if cusp is None else f" cusp {cusp}"),
-        _points, st.lists(_curves, min_size=1, max_size=3, unique=True),
+        _points, st.lists(_curves, min_size=1, max_size=3),
         st.one_of(st.none(), st.tuples(_curves, _curves, st.integers(1, 3))),
         st.one_of(st.none(), _curves),
     ),
