@@ -10,6 +10,7 @@ one entry means the (-1)-curve meets it in a node (contact 2).
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -342,123 +343,178 @@ def render_singularity_type(sing: tuple) -> str:
 # Canonical forms and graph automorphisms.
 
 
-def _variants(comp: Component) -> list[Component]:
-    """The orientations of a component, as components: a chain read from
-    either end, a fork with its twigs in each order."""
+def _component_key(comp: Component, first: int):
+    """A component's label-free key and its readings of least key.
+
+    The entries get the block-local ids ``first, first + 1, ...`` in
+    ``comp_entries`` order, and a reading lists them in the order the key
+    reads them: a chain from its end of smaller key, or from both ends if
+    it is a palindrome; a fork's branch, then its twigs sorted by key, each
+    tip first, in every order of the twigs of equal key.  The readings are
+    the component's label-free automorphisms, one each."""
     if comp[0] == "chain":
-        return [comp, ("chain", comp[1][::-1])] if len(comp[1]) > 1 else [comp]
-    return [("fork", comp[1], twigs) for twigs in itertools.permutations(comp[2])]
+        ids = list(range(first, first + len(comp[1])))
+        skeletons = tuple([e._skeleton for e in comp[1]])
+        back = skeletons[::-1]
+        if skeletons < back:
+            return ("chain", skeletons), [ids]
+        if back < skeletons:
+            return ("chain", back), [ids[::-1]]
+        return ("chain", skeletons), [ids, ids[::-1]] if len(ids) > 1 else [ids]
+    arms = []
+    start = first + 1
+    for twig in comp[2]:
+        arms.append((tuple([e._skeleton for e in twig]), list(range(start, start + len(twig)))))
+        start += len(twig)
+    arms.sort(key=lambda arm: arm[0])
+    key = ("fork", comp[1]._skeleton, (arms[0][0], arms[1][0], arms[2][0]))
+    if key[2][0] != key[2][1] != key[2][2]:
+        return key, [[first, *arms[0][1], *arms[1][1], *arms[2][1]]]
+    readings = [[first]]
+    for _, group in itertools.groupby(arms, key=lambda arm: arm[0]):
+        ids = [arm[1] for arm in group]
+        readings = [
+            r + [i for arm in order for i in arm]
+            for r in readings
+            for order in itertools.permutations(ids)
+        ]
+    return key, readings
 
 
-def _variant_skeleton(variant: Component) -> tuple:
-    """A label-name-free key of one orientation: its shape, then each
-    entry's skeleton and its labels' ids.  A label's id is the number of
-    labels met before its first entry, so the fresh labels of one entry
-    share an id and no name decides the key."""
-    if variant[0] == "chain":
-        shape: tuple = ("chain",)
+def _placement_code(keys: tuple, order, labels) -> tuple:
+    """The code of one placement: the key sequence, then each label's
+    sorted list of (position, contact), the lists sorted.  A pair is
+    written as the one number 2 * position + contact - 1, which keeps its
+    order and takes a third of the space in the form.  ``order`` lists the
+    block-local entry ids by position, ``labels[i]`` is entry i's sorted
+    labels, where a label met twice is listed twice."""
+    met: dict = {}
+    for pos, i in enumerate(order):
+        for l in labels[i]:
+            if l not in met:
+                met[l] = [2 * pos]
+            elif met[l][-1] == 2 * pos:
+                met[l][-1] += 1
+            else:
+                met[l].append(2 * pos)
+    return keys, tuple(sorted(map(tuple, met.values())))
+
+
+def _block_search(block: tuple[Component, ...]) -> tuple[tuple, int]:
+    """The code of one label-connected block and |Aut(block)|.
+
+    A placement puts the components in order of key, each in one of its
+    readings, and numbers the entries by position.  If the keys are
+    distinct, every placement is tried.  Otherwise ``_refined_placements``
+    gives the placements to try.  Either way the set tried is closed
+    under the block's automorphisms, which act on it freely, and two
+    placements have one code exactly when an automorphism maps one to the
+    other; so the least code is an invariant and the placements that reach
+    it number |Aut(block)|.  A block with repeated keys has a repeated key
+    in its code and one without has none, so the codes of the two kinds
+    never meet."""
+    parts = []
+    labels: list = []
+    for comp in block:
+        key, readings = _component_key(comp, len(labels))
+        parts.append((key, readings))
+        labels += [e.labels for e in comp_entries(comp)]
+    parts.sort(key=lambda part: part[0])
+    keys = tuple([key for key, _ in parts])
+    if len(set(keys)) < len(keys):
+        orders = _refined_placements(parts, labels)
+    elif all(len(readings) == 1 for _, readings in parts):
+        return _placement_code(keys, [i for _, (r,) in parts for i in r], labels), 1
     else:
-        shape = ("fork", tuple(len(t) for t in variant[2]))
-    partition: dict = {}
-    local = []
-    for e in comp_entries(variant):
-        if e.labels:
-            seen = len(partition)
-            ids = [partition.setdefault(l, seen) for l in e.labels]
-            ids.sort()
-            local.append((e._skeleton, tuple(ids)))
-        else:
-            local.append((e._skeleton, ()))
-    return shape + tuple(local)
+        placements = itertools.product(*(readings for _, readings in parts))
+        orders = ([i for r in choice for i in r] for choice in placements)
+    best, count = None, 0
+    for order in orders:
+        code = _placement_code(keys, order, labels)
+        if best is None or code < best:
+            best, count = code, 1
+        elif code == best:
+            count += 1
+    return best, count
 
 
-def _canonical_variants(comp: Component):
-    keyed = [(_variant_skeleton(v), v) for v in _variants(comp)]
-    best = min(k for k, _ in keyed)
-    return best, [v for k, v in keyed if k == best]
+def _refined_placements(parts, labels):
+    """The placements of a block with repeated keys that the leaves of an
+    individualization-refinement search give, each once.
 
-
-def _arrangement_items(ordered_variants) -> list:
-    """Each variant's head followed by its entries, in order."""
-    items: list = []
-    for variant in ordered_variants:
-        if variant[0] == "chain":
-            items.append(("chain", len(variant[1])))
-        else:
-            items.append(("fork", tuple(len(t) for t in variant[2])))
-        items.extend(comp_entries(variant))
-    return items
-
-
-def _encode_arrangement(ordered_variants):
-    """Linearize an arrangement, renaming labels by first occurrence:
-    the minimal encoding and the number of namings that reach it.
-
-    While no entry brings more than one fresh label the renaming is
-    forced, so one linear pass gives the encoding; from the first entry
-    that brings several, ``_encode_search`` goes through the orders in
-    which they can be named.
+    Colour refinement runs over the entries and labels.  An entry starts
+    from its component's key and its least position over that component's
+    readings.  Then an entry's colour takes in its neighbours' colours and
+    its labels' colours with their contacts, and a label's colour is the
+    colours of the entries it meets with their contacts, until no cell
+    splits.  While a cell of several entries is left, the first one is
+    split by individualizing each of its entries in turn.  A leaf ranks the
+    entries and places the components in order of key and least ranks,
+    each in its reading of least ranks.  Every choice reads colours only,
+    so the placements given are closed under the block's automorphisms.
     """
-    items = _arrangement_items(ordered_variants)
-    rename: dict = {}
-    out: list = []
-    for i, e in enumerate(items):
-        if isinstance(e, tuple):
-            out.append(e)
-            continue
-        fresh = {l for l in e.labels if l not in rename}
-        if len(fresh) > 1:
-            return _encode_search(items, i, rename, out)
-        for l in fresh:
-            rename[l] = len(rename)
-        out.append((e.weight, e.horizontal, e.two_section,
-                    tuple(sorted([rename[l] for l in e.labels]))))
-    return tuple(out), 1
+    n = len(labels)
+    contacts = [tuple(Counter(ls).items()) for ls in labels]
+    start: list = [None] * n
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for key, readings in parts:
+        for reading in readings:
+            for pos, i in enumerate(reading):
+                if start[i] is None or pos < start[i][1]:
+                    start[i] = (key, pos)
+        reading = readings[0]
+        if key[0] == "chain":
+            edges = list(zip(reading, reading[1:]))
+        else:
+            edges, tip = [], 1
+            for twig in key[2]:
+                arm = reading[tip:tip + len(twig)]
+                edges += list(zip(arm, arm[1:])) + [(arm[-1], reading[0])]
+                tip += len(twig)
+        for a, b in edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    met: dict = {}
+    for i, pairs in enumerate(contacts):
+        for l, c in pairs:
+            met.setdefault(l, []).append((i, c))
 
+    def refine(colour: list[int]) -> list[int]:
+        while True:
+            label_colour = {
+                l: tuple(sorted((colour[i], c) for i, c in pairs)) for l, pairs in met.items()
+            }
+            signature = [
+                (colour[i], tuple(sorted(colour[j] for j in adjacent[i])),
+                 tuple(sorted((label_colour[l], c) for l, c in contacts[i])))
+                for i in range(n)
+            ]
+            names = {s: k for k, s in enumerate(sorted(set(signature)))}
+            if len(names) == len(set(colour)):
+                return colour
+            colour = [names[s] for s in signature]
 
-def _encode_search(items, start: int = 0, rename=None, prefix=()):
-    """The minimal encoding of ``items[start:]`` after ``prefix`` (with
-    the labels named so far in ``rename``) over every order in which
-    each entry's fresh labels can be named, and how many orders reach it."""
-    best: list = [None, 0]
-
-    def rec(i, rename, acc):
-        if i == len(items):
-            out = tuple(acc)
-            if best[0] is None or out < best[0]:
-                best[:] = [out, 1]
-            elif out == best[0]:
-                best[1] += 1
+    def leaves(colour: list[int]):
+        colour = refine(colour)
+        sizes = Counter(colour)
+        if len(sizes) == n:
+            yield colour
             return
-        e = items[i]
-        if isinstance(e, tuple):
-            rec(i + 1, rename, acc + [e])
-            return
-        fresh = sorted({l for l in e.labels if l not in rename})
-        for order in itertools.permutations(fresh):
-            r2 = dict(rename)
-            for l in order:
-                r2[l] = len(r2)
-            enc = (e.weight, e.horizontal, e.two_section,
-                   tuple(sorted(r2[l] for l in e.labels)))
-            rec(i + 1, r2, acc + [enc])
+        cell = min(c for c, k in sizes.items() if k > 1)
+        for v in range(n):
+            if colour[v] == cell:
+                yield from leaves([2 * c + (c == cell and i != v) for i, c in enumerate(colour)])
 
-    rec(start, rename or {}, list(prefix))
-    return best[0], best[1]
-
-
-def _arrangements(components):
-    canon = [_canonical_variants(c) for c in components]
-    order = sorted(range(len(canon)), key=lambda i: canon[i][0])
-    groups = []
-    for _, grp in itertools.groupby(order, key=lambda i: canon[i][0]):
-        groups.append(list(grp))
-    for perm_choice in itertools.product(
-        *(itertools.permutations(g) for g in groups)
-    ):
-        comp_order = [i for g in perm_choice for i in g]
-        variant_lists = [canon[i][1] for i in comp_order]
-        yield from itertools.product(*variant_lists)
+    names = {s: k for k, s in enumerate(sorted(set(start)))}
+    seen = set()
+    for colour in leaves([names[s] for s in start]):
+        placed = sorted(
+            (key, *min(([colour[i] for i in r], r) for r in readings)) for key, readings in parts
+        )
+        order = tuple(i for _, _, reading in placed for i in reading)
+        if order not in seen:
+            seen.add(order)
+            yield order
 
 
 def _label_blocks(d: DecoratedType) -> list[tuple[Component, ...]]:
@@ -476,36 +532,13 @@ def _label_blocks(d: DecoratedType) -> list[tuple[Component, ...]]:
     for ci, comp in enumerate(d.components):
         for e in comp_entries(comp):
             for l in e.labels:
-                parent[find(ci)] = find(owner.setdefault(l, ci))
+                cj = owner.setdefault(l, ci)
+                if cj != ci:
+                    parent[find(ci)] = find(cj)
     blocks: dict[int, list[Component]] = {}
     for ci, comp in enumerate(d.components):
         blocks.setdefault(find(ci), []).append(comp)
     return [tuple(b) for b in blocks.values()]
-
-
-def _block_search(block: tuple[Component, ...]) -> tuple[bytes, int]:
-    """The code of one label-connected block, the minimal encoding over
-    every arrangement of its components, and the number of (arrangement,
-    naming) pairs that reach it."""
-    best, count = None, 0
-    for variants in _arrangements(block):
-        code, n = _encode_arrangement(variants)
-        if best is None or code < best:
-            best, count = code, n
-        elif code == best:
-            count += n
-    return repr(best).encode(), count
-
-
-def _twin_labels(block: tuple[Component, ...]) -> int:
-    """The product of k! over each class of k labels that meet the same
-    entries of ``block`` the same number of times."""
-    met: dict[int, list[int]] = {}
-    for i, e in enumerate(e for c in block for e in comp_entries(c)):
-        for l in e.labels:
-            met.setdefault(l, []).append(i)
-    classes = Counter(tuple(entries) for entries in met.values())
-    return math.prod(math.factorial(k) for k in classes.values())
 
 
 def canonical_form(d: DecoratedType) -> bytes:
@@ -515,16 +548,20 @@ def canonical_form(d: DecoratedType) -> bytes:
 
     An isomorphism maps label-connected blocks (components joined by
     shared labels) onto blocks, so the form is the sorted list of block
-    codes plus the number of free labels.  A block's code is the least
-    encoding over its arrangements: its components in every order that
-    sorts them by a label-name-free key, each in every orientation of
-    least key, with the labels named in order of first occurrence (every
-    order, among the fresh labels of one entry).  The cost is factorial
-    only in identical components that labels link into one block;
-    identical components in separate blocks cost nothing extra.
+    codes plus the number of free labels.  A block's code is its key
+    sequence, each component's label-free key in sorted order, and then
+    each label's sorted list of (position, contact), the least such over
+    the placements ``_block_search`` tries.  When the keys are distinct
+    these are the few readings of least key, usually one, and the cost is
+    linear in the block.  Only identical components that labels link into
+    one block run colour refinement, whose leaves number about |Aut(block)|
+    times the ties left after refinement; identical components in separate
+    blocks cost nothing extra.
     """
     codes = sorted(_block_search(b)[0] for b in _label_blocks(d))
-    return repr((tuple(codes), len(d.free_labels))).encode()
+    # marshal's version 0 writes no references between objects, so equal
+    # codes give equal bytes; it takes a tenth of the time of repr
+    return marshal.dumps((tuple(codes), len(d.free_labels)), 0)
 
 
 @dataclass(frozen=True)
@@ -539,18 +576,17 @@ def graph_automorphisms(d: DecoratedType) -> AutGroup:
     An automorphism permutes the label-connected blocks, mapping each onto
     an isomorphic one, and permutes the free labels.  So the order is
     |free|! times the product, over classes of m isomorphic blocks, of
-    |Aut(block)|^m * m!.  The same search that gives a block's code gives
-    |Aut(block)|: the (arrangement, naming) pairs that reach the code are
-    one orbit of the block's isomorphisms of entries and labels, each
-    reached once, since the searched pairs are closed under isomorphism.
-    Renaming labels that meet the same entries the same number of times
-    moves no entry, so |Aut(block)| is that count divided by k! for each
-    class of k such labels.
+    |Aut(block)|^m * m!.  The search that gives a block's code gives
+    |Aut(block)| too: a placement fixes every entry, so the placements
+    that reach the code are one orbit of the block's automorphisms of
+    entries, each reached once.  Labels that meet the same entries the
+    same number of times have equal incidence lists, so renaming them
+    counts nothing.  The cost is that of ``canonical_form``.
     """
-    classes: dict[bytes, list[int]] = {}
+    classes: dict[tuple, list[int]] = {}
     for block in _label_blocks(d):
         code, count = _block_search(block)
-        classes.setdefault(code, []).append(count // _twin_labels(block))
+        classes.setdefault(code, []).append(count)
     order = math.factorial(len(d.free_labels))
     for orders in classes.values():
         order *= orders[0] ** len(orders) * math.factorial(len(orders))

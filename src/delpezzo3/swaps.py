@@ -199,10 +199,11 @@ def is_vertically_primitive(d: DecoratedType,
     return not legal_forward_labels(d, excluded_labels)
 
 
-def reverse_moves(d: DecoratedType,
-                  excluded_labels: frozenset = frozenset()) -> list[tuple[int, int]]:
-    """All (label, target index) pairs that admit a reverse swap."""
-    entries, edges = to_graph(d)
+def reverse_moves(d: DecoratedType, excluded_labels: frozenset = frozenset(),
+                  graph=None) -> list[tuple[int, int]]:
+    """All (label, target index) pairs that admit a reverse swap.
+    ``graph`` is ``to_graph(d)``, passed by a caller that has built it."""
+    entries, _ = to_graph(d) if graph is None else graph
     moves = []
     for label in sorted(d.labels()):
         if label in excluded_labels:
@@ -281,12 +282,12 @@ def _expand_parent(args):
     """Generate and classify all reverse-swap children of one parent.
 
     The parent's graph and, for the monotonicity check, its lds are
-    built once and shared by every child."""
+    built once and shared by the move list and every child."""
     parent_key, parent, check_monotone, excluded = args
     graph = to_graph(parent)
     parent_lds = graph_lds(*graph) if check_monotone else None
     out = []
-    for move in reverse_moves(parent, excluded):
+    for move in reverse_moves(parent, excluded, graph=graph):
         try:
             child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
         except SwapError:

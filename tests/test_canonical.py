@@ -1,11 +1,14 @@
 """The block-split canonical form and automorphism count against the
-exhaustive search they replaced (``canonical_oracle``)."""
+exhaustive search they replaced (``canonical_oracle``), and against the
+per-block arrangement search that component keys and label incidence
+lists replaced (``block_search_oracle``)."""
 
 import dataclasses
 import itertools
 import random
 import time
 
+import block_search_oracle as block_oracle
 import canonical_oracle as oracle
 
 from delpezzo3 import fixtures, notation, swaps
@@ -144,6 +147,125 @@ PINNED_ORDERS = [
     (parsed("[2@1@2,2,2@3@4]"), 2),
     (parsed("[2@4,3@1@1@3@4@4,2@1]", {100, 101}), 4),
 ]
+
+
+def linked_block(rng):
+    """2-5 identical components that labels link into one or more blocks,
+    a seeded mix of:
+
+    * a chain, or a fork with two or three equal twigs;
+    * each copy with labels at ports p and q (possibly one entry), wired
+      as a label cycle, a label path whose end labels may also meet a
+      distinct component, a label meeting three copies, or labels met
+      twice by one entry; the cycle wirings follow a random permutation,
+      so they may form several cycles of any lengths;
+    * sometimes a free label."""
+    kind = rng.choice(["chain", "chain", "fork"])
+    if kind == "chain":
+        shape = [(rng.choice([2, 2, 3]), rng.random() < 0.2) for _ in range(rng.randint(1, 3))]
+        m = rng.randint(2, 5 if len(shape) < 3 else 4)
+        size = len(shape)
+    else:
+        twig = [rng.choice([2, 3]) for _ in range(rng.randint(1, 2))]
+        odd = rng.choice([twig, [2, 2], [3], [2]])
+        shape = [rng.choice([2, 3]), twig, twig, odd]
+        m = rng.randint(2, 3)
+        size = 1 + 2 * len(twig) + len(odd)
+    p, q = rng.randrange(size), rng.randrange(size)
+    wiring = rng.choice(["cycle", "path", "star", "contact2"])
+    ports = [{p: [], q: []} for _ in range(m)]
+    sigma = list(range(m))
+    rng.shuffle(sigma)
+    extra = []
+    if wiring == "cycle":
+        for i in range(m):
+            ports[i][p].append(10 + i)
+            ports[i][q].append(10 + sigma[i])
+    elif wiring == "contact2":
+        for i in range(m):
+            ports[i][p] += [10 + i, 10 + i]
+            ports[i][q].append(10 + (sigma[i] if p != q else (i + 1) % m))
+    elif wiring == "path":
+        for i in range(m):
+            ports[i][p].append(10 + i)
+            ports[i][q].append(11 + i)
+        for end in (10, 10 + m):
+            if rng.random() < 0.5:
+                extra.append(chain_comp([Entry(3, False, False, (end,))]))
+    else:
+        for i in range(m):
+            ports[i][p].append(10 + i // 3)
+            ports[i][q].append(20 + sigma[i] // 2)
+
+    def entry(w, h, labels):
+        return Entry(w, h, False, tuple(sorted(labels)))
+
+    comps = []
+    for at in ports:
+        if kind == "chain":
+            comps.append(chain_comp([entry(w, h, at.get(j, ())) for j, (w, h) in enumerate(shape)]))
+        else:
+            ids = iter(range(1, size))
+            twigs = [[entry(w, False, at.get(next(ids), ())) for w in t] for t in shape[1:]]
+            comps.append(fork_comp(entry(shape[0], False, at.get(0, ())), twigs))
+    comps += extra
+    rng.shuffle(comps)
+    free = frozenset({100}) if rng.random() < 0.2 else frozenset()
+    return DecoratedType(tuple(comps), free_labels=free)
+
+
+def test_refinement_blocks_match_oracle():
+    """Blocks of identical components linked by labels, the ones that
+    take the refinement path, and relabelled, reordered copies: the same
+    partition and automorphism orders as the exhaustive oracle."""
+    rng = random.Random(4711)
+    types = []
+    for _ in range(150):
+        d = linked_block(rng)
+        types += [d, relabelled_copy(d, rng), relabelled_copy(d, rng)]
+    types += [label_cycle(4), parsed("[2@1,2@2]+[2@1,2@2]"), parsed("[2@1,2@2]+[3@1,2@2]")]
+    # pairs told apart only by which label of one entry has contact 2
+    types += [parsed("[2@1@1@2]+[3@1]+[2@2]"), parsed("[2@1@2@2]+[3@1]+[2@2]"),
+              parsed("[2@1@1@2,3@3]+[2@3@3@4,3@1]"), parsed("[2@1@2@2,3@3]+[2@3@4@4,3@1]")]
+    assert assert_same_partition(types) > 100
+    for d in types:
+        assert graph_automorphisms(d).order == oracle.graph_automorphisms(d).order, d
+    for i in range(0, 450, 3):
+        assert canonical_form(types[i]) == canonical_form(types[i + 1]) == canonical_form(types[i + 2])
+
+
+def cascade_types(stem, depth):
+    row = fixtures.parse_fixture_file(fixtures.data_dir() / "primitive" / f"{stem}.types")[0]
+    root = notation.substitute(row.expr, {})
+    result = swaps.cascade(root, depth, excluded_labels=row.node_labels)
+    return [n.dtype for n in (*result.nodes.values(), *result.pruned.values())]
+
+
+def test_cascade_nodes_match_block_search():
+    """The depth-4 w3a/w3b and depth-6 w1a/w1b/w1c3 cascade nodes: the
+    same partition and automorphism orders as the arrangement search."""
+    types = []
+    for stem, depth in (("w3_a", 4), ("w3_b", 4), ("w1_a", 6), ("w1_b", 6), ("w1_c3_notGK", 6)):
+        types += cascade_types(stem, depth)
+    new = [canonical_form(d) for d in types]
+    old = [block_oracle.canonical_form(d) for d in types]
+    assert len(set(zip(new, old))) == len(set(new)) == len(set(old)) > 2000
+    for d in types:
+        assert graph_automorphisms(d).order == block_oracle.graph_automorphisms_order(d)
+
+
+def test_label_cycles_without_factorial_search():
+    """n identical chains that labels link into one cycle have the
+    dihedral group of order 2n, which the arrangement search found in
+    time factorial in n."""
+    six = label_cycle(6)
+    for f in (canonical_form, graph_automorphisms):
+        t0 = time.perf_counter()
+        f(six)
+        assert time.perf_counter() - t0 < 0.1, f
+    assert graph_automorphisms(six).order == 12
+    assert graph_automorphisms(label_cycle(10)).order == 20
+    assert canonical_form(label_cycle(10)) == canonical_form(relabelled_copy(label_cycle(10), random.Random(1)))
 
 
 def test_fixture_instances_same_partition():

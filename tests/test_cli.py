@@ -84,6 +84,13 @@ def test_parse_command():
     assert "parameters: k" in res2.output
 
 
+def test_parse_label_cycle_automorphisms():
+    """Eight identical chains that labels link into one cycle."""
+    res = run("parse", "+".join(f"[2@{i},2@{i % 8 + 1}]" for i in range(1, 9)))
+    assert res.exit_code == 0
+    assert "graph automorphisms: 16" in res.output
+
+
 def test_verify_tables_moduli():
     res = run("verify-tables", "--table", "char2_moduli", "--cutoff", "6")
     assert res.exit_code == 0

@@ -1,20 +1,23 @@
 """The one-pass cascade expansion against the per-child work it replaced:
 children built from the parent's shared graph against ``reverse_swap``,
-the linear label encoding against the exhaustive tie-break search, and
-the one-pass width verdict against ``width_oracle``."""
+the linear label encoding of ``block_search_oracle`` against its
+exhaustive tie-break search, and the one-pass width verdict against
+``width_oracle``."""
 
 import random
 
 import pytest
 import width_oracle as oracle
-from test_canonical import fixture_instances, random_type, relabelled_copy
-
-from delpezzo3 import fixtures, notation, swaps
-from delpezzo3.boundary import (
+from block_search_oracle import (
     _arrangement_items,
     _arrangements,
     _encode_arrangement,
     _encode_search,
+)
+from test_canonical import fixture_instances, random_type, relabelled_copy
+
+from delpezzo3 import fixtures, notation, swaps
+from delpezzo3.boundary import (
     _label_blocks,
     canonical_form,
     comp_weights,
@@ -35,9 +38,9 @@ def cascades():
     return [cascade_of(stem, 4) for stem in ("w3_a", "w3_b")]
 
 
-def every_pair(d, excluded_labels=frozenset()):
+def every_pair(d, excluded_labels=frozenset(), graph=None):
     """Every (label, graph index) pair, legal reverse swap or not."""
-    n = len(swaps.to_graph(d)[0])
+    n = len((graph or swaps.to_graph(d))[0])
     return [(label, i) for label in sorted(d.labels()) for i in range(n)]
 
 

@@ -90,8 +90,8 @@ def test_cascade_shuffled_move_order_same_set(monkeypatch):
     baseline = swaps.cascade(root, 3, excluded_labels=excl)
     original = swaps.reverse_moves
 
-    def shuffled(d, excluded_labels=frozenset()):
-        moves = original(d, excluded_labels)
+    def shuffled(d, excluded_labels=frozenset(), graph=None):
+        moves = original(d, excluded_labels, graph=graph)
         rng = random.Random(len(moves))
         rng.shuffle(moves)
         return moves
