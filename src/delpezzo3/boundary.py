@@ -153,22 +153,26 @@ class DecoratedType:
     def __post_init__(self) -> None:
         if self.char_tag not in CHAR_TAGS:
             raise ValueError(f"unknown characteristic tag {self.char_tag!r}")
+        horizontals = two_sections = 0
+        mults = dict.fromkeys(self.free_labels, 0)
         for e in self.entries():
             if e.weight < 2:
                 raise ValueError("boundary weights must be >= 2")
-        two_sections = [e for e in self.entries() if e.two_section]
-        horizontals = [e for e in self.entries() if e.horizontal]
+            horizontals += e.horizontal
+            two_sections += e.two_section
+            for l in e.labels:
+                mults[l] = mults.get(l, 0) + 1
         if self.width is not None:
-            if len(horizontals) != self.width:
+            if horizontals != self.width:
                 raise ValueError(
                     f"width {self.width} needs {self.width} horizontal marks,"
-                    f" found {len(horizontals)}"
+                    f" found {horizontals}"
                 )
-            if self.width == 2 and len(two_sections) != 1:
+            if self.width == 2 and two_sections != 1:
                 raise ValueError("width 2 needs exactly one 2-section mark")
             if self.width != 2 and two_sections:
                 raise ValueError("2-section marks only occur in width 2")
-        for label, total in self.attachment_multiplicities().items():
+        for label, total in mults.items():
             if total > 3:
                 raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
 
@@ -182,13 +186,6 @@ class DecoratedType:
         for e in self.entries():
             out.update(e.labels)
         return frozenset(out)
-
-    def attachment_multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {l: 0 for l in self.free_labels}
-        for e in self.entries():
-            for l in e.labels:
-                out[l] = out.get(l, 0) + 1
-        return out
 
     def horizontal_positions(self) -> list[tuple[int, object]]:
         """(component index, position) of each horizontal entry, where the

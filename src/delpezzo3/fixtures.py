@@ -19,6 +19,7 @@ The directory can be overridden with the DP_FIXTURES environment variable.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -221,12 +222,15 @@ _ABCD_EXPR = (
 )
 
 
+@functools.cache
+def _abcd_expr() -> notation.TypeExpr:
+    return notation.parse(_ABCD_EXPR)
+
+
 def abcd_passes(a: int, b: int, c: int, d: int) -> bool:
     from delpezzo3.boundary import width_check
 
-    dec = notation.substitute(
-        notation.parse(_ABCD_EXPR), {"a": a, "b": b, "c": c, "d": d}
-    )
+    dec = notation.substitute(_abcd_expr(), {"a": a, "b": b, "c": c, "d": d})
     res = width_check(dec)
     return res is not None and res.satisfied
 

@@ -219,14 +219,24 @@ def reverse_moves(d: DecoratedType, excluded_labels: frozenset = frozenset(),
 # -- cascade -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeNode:
-    dtype: DecoratedType
+    """One node of a cascade.  The root and every node the cascade
+    expands keep their own type; a pruned node, or an ok node at the
+    last depth, keeps its parent's, and ``dtype`` rebuilds its own from
+    the move on every read."""
+
     depth: int
     parent: bytes | None
     move: tuple[int, int] | None
     status: str  # "ok" | "inadmissible" | "inequality" | "invalid"
     lhs: Fraction | None
+    kept: DecoratedType  # this node's type if own_type, else its parent's
+    own_type: bool
+
+    @property
+    def dtype(self) -> DecoratedType:
+        return self.kept if self.own_type else reverse_swap(self.kept, *self.move)
 
 
 @dataclass
@@ -278,12 +288,15 @@ def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
             )
 
 
-def _expand_parent(args):
+def _expand_parent(args, seen: set | None = None):
     """Generate and classify all reverse-swap children of one parent.
 
     The parent's graph and, for the monotonicity check, its lds are
-    built once and shared by the move list and every child."""
-    parent_key, parent, check_monotone, excluded = args
+    built once and shared by the move list and every child.  A child
+    whose key is in ``seen`` is dropped unchecked, and each new key is
+    added to it.  A record is (key, move, status, lhs, child), with the
+    child only when it is ok."""
+    parent, check_monotone, excluded = args
     graph = to_graph(parent)
     parent_lds = graph_lds(*graph) if check_monotone else None
     out = []
@@ -293,16 +306,20 @@ def _expand_parent(args):
         except SwapError:
             continue
         key = canonical_form(child)
+        if seen is not None:
+            if key in seen:
+                continue
+            seen.add(key)
         res = width_check(child)
         if res is None:
-            out.append((key, parent_key, move, "inadmissible", None, child))
+            out.append((key, move, "inadmissible", None, None))
             continue
         if not res.satisfied:
-            out.append((key, parent_key, move, "inequality", res.lhs, child))
+            out.append((key, move, "inequality", res.lhs, None))
             continue
         if check_monotone:
             _check_lds_monotone(graph, parent_lds, move)
-        out.append((key, parent_key, move, "ok", res.lhs, child))
+        out.append((key, move, "ok", res.lhs, child))
     return out
 
 
@@ -330,14 +347,18 @@ def cascade(
     Children that stay admissible and satisfy the width inequality are
     expanded; the others are recorded with their failure and pruned
     (sound by the weighted-subgraph monotonicity of log discrepancies).
+    Only the nodes that are expanded keep their own types.
     The result is independent of ``jobs``: per-level expansions merge in
-    frontier order and deduplicate by canonical form.
+    frontier order and deduplicate by canonical form, the first
+    occurrence kept.  Each reverse swap adds one boundary entry, so a key
+    can only recur within its own level: in serial mode the level's key
+    set goes to ``_expand_parent``, which checks each key once.
     """
     root_check = width_check(root)
     if root_check is None or not root_check.satisfied:
         raise SwapError("cascade root must be admissible and satisfy the inequality")
     root_key = canonical_form(root)
-    nodes = {root_key: CascadeNode(root, 0, None, None, "ok", root_check.lhs)}
+    nodes = {root_key: CascadeNode(0, None, None, "ok", root_check.lhs, root, True)}
     pruned: dict = {}
     frontier = [(root_key, root)]
     depth = 0
@@ -345,22 +366,24 @@ def cascade(
     try:
         while frontier and depth < max_depth:
             depth += 1
-            tasks = [(k, p, check_monotone, excluded_labels) for k, p in frontier]
+            tasks = [(p, check_monotone, excluded_labels) for _, p in frontier]
             if pool is not None:
-                batches = list(pool.map(_expand_parent, tasks, chunksize=8))
+                batches = pool.map(_expand_parent, tasks, chunksize=8)
             else:
-                batches = [_expand_parent(t) for t in tasks]
+                level: set = set()
+                batches = (_expand_parent(t, level) for t in tasks)
+            expand = depth < max_depth
             next_frontier = []
-            for batch in batches:
-                for key, parent_key, move, status, lhs, child in batch:
+            for (parent_key, parent), batch in zip(frontier, batches):
+                for key, move, status, lhs, child in batch:
                     if key in nodes or key in pruned:
                         continue
-                    node = CascadeNode(child, depth, parent_key, move, status, lhs)
-                    if status == "ok":
-                        nodes[key] = node
+                    if status == "ok" and expand:
+                        nodes[key] = CascadeNode(depth, parent_key, move, status, lhs, child, True)
                         next_frontier.append((key, child))
-                    else:
-                        pruned[key] = node
+                        continue
+                    node = CascadeNode(depth, parent_key, move, status, lhs, parent, False)
+                    (nodes if status == "ok" else pruned)[key] = node
             next_frontier.sort(key=lambda kv: kv[0])
             frontier = next_frontier
     finally:

@@ -1,0 +1,110 @@
+"""The cascade as it was before level-local deduplication and lean
+records: every child gets a width check, duplicates included, every
+record carries the child's type, and every node keeps its own type.
+Kept as the oracle for ``swaps.cascade``."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from delpezzo3.boundary import DecoratedType, canonical_form, width_check
+from delpezzo3.swaps import (
+    CascadeResult,
+    SwapError,
+    _check_lds_monotone,
+    graph_lds,
+    process_pool,
+    reverse_moves,
+    reverse_swap,
+    to_graph,
+)
+
+
+@dataclass(frozen=True)
+class CascadeNode:
+    dtype: DecoratedType
+    depth: int
+    parent: bytes | None
+    move: tuple[int, int] | None
+    status: str  # "ok" | "inadmissible" | "inequality" | "invalid"
+    lhs: Fraction | None
+
+
+def _expand_parent(args):
+    """Generate and classify all reverse-swap children of one parent.
+
+    The parent's graph and, for the monotonicity check, its lds are
+    built once and shared by the move list and every child."""
+    parent_key, parent, check_monotone, excluded = args
+    graph = to_graph(parent)
+    parent_lds = graph_lds(*graph) if check_monotone else None
+    out = []
+    for move in reverse_moves(parent, excluded, graph=graph):
+        try:
+            child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
+        except SwapError:
+            continue
+        key = canonical_form(child)
+        res = width_check(child)
+        if res is None:
+            out.append((key, parent_key, move, "inadmissible", None, child))
+            continue
+        if not res.satisfied:
+            out.append((key, parent_key, move, "inequality", res.lhs, child))
+            continue
+        if check_monotone:
+            _check_lds_monotone(graph, parent_lds, move)
+        out.append((key, parent_key, move, "ok", res.lhs, child))
+    return out
+
+
+def cascade(
+    root: DecoratedType,
+    max_depth: int,
+    check_monotone: bool = False,
+    jobs: int = 1,
+    excluded_labels: frozenset = frozenset(),
+) -> CascadeResult:
+    """Breadth-first closure of the root under reverse swaps.
+
+    Children that stay admissible and satisfy the width inequality are
+    expanded; the others are recorded with their failure and pruned
+    (sound by the weighted-subgraph monotonicity of log discrepancies).
+    The result is independent of ``jobs``: per-level expansions merge in
+    frontier order and deduplicate by canonical form.
+    """
+    root_check = width_check(root)
+    if root_check is None or not root_check.satisfied:
+        raise SwapError("cascade root must be admissible and satisfy the inequality")
+    root_key = canonical_form(root)
+    nodes = {root_key: CascadeNode(root, 0, None, None, "ok", root_check.lhs)}
+    pruned: dict = {}
+    frontier = [(root_key, root)]
+    depth = 0
+    pool = process_pool(jobs)
+    try:
+        while frontier and depth < max_depth:
+            depth += 1
+            tasks = [(k, p, check_monotone, excluded_labels) for k, p in frontier]
+            if pool is not None:
+                batches = list(pool.map(_expand_parent, tasks, chunksize=8))
+            else:
+                batches = [_expand_parent(t) for t in tasks]
+            next_frontier = []
+            for batch in batches:
+                for key, parent_key, move, status, lhs, child in batch:
+                    if key in nodes or key in pruned:
+                        continue
+                    node = CascadeNode(child, depth, parent_key, move, status, lhs)
+                    if status == "ok":
+                        nodes[key] = node
+                        next_frontier.append((key, child))
+                    else:
+                        pruned[key] = node
+            next_frontier.sort(key=lambda kv: kv[0])
+            frontier = next_frontier
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return CascadeResult(nodes, pruned)

@@ -123,6 +123,60 @@ def test_validation_errors():
                        chain(3, labels={1: (7, 7)}),))
 
 
+def four_times(label, *weights):
+    """Chains meeting ``label`` four times in all."""
+    return (chain(*weights, labels={1: (label, label)}),
+            chain(2, 2, labels={1: (label,), 2: (label,)}))
+
+
+# (components, width, free labels, char tag) and the message; a type that
+# breaks several rules reports the first rule in this table's order.
+INVALID_TYPES = [
+    ((chain(3, 1, horizontal=(1, 2, 3)),), 3, (), "any",
+     "boundary weights must be >= 2"),
+    ((chain(2, 2, horizontal=(1,)),), 3, (), "any",
+     "width 3 needs 3 horizontal marks, found 1"),
+    ((chain(2, 2, 2, horizontal=(1, 2)),), 1, (), "any",
+     "width 1 needs 1 horizontal marks, found 2"),
+    ((chain(2, 2, horizontal=(1, 2)),), 2, (), "any",
+     "width 2 needs exactly one 2-section mark"),
+    ((chain(2, 2, two_section=(1, 2)),), 2, (), "any",
+     "width 2 needs exactly one 2-section mark"),
+    ((chain(2, 2, 2, horizontal=(1, 2), two_section=(3,)),), 3, (), "any",
+     "2-section marks only occur in width 2"),
+    (four_times(7, 2), None, (), "any",
+     "(-1)-curve 7 meets the boundary 4 > 3 times"),
+    # two rules at once
+    ((chain(2, 2, 2, horizontal=(1,)),), 3, (), "p5",
+     "unknown characteristic tag 'p5'"),
+    ((chain(1, 2, horizontal=(2,)),), 3, (), "any",
+     "boundary weights must be >= 2"),
+    ((chain(2, 1, two_section=(1, 2)),), 2, (), "any",
+     "boundary weights must be >= 2"),
+    (four_times(7, 1), None, (), "any",
+     "boundary weights must be >= 2"),
+    ((chain(2, 2, two_section=(1,)),), 3, (), "any",
+     "width 3 needs 3 horizontal marks, found 1"),
+    ((chain(2, 2, horizontal=(1,)), *four_times(7, 2)), 2, (), "any",
+     "width 2 needs 2 horizontal marks, found 1"),
+    ((chain(2, 2, two_section=(1, 2)), *four_times(7, 2)), 2, (), "any",
+     "width 2 needs exactly one 2-section mark"),
+    ((*four_times(7, 2), chain(2, 2, 2, horizontal=(1, 2), two_section=(3,))), 3, (), "any",
+     "2-section marks only occur in width 2"),
+    ((*four_times(9, 2), *four_times(7, 2)), None, (), "any",
+     "(-1)-curve 9 meets the boundary 4 > 3 times"),
+    ((*four_times(5, 2), *four_times(7, 2)), None, (7,), "any",
+     "(-1)-curve 7 meets the boundary 4 > 3 times"),
+]
+
+
+@pytest.mark.parametrize("components, width, free, char_tag, message", INVALID_TYPES)
+def test_validation_messages(components, width, free, char_tag, message):
+    with pytest.raises(ValueError) as err:
+        DecoratedType(components, width, char_tag, frozenset(free))
+    assert str(err.value) == message
+
+
 def test_singularity_type():
     t = singularity_type_of(xbar1())
     assert render_singularity_type(t) == "[2,2,2,2,2,3,2,2]+[2,3]"

@@ -214,6 +214,7 @@ def test_jobs_do_not_change_output():
     for args in (
         ("verify-tables", "--table", "char3", "--cutoff", "6", "--cascade-depth", "3"),
         ("cascade", "--root", "w1b", "--depth", "3"),
+        ("cascade", "--root", "w3b", "--depth", "5"),
     ):
         one, two = run(*args, "--jobs", "1"), run(*args, "--jobs", "2")
         assert one.exit_code == two.exit_code == 0

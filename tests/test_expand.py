@@ -1,11 +1,12 @@
 """The one-pass cascade expansion against the per-child work it replaced:
-children built from the parent's shared graph against ``reverse_swap``,
-the linear label encoding of ``block_search_oracle`` against its
-exhaustive tie-break search, and the one-pass width verdict against
-``width_oracle``."""
+the lean cascade against ``cascade_oracle``, children built from the
+parent's shared graph against ``reverse_swap``, the linear label
+encoding of ``block_search_oracle`` against its exhaustive tie-break
+search, and the one-pass width verdict against ``width_oracle``."""
 
 import random
 
+import cascade_oracle
 import pytest
 import width_oracle as oracle
 from block_search_oracle import (
@@ -15,8 +16,9 @@ from block_search_oracle import (
     _encode_search,
 )
 from test_canonical import fixture_instances, random_type, relabelled_copy
+from test_swaps import load_primitive
 
-from delpezzo3 import fixtures, notation, swaps
+from delpezzo3 import notation, swaps
 from delpezzo3.boundary import (
     _label_blocks,
     canonical_form,
@@ -28,9 +30,47 @@ from delpezzo3.chains import Fork, fork_lds, ld_fork
 
 
 def cascade_of(stem, depth):
-    row = fixtures.parse_fixture_file(fixtures.data_dir() / "primitive" / f"{stem}.types")[0]
-    root = notation.substitute(row.expr, {})
-    return swaps.cascade(root, depth, excluded_labels=row.node_labels), row.node_labels
+    root, excluded = load_primitive(stem)
+    return swaps.cascade(root, depth, excluded_labels=excluded), excluded
+
+
+ORACLE_ROOTS = [("w3_a", 5), ("w3_b", 5), ("w1_a", 6), ("w1_b", 6), ("w1_c3_notGK", 6)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cascade_matches_oracle(jobs):
+    """The same ok and pruned keys as the cascade that kept every type,
+    each with the same depth, status, lhs, parent, move and type; a
+    pruned node's type is rebuilt from its parent's."""
+    for stem, depth in ORACLE_ROOTS:
+        root, excluded = load_primitive(stem)
+        new = swaps.cascade(root, depth, jobs=jobs, excluded_labels=excluded)
+        old = cascade_oracle.cascade(root, depth, jobs=jobs, excluded_labels=excluded)
+        assert new.nodes.keys() == old.nodes.keys()
+        assert new.pruned.keys() == old.pruned.keys()
+        for got, expected in ((new.nodes, old.nodes), (new.pruned, old.pruned)):
+            for key, node in got.items():
+                twin = expected[key]
+                assert (node.depth, node.status, node.lhs, node.parent, node.move) == (
+                    twin.depth, twin.status, twin.lhs, twin.parent, twin.move
+                )
+                assert node.dtype == twin.dtype
+
+
+@pytest.mark.parametrize("stem, depth", [("w3_a", 4), ("w3_b", 4), ("w1_b", 6)])
+def test_width_check_once_per_key(stem, depth, monkeypatch):
+    """In serial mode the root and each new key get one width check;
+    a child whose key its level has already produced gets none."""
+    calls = []
+    original = swaps.width_check
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(swaps, "width_check", counting)
+    result, _ = cascade_of(stem, depth)
+    assert len(calls) == len(result.nodes) + len(result.pruned)
 
 
 @pytest.fixture(scope="module")
@@ -48,19 +88,19 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
     """For every parent of the depth-4 w3a/w3b cascades and every move,
     ``reverse_swap`` on the parent's shared graph builds the child it
     builds alone, or both raise SwapError, and ``_expand_parent`` keeps
-    that child with its key, status and lhs; also with every
-    (label, index) pair as a move."""
+    that child's key, status and lhs, with the child itself only when it
+    is ok; also with every (label, index) pair as a move."""
     children = rejected = 0
     for result, excluded in cascades:
-        parents = [(k, n.dtype) for k, n in result.nodes.items() if n.depth < 4]
+        parents = [n.dtype for n in result.nodes.values() if n.depth < 4]
         for moves in (swaps.reverse_moves, every_pair):
             with monkeypatch.context() as m:
                 m.setattr(swaps, "reverse_moves", moves)
-                for key, parent in parents:
+                for parent in parents:
                     got = {
                         move: (child_key, status, lhs, child)
-                        for child_key, _, move, status, lhs, child
-                        in swaps._expand_parent((key, parent, True, excluded))
+                        for child_key, move, status, lhs, child
+                        in swaps._expand_parent((parent, True, excluded))
                     }
                     graph = swaps.to_graph(parent)
                     for move in moves(parent, excluded):
@@ -78,7 +118,8 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
                         else:
                             res = oracle.delpezzo_check_width(child)
                             expected = ("ok" if res.satisfied else "inequality", res.lhs)
-                        assert got[move] == (canonical_form(child), *expected, child)
+                        kept = child if expected[0] == "ok" else None
+                        assert got[move] == (canonical_form(child), *expected, kept)
                         children += 1
     assert children > 5000 and rejected > 5000
 
@@ -96,10 +137,10 @@ def test_monotone_check_once_per_parent(cascades, monkeypatch):
     monkeypatch.setattr(swaps, "_check_lds_monotone", recording)
     result, excluded = cascades[0]
     checked = 0
-    for key, parent in [(k, n.dtype) for k, n in result.nodes.items() if n.depth < 2]:
+    for parent in [n.dtype for n in result.nodes.values() if n.depth < 2]:
         calls.clear()
-        out = swaps._expand_parent((key, parent, True, excluded))
-        ok_moves = [move for _, _, move, status, _, _ in out if status == "ok"]
+        out = swaps._expand_parent((parent, True, excluded))
+        ok_moves = [move for _, move, status, _, _ in out if status == "ok"]
         assert [move for *_, move in calls] == ok_moves
         graph = swaps.to_graph(parent)
         lds = swaps.graph_lds(*graph)
