@@ -288,14 +288,15 @@ def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
             )
 
 
-def _expand_parent(args, seen: set | None = None):
+def _expand_parent(args, seen: dict | None = None):
     """Generate and classify all reverse-swap children of one parent.
 
     The parent's graph and, for the monotonicity check, its lds are
-    built once and shared by the move list and every child.  A child
-    whose key is in ``seen`` is dropped unchecked, and each new key is
-    added to it.  A record is (key, move, status, lhs, child), with the
-    child only when it is ok."""
+    built once and shared by the move list and every child.  ``seen``
+    maps each key already classified to whether it was ok: a child whose
+    key is in it gets no width check and no record, but an ok one still
+    gets the monotonicity check, which belongs to the edge.  A record is
+    (key, move, status, lhs, child), with the child only when it is ok."""
     parent, check_monotone, excluded = args
     graph = to_graph(parent)
     parent_lds = graph_lds(*graph) if check_monotone else None
@@ -306,11 +307,13 @@ def _expand_parent(args, seen: set | None = None):
         except SwapError:
             continue
         key = canonical_form(child)
-        if seen is not None:
-            if key in seen:
-                continue
-            seen.add(key)
+        if seen is not None and key in seen:
+            if check_monotone and seen[key]:
+                _check_lds_monotone(graph, parent_lds, move)
+            continue
         res = width_check(child)
+        if seen is not None:
+            seen[key] = res is not None and res.satisfied
         if res is None:
             out.append((key, move, "inadmissible", None, None))
             continue
@@ -351,8 +354,9 @@ def cascade(
     The result is independent of ``jobs``: per-level expansions merge in
     frontier order and deduplicate by canonical form, the first
     occurrence kept.  Each reverse swap adds one boundary entry, so a key
-    can only recur within its own level: in serial mode the level's key
-    set goes to ``_expand_parent``, which checks each key once.
+    can only recur within its own level: in serial mode the level's
+    verdicts by key go to ``_expand_parent``, which width-checks each key
+    once and still checks monotonicity on every ok edge.
     """
     root_check = width_check(root)
     if root_check is None or not root_check.satisfied:
@@ -370,7 +374,7 @@ def cascade(
             if pool is not None:
                 batches = pool.map(_expand_parent, tasks, chunksize=8)
             else:
-                level: set = set()
+                level: dict = {}
                 batches = (_expand_parent(t, level) for t in tasks)
             expand = depth < max_depth
             next_frontier = []

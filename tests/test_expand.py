@@ -73,6 +73,31 @@ def test_width_check_once_per_key(stem, depth, monkeypatch):
     assert len(calls) == len(result.nodes) + len(result.pruned)
 
 
+@pytest.mark.parametrize("stem, depth", [("w3_a", 4), ("w3_b", 4), ("w1_b", 6)])
+def test_monotone_check_on_every_ok_edge(stem, depth, monkeypatch):
+    """In serial mode the monotonicity check runs on the same (parent,
+    move) edges, in the same order, as in the cascade that width-checked
+    every child: a child whose key its level has already produced still
+    gets it when that key is ok."""
+    def recorder(module):
+        calls = []
+        original = module._check_lds_monotone
+
+        def recording(parent_graph, parent_lds, move):
+            calls.append((parent_graph, move))
+            original(parent_graph, parent_lds, move)
+
+        monkeypatch.setattr(module, "_check_lds_monotone", recording)
+        return calls
+
+    new_calls, old_calls = recorder(swaps), recorder(cascade_oracle)
+    root, excluded = load_primitive(stem)
+    new = swaps.cascade(root, depth, check_monotone=True, excluded_labels=excluded)
+    cascade_oracle.cascade(root, depth, check_monotone=True, excluded_labels=excluded)
+    assert new_calls == old_calls
+    assert len(new_calls) > len(new.nodes) - 1
+
+
 @pytest.fixture(scope="module")
 def cascades():
     return [cascade_of(stem, 4) for stem in ("w3_a", "w3_b")]
