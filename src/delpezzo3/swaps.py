@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from delpezzo3.boundary import (
     DecoratedType,
@@ -221,22 +222,20 @@ def reverse_moves(d: DecoratedType, excluded_labels: frozenset = frozenset(),
 
 @dataclass(frozen=True, slots=True)
 class CascadeNode:
-    """One node of a cascade.  The root and every node the cascade
-    expands keep their own type; a pruned node, or an ok node at the
-    last depth, keeps its parent's, and ``dtype`` rebuilds its own from
-    the move on every read."""
+    """One node of a cascade.  The root keeps its own type; every other
+    node keeps its parent's, and ``dtype`` rebuilds its own from the move
+    on every read."""
 
     depth: int
     parent: bytes | None
     move: tuple[int, int] | None
-    status: str  # "ok" | "inadmissible" | "inequality" | "invalid"
+    status: str  # "ok" | "inadmissible" | "inequality"
     lhs: Fraction | None
-    kept: DecoratedType  # this node's type if own_type, else its parent's
-    own_type: bool
+    kept: DecoratedType  # the root's own type, else the parent's
 
     @property
     def dtype(self) -> DecoratedType:
-        return self.kept if self.own_type else reverse_swap(self.kept, *self.move)
+        return self.kept if self.move is None else reverse_swap(self.kept, *self.move)
 
 
 @dataclass
@@ -268,16 +267,11 @@ def graph_lds(entries, edges) -> list[Fraction]:
     return lds
 
 
-def _check_monotone(child: DecoratedType, parent: DecoratedType, move) -> None:
-    """Log discrepancies do not decrease under the forward swap
-    from child back to parent.  The reverse swap keeps every parent entry
-    at its graph index and appends the new (-2)-curve, so indices match."""
-    graph = to_graph(parent)
-    _check_lds_monotone(graph, graph_lds(*graph), move)
-
-
 def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
-    """``_check_monotone`` given the parent's graph and lds."""
+    """Log discrepancies do not decrease under the forward swap from the
+    child back to the parent, given the parent's graph and lds.  The
+    reverse swap keeps every parent entry at its graph index and appends
+    the new (-2)-curve, so indices match."""
     entries, edges = parent_graph
     att = _attachments(entries, move[0])
     child_lds = graph_lds(*_blow_up_graph(entries, edges, att, *move))
@@ -288,42 +282,45 @@ def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
             )
 
 
-def _expand_parent(args, seen: dict | None = None):
-    """Generate and classify all reverse-swap children of one parent.
+def _expand_run(parents, check_monotone, excluded, expand):
+    """Generate and classify all reverse-swap children of a run of
+    parents, yielding one record list per parent.
 
-    The parent's graph and, for the monotonicity check, its lds are
-    built once and shared by the move list and every child.  ``seen``
-    maps each key already classified to whether it was ok: a child whose
-    key is in it gets no width check and no record, but an ok one still
-    gets the monotonicity check, which belongs to the edge.  A record is
-    (key, move, status, lhs, child), with the child only when it is ok."""
-    parent, check_monotone, excluded = args
-    graph = to_graph(parent)
-    parent_lds = graph_lds(*graph) if check_monotone else None
-    out = []
-    for move in reverse_moves(parent, excluded, graph=graph):
-        try:
-            child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
-        except SwapError:
-            continue
-        key = canonical_form(child)
-        if seen is not None and key in seen:
-            if check_monotone and seen[key]:
+    Each parent's graph and, for the monotonicity check, its lds are
+    built once and shared by its move list and every child.  A child
+    whose key the run has already classified gets no width check and no
+    record, but an ok one still gets the monotonicity check, which
+    belongs to the edge.  A record is (key, move, status, lhs, child),
+    with the child only when it is ok and ``expand`` is set."""
+    seen: dict = {}  # key -> whether it was ok
+    for parent in parents:
+        graph = to_graph(parent)
+        parent_lds = graph_lds(*graph) if check_monotone else None
+        out = []
+        for move in reverse_moves(parent, excluded, graph=graph):
+            try:
+                child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
+            except SwapError:
+                continue
+            key = canonical_form(child)
+            ok = seen.get(key)
+            if ok is None:
+                res = width_check(child)
+                ok = seen[key] = res is not None and res.satisfied
+                if res is None:
+                    out.append((key, move, "inadmissible", None, None))
+                elif not ok:
+                    out.append((key, move, "inequality", res.lhs, None))
+                else:
+                    out.append((key, move, "ok", res.lhs, child if expand else None))
+            if ok and check_monotone:
                 _check_lds_monotone(graph, parent_lds, move)
-            continue
-        res = width_check(child)
-        if seen is not None:
-            seen[key] = res is not None and res.satisfied
-        if res is None:
-            out.append((key, move, "inadmissible", None, None))
-            continue
-        if not res.satisfied:
-            out.append((key, move, "inequality", res.lhs, None))
-            continue
-        if check_monotone:
-            _check_lds_monotone(graph, parent_lds, move)
-        out.append((key, move, "ok", res.lhs, child))
-    return out
+        yield out
+
+
+def _expand_run_list(args) -> list:
+    """``_expand_run`` as one list, for a pool worker."""
+    return list(_expand_run(*args))
 
 
 def process_pool(jobs: int):
@@ -350,44 +347,41 @@ def cascade(
     Children that stay admissible and satisfy the width inequality are
     expanded; the others are recorded with their failure and pruned
     (sound by the weighted-subgraph monotonicity of log discrepancies).
-    Only the nodes that are expanded keep their own types.
-    The result is independent of ``jobs``: per-level expansions merge in
-    frontier order and deduplicate by canonical form, the first
-    occurrence kept.  Each reverse swap adds one boundary entry, so a key
-    can only recur within its own level: in serial mode the level's
-    verdicts by key go to ``_expand_parent``, which width-checks each key
-    once and still checks monotonicity on every ok edge.
+    Each reverse swap adds one boundary entry, so a key can only recur
+    within its own level.  A level's sorted frontier is cut into one
+    contiguous run per worker (one run in serial mode), and
+    ``_expand_run`` width-checks each key once per run.  The runs merge
+    in frontier order and deduplicate by canonical form, the first
+    occurrence kept, so the result is independent of ``jobs``.
     """
     root_check = width_check(root)
     if root_check is None or not root_check.satisfied:
         raise SwapError("cascade root must be admissible and satisfy the inequality")
     root_key = canonical_form(root)
-    nodes = {root_key: CascadeNode(0, None, None, "ok", root_check.lhs, root, True)}
+    nodes = {root_key: CascadeNode(0, None, None, "ok", root_check.lhs, root)}
     pruned: dict = {}
     frontier = [(root_key, root)]
     depth = 0
-    pool = process_pool(jobs)
+    workers = min(jobs, os.cpu_count() or 1)
+    pool = process_pool(workers)
     try:
         while frontier and depth < max_depth:
             depth += 1
-            tasks = [(p, check_monotone, excluded_labels) for _, p in frontier]
-            if pool is not None:
-                batches = pool.map(_expand_parent, tasks, chunksize=8)
-            else:
-                level: dict = {}
-                batches = (_expand_parent(t, level) for t in tasks)
-            expand = depth < max_depth
+            parents = [p for _, p in frontier]
+            size = -(-len(parents) // workers) if pool is not None else len(parents)
+            runs = [(parents[i:i + size], check_monotone, excluded_labels, depth < max_depth)
+                    for i in range(0, len(parents), size)]
+            batches = (chain.from_iterable(pool.map(_expand_run_list, runs))
+                       if pool is not None else _expand_run(*runs[0]))
             next_frontier = []
             for (parent_key, parent), batch in zip(frontier, batches):
                 for key, move, status, lhs, child in batch:
                     if key in nodes or key in pruned:
                         continue
-                    if status == "ok" and expand:
-                        nodes[key] = CascadeNode(depth, parent_key, move, status, lhs, child, True)
-                        next_frontier.append((key, child))
-                        continue
-                    node = CascadeNode(depth, parent_key, move, status, lhs, parent, False)
+                    node = CascadeNode(depth, parent_key, move, status, lhs, parent)
                     (nodes if status == "ok" else pruned)[key] = node
+                    if child is not None:
+                        next_frontier.append((key, child))
             next_frontier.sort(key=lambda kv: kv[0])
             frontier = next_frontier
     finally:

@@ -181,9 +181,11 @@ class Target:
     key: bytes  # canonical form
 
 
-def cascade_targets(tables: dict, root: Root, cutoff: int, max_depth: int) -> tuple[list[Target], int]:
+def cascade_targets(tables: dict, root: Root, cutoff: int,
+                    max_depth: int | None = None) -> tuple[list[Target], int]:
     """The instances of the rows naming ``root`` that lie within
-    ``max_depth`` reverse swaps of it, and the number of those beyond.
+    ``max_depth`` reverse swaps of it (all of them if None), and the
+    number of those beyond.
     Each reverse swap adds one boundary entry, so a cascade node at depth
     k has exactly k entries more than the root."""
     size = len(root.dtype.entries())
@@ -195,7 +197,7 @@ def cascade_targets(tables: dict, root: Root, cutoff: int, max_depth: int) -> tu
             for assignment in fixtures.row_assignments(row, cutoff):
                 d = notation.substitute(row.expr, assignment)
                 depth = len(d.entries()) - size
-                if depth > max_depth:
+                if max_depth is not None and depth > max_depth:
                     beyond += 1
                     continue
                 targets.append(Target(row.name, tuple(sorted(assignment.items())), depth,

@@ -5,6 +5,7 @@ encoding of ``block_search_oracle`` against its exhaustive tie-break
 search, and the one-pass width verdict against ``width_oracle``."""
 
 import random
+from collections import Counter
 
 import cascade_oracle
 import pytest
@@ -98,6 +99,51 @@ def test_monotone_check_on_every_ok_edge(stem, depth, monkeypatch):
     assert len(new_calls) > len(new.nodes) - 1
 
 
+@pytest.mark.parametrize("stem, depth", [("w3_a", 5), ("w3_b", 5), ("w1_b", 6)])
+def test_width_check_once_per_key_per_run_with_a_pool(stem, depth, monkeypatch):
+    """At ``jobs=2`` on two cores each level's frontier is cut into one
+    run per worker, and each key gets one width check per run."""
+    import concurrent.futures
+    import os
+
+    runs = [Counter()]  # keys width-checked per run, the root's check first
+    tasks_per_level = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: runs each task in this
+        process, so no pool is ever started."""
+
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            tasks_per_level.append(len(tasks))
+            out = []
+            for task in tasks:
+                runs.append(Counter())
+                out.append(fn(task))
+            return out
+
+        def shutdown(self):
+            pass
+
+    original = swaps.width_check
+
+    def counting(d):
+        runs[-1][canonical_form(d)] += 1
+        return original(d)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(swaps, "width_check", counting)
+    root, excluded = load_primitive(stem)
+    result = swaps.cascade(root, depth, jobs=2, excluded_labels=excluded)
+    assert all(count == 1 for run in runs for count in run.values())
+    frontiers = Counter(n.depth for n in result.nodes.values())
+    assert tasks_per_level == [min(2, frontiers[d]) for d in range(depth) if frontiers[d]]
+
+
 @pytest.fixture(scope="module")
 def cascades():
     return [cascade_of(stem, 4) for stem in ("w3_a", "w3_b")]
@@ -112,22 +158,28 @@ def every_pair(d, excluded_labels=frozenset(), graph=None):
 def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
     """For every parent of the depth-4 w3a/w3b cascades and every move,
     ``reverse_swap`` on the parent's shared graph builds the child it
-    builds alone, or both raise SwapError, and ``_expand_parent`` keeps
-    that child's key, status and lhs, with the child itself only when it
-    is ok; also with every (label, index) pair as a move."""
-    children = rejected = 0
+    builds alone, or both raise SwapError.  Over the run of all parents,
+    ``_expand_run`` keeps the key, status and lhs of each child whose
+    key the run has not recorded yet, with the child itself only when it
+    is ok, and no record for the others; also with every (label, index)
+    pair as a move.  Without ``expand`` no record carries a child."""
+    children = rejected = duplicates = 0
     for result, excluded in cascades:
         parents = [n.dtype for n in result.nodes.values() if n.depth < 4]
         for moves in (swaps.reverse_moves, every_pair):
             with monkeypatch.context() as m:
                 m.setattr(swaps, "reverse_moves", moves)
-                for parent in parents:
+                batches = list(swaps._expand_run(parents, True, excluded, True))
+                assert len(batches) == len(parents)
+                earlier: dict = {}  # key -> (status, lhs) of its record
+                for parent, batch in zip(parents, batches):
                     got = {
                         move: (child_key, status, lhs, child)
-                        for child_key, move, status, lhs, child
-                        in swaps._expand_parent((parent, True, excluded))
+                        for child_key, move, status, lhs, child in batch
                     }
+                    assert len(got) == len(batch)
                     graph = swaps.to_graph(parent)
+                    recorded = []
                     for move in moves(parent, excluded):
                         try:
                             child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
@@ -143,15 +195,27 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
                         else:
                             res = oracle.delpezzo_check_width(child)
                             expected = ("ok" if res.satisfied else "inequality", res.lhs)
-                        kept = child if expected[0] == "ok" else None
-                        assert got[move] == (canonical_form(child), *expected, kept)
+                        key = canonical_form(child)
                         children += 1
-    assert children > 5000 and rejected > 5000
+                        if key in earlier:
+                            assert earlier[key] == expected
+                            assert move not in got
+                            duplicates += 1
+                            continue
+                        earlier[key] = expected
+                        kept = child if expected[0] == "ok" else None
+                        assert got[move] == (key, *expected, kept)
+                        recorded.append(move)
+                    assert recorded == list(got)
+                lean = swaps._expand_run(parents, True, excluded, False)
+                assert [[(*r[:4], None) for r in b] for b in batches] == list(lean)
+    assert children > 5000 and rejected > 5000 and duplicates > 1000
 
 
 def test_monotone_check_once_per_parent(cascades, monkeypatch):
-    """The cascade checks each ok child's lds against its parent's graph
-    and lds, built once per parent."""
+    """Over a run of parents, every ok edge, a child whose key the run
+    has already recorded included, gets exactly one check of the child's
+    lds against its parent's graph and lds, built once per parent."""
     calls = []
     original = swaps._check_lds_monotone
 
@@ -161,19 +225,34 @@ def test_monotone_check_once_per_parent(cascades, monkeypatch):
 
     monkeypatch.setattr(swaps, "_check_lds_monotone", recording)
     result, excluded = cascades[0]
-    checked = 0
-    for parent in [n.dtype for n in result.nodes.values() if n.depth < 2]:
+    parents = [n.dtype for n in result.nodes.values() if n.depth < 2]
+    checked = duplicates = 0
+    seen = set()
+    run = swaps._expand_run(parents, True, excluded, True)
+    for parent in parents:
         calls.clear()
-        out = swaps._expand_parent((parent, True, excluded))
-        ok_moves = [move for _, move, status, _, _ in out if status == "ok"]
+        out = next(run)
+        ok_moves = []
+        for move in swaps.reverse_moves(parent, excluded):
+            try:
+                child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
+            except swaps.SwapError:
+                continue
+            res = width_check(child)
+            if res is not None and res.satisfied:
+                ok_moves.append(move)
+                duplicates += canonical_form(child) in seen
+                seen.add(canonical_form(child))
         assert [move for *_, move in calls] == ok_moves
+        assert {move for _, move, status, _, _ in out if status == "ok"} <= set(ok_moves)
         graph = swaps.to_graph(parent)
         lds = swaps.graph_lds(*graph)
         for parent_graph, parent_lds, _ in calls:
             assert parent_graph is calls[0][0] and parent_lds is calls[0][1]
             assert (parent_graph, parent_lds) == (graph, lds)
         checked += len(calls)
-    assert checked > 30
+    assert next(run, None) is None
+    assert checked > 30 and duplicates > 0
 
 
 def encoding_cases(types):
