@@ -14,8 +14,8 @@ from delpezzo3.chains import (
     is_admissible,
     ld_chain,
     ld_fork,
-    star_compose,
 )
+from delpezzo3.notation import star_compose
 
 __all__ = [
     "Fork",

@@ -22,7 +22,6 @@ from delpezzo3.chains import (
     is_admissible,
     is_log_canonical_fork,
     ld_chain,
-    ld_fork,
 )
 
 CHAR_TAGS = ("any", "ne2", "eq2", "ne23", "eq3")
@@ -187,41 +186,6 @@ class DecoratedType:
             out.update(e.labels)
         return frozenset(out)
 
-    def horizontal_positions(self) -> list[tuple[int, object]]:
-        """(component index, position) of each horizontal entry, where the
-        position is a 1-based chain index, "branch", or (twig, index)."""
-        out = []
-        for ci, comp in enumerate(self.components):
-            if comp[0] == "chain":
-                for j, e in enumerate(comp[1], start=1):
-                    if e.horizontal:
-                        out.append((ci, j))
-            else:
-                if comp[1].horizontal:
-                    out.append((ci, "branch"))
-                for ti, twig in enumerate(comp[2], start=1):
-                    for j, e in enumerate(twig, start=1):
-                        if e.horizontal:
-                            out.append((ci, (ti, j)))
-        return out
-
-    def entry_at(self, ci: int, pos) -> Entry:
-        comp = self.components[ci]
-        if comp[0] == "chain":
-            return comp[1][pos - 1]
-        if pos == "branch":
-            return comp[1]
-        ti, j = pos
-        return comp[2][ti - 1][j - 1]
-
-    def ld(self, ci: int, pos) -> Fraction:
-        """Log discrepancy of the entry, within its connected component."""
-        comp = self.components[ci]
-        shape = comp_weights(comp)
-        if comp[0] == "chain":
-            return ld_chain(shape, pos)
-        return ld_fork(shape, pos)
-
     def is_admissible(self) -> bool:
         return all(is_admissible(comp_weights(c)) for c in self.components)
 
@@ -243,51 +207,16 @@ class CheckResult:
     rhs: Fraction
 
 
-def delpezzo_check_general(
-    d: DecoratedType,
-    fiber_degrees: list[int],
-    fiber_dot_boundary: int,
-) -> CheckResult:
-    """The ampleness criterion: sum of ld(H_j) (H_j . F) > D . F - 2.
-
-    ``fiber_degrees`` lists H_j . F for the horizontal entries in document
-    order; log discrepancies are taken within each component.
-    """
-    positions = d.horizontal_positions()
-    if len(fiber_degrees) != len(positions):
-        raise ValueError(
-            f"{len(positions)} horizontal components but {len(fiber_degrees)} degrees"
-        )
-    if not d.is_admissible():
-        raise ValueError("log discrepancies undefined: non-admissible component")
-    lhs = Fraction(0)
-    for degree, (ci, pos) in zip(fiber_degrees, positions):
-        lhs += d.ld(ci, pos) * degree
-    rhs = Fraction(fiber_dot_boundary - 2)
-    return CheckResult(lhs > rhs, lhs, rhs)
-
-
-def delpezzo_check_width(d: DecoratedType) -> CheckResult:
-    """Width-specific form of the criterion.
+def width_check(d: DecoratedType) -> CheckResult | None:
+    """The width form of the ampleness criterion, or None if a component
+    is not admissible, so the result also decides admissibility.
 
     Width 3: ld(H1)+ld(H2)+ld(H3) > 1; width 2: ld(H1)+2 ld(H2) > 1 with
     H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
-    these normalizations.
-    """
-    res = width_check(d)
-    if res is None:
-        raise ValueError("log discrepancies undefined: non-admissible component")
-    return res
-
-
-def width_check(d: DecoratedType) -> CheckResult | None:
-    """``delpezzo_check_width`` in one pass over the components, but None
-    if one is not admissible, so the result also decides admissibility.
-    Only an admissible type with a width outside 1-3 raises ValueError.
-    Each component's shape is built once, a fork's discriminants once for
-    all its horizontal entries.  Chains are always admissible: every
-    weight is at least 2.  The 2-section, which only width 2 allows,
-    counts twice."""
+    these normalizations.  Only an admissible type with a width outside
+    1-3 raises ValueError.  One pass over the components: each shape is
+    built once, a fork's discriminants once for all its horizontal
+    entries.  Chains are always admissible: every weight is at least 2."""
     lhs = Fraction(0)
     for comp in d.components:
         shape = comp_weights(comp)

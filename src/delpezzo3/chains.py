@@ -18,10 +18,6 @@ from math import gcd
 
 Chain = tuple[int, ...]
 
-#: Sentinel standing for the formal chain ``[(2)_{-1}]`` used by the star
-#: composition conventions.
-TWO_NEG1 = "(2)_{-1}"
-
 
 @dataclass(frozen=True)
 class Fork:
@@ -108,21 +104,6 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
-    """det(-intersection matrix) of an arbitrary weighted graph: the
-    matrix with ``weights`` on the diagonal and -1 for each edge.  Used as
-    the independent oracle for the chain/fork recursions.
-    """
-    n = len(weights)
-    m = [[0] * n for _ in range(n)]
-    for i, w in enumerate(weights):
-        m[i][i] = w
-    for i, j in edges:
-        m[i][j] -= 1
-        m[j][i] -= 1
-    return det(m)
-
-
 def is_admissible(t: Chain | Fork) -> bool:
     """Chains: all weights >= 2. Forks: branch >= 2, admissible twigs and
     sum of reciprocal twig discriminants > 1."""
@@ -194,51 +175,6 @@ def dual_chain(t: Chain) -> Chain:
     return hirzebruch_jung(d, d - _disc_chain(t[:-1]))
 
 
-def star_compose(t1: Chain | str, t2: Chain) -> Chain:
-    """The '*' composition of chain types.
-
-    [a_1..a_k] * [b_1..b_l] = [a_1..a_{k-1}, a_k + b_1 - 1, b_2..b_l],
-    with [(2)_{-1}] * [b_1..b_l] = [b_1 + 1, b_2..b_l].  The companion
-    convention [(2)_{-1}, b_1, ...] = [b_2, ...] is exposed as
-    :func:`drop_after_two_neg1`.
-    """
-    t2 = tuple(t2)
-    if t1 == TWO_NEG1:
-        if not t2:
-            raise ValueError("[(2)_{-1}] * [] is undefined")
-        return (t2[0] + 1,) + t2[1:]
-    t1 = tuple(t1)
-    if not t1:
-        raise ValueError("left operand of * must be nonempty")
-    if not t2:
-        raise ValueError("right operand of * must be nonempty")
-    return t1[:-1] + (t1[-1] + t2[0] - 1,) + t2[1:]
-
-
-def smooth_point_extension(t_star: Chain, k: int) -> Chain:
-    """The tail T' making [T, 1, T'] contract to a smooth point.
-
-    ``t_star`` is the dual chain of T; the parameter k >= -1 indexes the
-    family so that the contraction increases the self-intersection of a
-    curve meeting the first tip of [T, 1, T'] by exactly k + 2.  k = -1
-    drops the last entry of T*; k >= 0 star-composes with [(2)_{k+1}].
-    """
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    t_star = tuple(t_star)
-    if k == -1:
-        return t_star[:-1]
-    return star_compose(t_star, (2,) * (k + 1)) if t_star else (2,) * (k + 1)
-
-
-def drop_after_two_neg1(t: Chain) -> Chain:
-    """[(2)_{-1}, b_1, b_2, ...] = [b_2, ...] (convention of the star
-    calculus; the argument is [b_1, b_2, ...])."""
-    if not t:
-        raise ValueError("[(2)_{-1}] needs a following entry to absorb")
-    return tuple(t)[1:]
-
-
 def ld_chain(t: Chain, j: int) -> Fraction:
     """Log discrepancy of the j-th component (1-based) of an admissible
     chain: (d(T^{>j}) + d(T^{<j})) / d(T)."""
@@ -292,67 +228,3 @@ def fork_lds(f: Fork, positions) -> list[Fraction] | None:
         out.append(Fraction(num * _disc_chain(t[: j - 1]) + den * _disc_chain(t[j:]),
                             den * ds[i - 1]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Blowdown simulation on abstract weight chains (oracle for dual_chain and
-# the star-extension rule).
-
-def _contract_moves(w: Chain) -> list[Chain]:
-    moves = []
-    for i, a in enumerate(w):
-        if a != 1:
-            continue
-        if len(w) == 1:
-            moves.append((0,))
-            continue
-        if i == 0:
-            moves.append((w[1] - 1,) + w[2:])
-        elif i == len(w) - 1:
-            moves.append(w[:-2] + (w[-2] - 1,))
-        else:
-            moves.append(w[: i - 1] + (w[i - 1] - 1, w[i + 1] - 1) + w[i + 2 :])
-    return moves
-
-
-@lru_cache(maxsize=None)
-def contracts_to_zero_curve(w: Chain) -> bool:
-    """Whether the chain can be contracted to a single 0-curve by
-    repeatedly blowing down (-1)-components."""
-    if w == (0,):
-        return True
-    return any(contracts_to_zero_curve(m) for m in _contract_moves(w))
-
-
-@lru_cache(maxsize=None)
-def contract_marker_gain(state: tuple[int, Chain]) -> int | None:
-    """Contract the whole chain to nothing; the marker weight sits to the
-    left of the first entry.  Returns the total decrease of the marker
-    weight (= increase of the marked curve's self-intersection), or None
-    if no contraction order empties the chain."""
-    marker, w = state
-    if not w:
-        return 0
-    results = []
-    for i, a in enumerate(w):
-        if a != 1:
-            continue
-        if i == 0:
-            rest = (w[1] - 1,) + w[2:] if len(w) > 1 else ()
-            sub = contract_marker_gain((marker - 1, rest))
-            if sub is not None:
-                results.append(sub + 1)
-        elif i == len(w) - 1:
-            sub = contract_marker_gain((marker, w[:-2] + (w[-2] - 1,)))
-            if sub is not None:
-                results.append(sub)
-        else:
-            rest = w[: i - 1] + (w[i - 1] - 1, w[i + 1] - 1) + w[i + 2 :]
-            sub = contract_marker_gain((marker, rest))
-            if sub is not None:
-                results.append(sub)
-    if not results:
-        return None
-    # All successful orders give the same numerical outcome.
-    assert len(set(results)) == 1, (state, results)
-    return results[0]

@@ -62,7 +62,8 @@ def main() -> None:
 
 @main.command()
 @click.argument("source")
-@click.option("--width", type=int, default=None, help="override the width tag")
+@click.option("--width", type=int, default=None,
+              help="override the width tag of a type expression; a usage error with a file")
 @click.option("--cutoff", type=click.IntRange(min=0), default=12, show_default=True)
 @click.option("--strict", is_flag=True, help="exit 1 if any row fails")
 @format_option
@@ -74,6 +75,9 @@ def check(source, width, cutoff, strict, fmt):
     except OSError:  # a type expression too long to be a file name
         is_file = False
     if is_file:
+        if width is not None:
+            raise click.UsageError(
+                "--width overrides the width of a type expression, not of a file")
         rows = _read(fixtures.parse_fixture_file, path)
     else:
         expr = _read(notation.parse, source)
@@ -276,8 +280,8 @@ def simulate(planfile, fmt):
 
 def _chain_weights(text: str) -> tuple[int, ...]:
     d = notation.substitute(notation.parse(text), {})
-    if not d.components or d.components[0][0] != "chain":
-        raise notation.NotationError("expected a chain")
+    if len(d.components) != 1 or d.components[0][0] != "chain":
+        raise notation.NotationError("expected exactly one chain")
     return tuple(e.weight for e in d.components[0][1])
 
 

@@ -12,7 +12,8 @@ per-row directives:
                                d(T) in {..} with an optional "T != (2)_l")
     # abcd-table: 1            parameter assignments come from the stored
                                (a,b,c,d) solution table
-    # derive: k                transitional marker while pinning ranges
+    # node-labels: <i,j,...>   labels of vertical (-1)-curves through a
+                               crossing of two boundary components
 
 The directory can be overridden with the DP_FIXTURES environment variable.
 """
@@ -94,7 +95,7 @@ def parse_fixture_file(path: Path) -> list[FixtureRow]:
         if not line:
             continue
         if line.startswith("#"):
-            m = re.match(r"#\s*(name|sing|root|lhs|expand|abcd-table|derive|node-labels):\s*(.*)", line)
+            m = re.match(r"#\s*(name|sing|root|lhs|expand|abcd-table|node-labels):\s*(.*)", line)
             if m:
                 pending[m.group(1)] = m.group(2).strip()
             continue

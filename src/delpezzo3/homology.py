@@ -196,44 +196,6 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     return AbelianGroup(m.rows - rank, torsion)
 
 
-def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors via gcds of k x k minors; the independent oracle
-    for the Smith normal form."""
-    import itertools
-    from math import gcd
-
-    entries = [list(r) for r in m.entries]
-    n = min(m.rows, m.cols)
-    dets_prev = 1
-    out = []
-    for k in range(1, n + 1):
-        g = 0
-        for rows in itertools.combinations(range(m.rows), k):
-            for cols in itertools.combinations(range(m.cols), k):
-                sub = [[entries[i][j] for j in cols] for i in rows]
-                g = gcd(g, _det_exact(sub))
-            if g == 1:
-                break
-        if g == 0:
-            out.extend([0] * (n - len(out)))
-            break
-        out.append(g // dets_prev)
-        dets_prev = g
-    return tuple(out)
-
-
-def _det_exact(sub) -> int:
-    n = len(sub)
-    if n == 1:
-        return sub[0][0]
-    total = 0
-    for j in range(n):
-        if sub[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
-            total += (-1) ** j * sub[0][j] * _det_exact(minor)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Restriction matrices from replayed configurations.
 

@@ -525,6 +525,15 @@ def _star_merge(left: list, right: list) -> list:
     return left[:-1] + [merged] + right[1:]
 
 
+def star_compose(t1, t2) -> tuple[int, ...]:
+    """``_star_merge`` on bare weights: [a_1..a_k] * [b_1..b_l] =
+    [a_1..a_{k-1}, a_k + b_1 - 1, b_2..b_l], and for ``t1`` the text
+    ``"(2)_{-1}"``, [(2)_{-1}] * [b_1..b_l] = [b_1 + 1, b_2..b_l].  An
+    empty operand raises NotationError, a ValueError."""
+    left = [_MARKER] if t1 == "(2)_{-1}" else [Entry(w) for w in t1]
+    return tuple(e.weight for e in _star_merge(left, [Entry(w) for w in t2]))
+
+
 def _attach(entries: list[Entry], prefix: tuple[int, ...], suffix: tuple[int, ...]) -> list[Entry]:
     if not entries:
         # a parametrized component that vanished takes its attachments
@@ -624,9 +633,3 @@ def assignments(expr: TypeExpr, cutoff: int):
         domains.append(domain)
     for combo in itertools.product(*domains):
         yield dict(zip(params, combo))
-
-
-def enumerate_instances(expr: TypeExpr, cutoff: int):
-    """Stream of (assignment, DecoratedType) pairs."""
-    for assignment in assignments(expr, cutoff):
-        yield assignment, substitute(expr, assignment)

@@ -254,52 +254,6 @@ def blow_up_free(cfg: SurfaceConfig) -> SurfaceConfig:
     return blow_up(replace(cfg, points=points), name)
 
 
-def contract_last(cfg: SurfaceConfig) -> SurfaceConfig:
-    """Contract the exceptional curve of the final step, restoring the
-    previous configuration exactly."""
-    if not cfg.history:
-        raise SimulationError("nothing to contract")
-    step = cfg.history[-1]
-    e_name = step.exceptional
-    curves = dict(cfg.curves)
-    inter = dict(cfg.inter)
-    points = {
-        n: p for n, p in cfg.points.items() if p.on_exceptional != e_name
-    }
-    branches = tuple(sorted(step.branch_mults))
-    contacts = {}
-    mults = dict(step.branch_mults)
-    for b, m in step.branch_mults.items():
-        curves[b] = replace(curves[b], self_int=curves[b].self_int + m * m)
-    old_points = [p for p in cfg.points.values() if p.on_exceptional == e_name]
-    for i, a in enumerate(branches):
-        for b in branches[i + 1 :]:
-            key = frozenset((a, b))
-            drop = step.branch_mults[a] * step.branch_mults[b]
-            residual = 0
-            for p in old_points:
-                if a in p.branches and b in p.branches:
-                    residual = p.contacts.get(key, 1)
-            inter[key] = inter.get(key, 0) + drop
-            contact = residual + drop
-            if contact:
-                contacts[key] = contact
-    for key in [k for k in inter if e_name in k]:
-        del inter[key]
-    del curves[e_name]
-    points[step.point] = Point(
-        step.point, branches, contacts, mults,
-        on_exceptional=_host_exceptional(cfg, step.point),
-    )
-    return SurfaceConfig(cfg.base, curves, points, inter, cfg.history[:-1])
-
-
-def _host_exceptional(cfg: SurfaceConfig, point_name: str) -> str | None:
-    if "|" in point_name:
-        return point_name.split("|", 1)[0]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Plans.
 
@@ -630,21 +584,15 @@ def _contract_graph(nodes: dict, inter: dict, name: str):
         del inter[key]
 
 
-def tau_shape(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
+def _stabilize(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
     """Stable form of a degenerate fiber: (-1)-components are contracted
     while they meet the rest of the boundary-plus-section image at most
     twice; the survivors are the stable degenerate-fiber forms.
 
-    Returns (shape, node, mu): the weight chain of the stable reduced
-    fiber, whether the section meets it twice at one point, and the
-    multiplicity of the surviving (-1)-curve.
-    """
-    return _stabilize(cfg, fibration, base_fiber)[:3]
-
-
-def _stabilize(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str):
-    """The stabilizing contraction of one fiber: ``tau_shape``'s
-    (shape, node, mu) and the gain of the section's self-intersection."""
+    Returns (shape, node, mu, gain): the weight chain of the stable
+    reduced fiber, whether the section meets it twice at one point, the
+    multiplicity of the surviving (-1)-curve, and the gain of the
+    section's self-intersection."""
     data = analyze_fiber(cfg, fibration, base_fiber)
     h = fibration.horizontal[0]
     nodes = {c: cfg.curves[c].self_int for c in data.components}
@@ -731,30 +679,35 @@ def width1_bookkeeping_check(cfg: SurfaceConfig, fibration: Fibration) -> bool:
 # Extraction of decorated types.
 
 
+def _vertical_labels(cfg: SurfaceConfig, fibration: Fibration) -> dict:
+    """The vertical (-1)-curves (not horizontal, zero on the fiber
+    class), each with its label: 1, 2, ... in order of name."""
+    fiber_vec = fiber_vector(cfg, fibration, fibration.base_fibers[0])
+    verticals = [
+        c
+        for c in minus_one_curves(cfg)
+        if c not in fibration.horizontal and pairing(cfg, {c: 1}, fiber_vec) == 0
+    ]
+    return {name: i + 1 for i, name in enumerate(verticals)}
+
+
 def extract_decorated_type(cfg: SurfaceConfig, fibration: Fibration) -> DecoratedType:
     """Boundary graph with fibration decorations from a replayed plan."""
     unknown = [c for c in (*fibration.horizontal, *fibration.base_fibers) if c not in cfg.curves]
     if unknown:
         raise SimulationError(f"the fibration names undeclared curves {unknown}")
     boundary = boundary_curves(cfg)
-    fiber_vec = fiber_vector(cfg, fibration, fibration.base_fibers[0])
-    verticals = [
-        c
-        for c in minus_one_curves(cfg)
-        if c not in fibration.horizontal
-        and pairing(cfg, {c: 1}, fiber_vec) == 0
-    ]
+    labels = _vertical_labels(cfg, fibration)
     degs = section_degrees(cfg, fibration)
     for a in boundary:
         for b in boundary:
             if a < b and cfg.intersection(a, b) > 1:
                 raise SimulationError(f"boundary not snc: {a}.{b} > 1")
-    labels = {name: i + 1 for i, name in enumerate(sorted(verticals))}
     entry_for = {}
     for c in boundary:
         entry_labels = []
-        for v in verticals:
-            entry_labels.extend([labels[v]] * cfg.intersection(c, v))
+        for v, label in labels.items():
+            entry_labels.extend([label] * cfg.intersection(c, v))
         horizontal = c in fibration.horizontal
         two_section = horizontal and degs.get(c) == 2
         entry_for[c] = Entry(
@@ -766,8 +719,8 @@ def extract_decorated_type(cfg: SurfaceConfig, fibration: Fibration) -> Decorate
     except ValueError as err:
         raise SimulationError(str(err)) from None
     free = frozenset(
-        labels[v]
-        for v in verticals
+        label
+        for v, label in labels.items()
         if not any(cfg.intersection(v, c) for c in boundary)
     )
     components = place_entries(layout, [entry_for[c] for c in boundary])
@@ -778,14 +731,7 @@ def node_labels(cfg: SurfaceConfig, fibration: Fibration) -> frozenset:
     """Labels of vertical (-1)-curves passing through a crossing of two
     boundary components (the curves excluded from the check divisor)."""
     boundary = set(boundary_curves(cfg))
-    fiber_vec = fiber_vector(cfg, fibration, fibration.base_fibers[0])
-    verticals = sorted(
-        c
-        for c in minus_one_curves(cfg)
-        if c not in fibration.horizontal
-        and pairing(cfg, {c: 1}, fiber_vec) == 0
-    )
-    labels = {name: i + 1 for i, name in enumerate(verticals)}
+    labels = _vertical_labels(cfg, fibration)
     out = set()
     for pt in cfg.points.values():
         on_boundary = [b for b in pt.branches if b in boundary]

@@ -22,12 +22,10 @@ from delpezzo3.boundary import (
     DecoratedType,
     Entry,
     canonical_form,
-    comp_weights,
     place_entries,
     walk_components,
     width_check,
 )
-from delpezzo3.chains import ld_chain, ld_fork
 
 
 class SwapError(ValueError):
@@ -243,59 +241,18 @@ class CascadeResult:
     nodes: dict  # canonical_form -> CascadeNode
     pruned: dict  # canonical_form -> CascadeNode
 
-    def ok_nodes(self) -> list[CascadeNode]:
-        return [self.nodes[k] for k in sorted(self.nodes)]
 
-    def pruned_nodes(self) -> list[CascadeNode]:
-        return [self.pruned[k] for k in sorted(self.pruned)]
-
-
-def graph_lds(entries, edges) -> list[Fraction]:
-    """Log discrepancy of every graph node, indexed like ``entries``."""
-    lds: list = [None] * len(entries)
-    layout = _layout(len(entries), edges)
-    for part, comp in zip(layout, place_entries(layout, entries)):
-        shape = comp_weights(comp)
-        if part[0] == "chain":
-            for j, i in enumerate(part[1], start=1):
-                lds[i] = ld_chain(shape, j)
-        else:
-            lds[part[1]] = ld_fork(shape, "branch")
-            for ti, twig in enumerate(part[2], start=1):
-                for j, i in enumerate(twig, start=1):
-                    lds[i] = ld_fork(shape, (ti, j))
-    return lds
-
-
-def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
-    """Log discrepancies do not decrease under the forward swap from the
-    child back to the parent, given the parent's graph and lds.  The
-    reverse swap keeps every parent entry at its graph index and appends
-    the new (-2)-curve, so indices match."""
-    entries, edges = parent_graph
-    att = _attachments(entries, move[0])
-    child_lds = graph_lds(*_blow_up_graph(entries, edges, att, *move))
-    for i, parent_ld in enumerate(parent_lds):
-        if child_lds[i] > parent_ld:
-            raise AssertionError(
-                f"log discrepancy decreased under forward swap {move}"
-            )
-
-
-def _expand_run(parents, check_monotone, excluded, expand):
+def _expand_run(parents, excluded, expand):
     """Generate and classify all reverse-swap children of a run of
     parents, yielding one record list per parent.
 
-    Each parent's graph and, for the monotonicity check, its lds are
-    built once and shared by its move list and every child.  A child
-    whose key the run has already classified gets no width check and no
-    record, but an ok one still gets the monotonicity check, which
-    belongs to the edge.  A record is (key, move, status, lhs, child),
-    with the child only when it is ok and ``expand`` is set."""
-    seen: dict = {}  # key -> whether it was ok
+    Each parent's graph is built once and shared by its move list and
+    every child.  A child whose key the run has already classified gets
+    no width check and no record.  A record is (key, move, status, lhs,
+    child), with the child only when it is ok and ``expand`` is set."""
+    seen: set = set()
     for parent in parents:
         graph = to_graph(parent)
-        parent_lds = graph_lds(*graph) if check_monotone else None
         out = []
         for move in reverse_moves(parent, excluded, graph=graph):
             try:
@@ -303,18 +260,16 @@ def _expand_run(parents, check_monotone, excluded, expand):
             except SwapError:
                 continue
             key = canonical_form(child)
-            ok = seen.get(key)
-            if ok is None:
-                res = width_check(child)
-                ok = seen[key] = res is not None and res.satisfied
-                if res is None:
-                    out.append((key, move, "inadmissible", None, None))
-                elif not ok:
-                    out.append((key, move, "inequality", res.lhs, None))
-                else:
-                    out.append((key, move, "ok", res.lhs, child if expand else None))
-            if ok and check_monotone:
-                _check_lds_monotone(graph, parent_lds, move)
+            if key in seen:
+                continue
+            seen.add(key)
+            res = width_check(child)
+            if res is None:
+                out.append((key, move, "inadmissible", None, None))
+            elif not res.satisfied:
+                out.append((key, move, "inequality", res.lhs, None))
+            else:
+                out.append((key, move, "ok", res.lhs, child if expand else None))
         yield out
 
 
@@ -338,7 +293,6 @@ def process_pool(jobs: int):
 def cascade(
     root: DecoratedType,
     max_depth: int,
-    check_monotone: bool = False,
     jobs: int = 1,
     excluded_labels: frozenset = frozenset(),
 ) -> CascadeResult:
@@ -369,7 +323,7 @@ def cascade(
             depth += 1
             parents = [p for _, p in frontier]
             size = -(-len(parents) // workers) if pool is not None else len(parents)
-            runs = [(parents[i:i + size], check_monotone, excluded_labels, depth < max_depth)
+            runs = [(parents[i:i + size], excluded_labels, depth < max_depth)
                     for i in range(0, len(parents), size)]
             batches = (chain.from_iterable(pool.map(_expand_run_list, runs))
                        if pool is not None else _expand_run(*runs[0]))

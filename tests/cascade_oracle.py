@@ -1,19 +1,32 @@
 """The cascade as it was before level-local deduplication and lean
 records: every child gets a width check, duplicates included, every
 record carries the child's type, and every node keeps its own type.
-Kept as the oracle for ``swaps.cascade``."""
+Kept as the oracle for ``swaps.cascade``.
+
+With ``check_monotone`` it also checks, on every ok (parent, move) edge,
+duplicate children included, that no log discrepancy decreases under
+the forward swap from the child back to the parent: the monotonicity
+that makes the cascade's pruning sound."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from delpezzo3.boundary import DecoratedType, canonical_form, width_check
+from delpezzo3.boundary import (
+    DecoratedType,
+    canonical_form,
+    comp_weights,
+    place_entries,
+    width_check,
+)
+from delpezzo3.chains import ld_chain, ld_fork
 from delpezzo3.swaps import (
     CascadeResult,
     SwapError,
-    _check_lds_monotone,
-    graph_lds,
+    _attachments,
+    _blow_up_graph,
+    _layout,
     process_pool,
     reverse_moves,
     reverse_swap,
@@ -29,6 +42,46 @@ class CascadeNode:
     move: tuple[int, int] | None
     status: str  # "ok" | "inadmissible" | "inequality" | "invalid"
     lhs: Fraction | None
+
+
+def ok_nodes(result: CascadeResult) -> list:
+    return [result.nodes[k] for k in sorted(result.nodes)]
+
+
+def pruned_nodes(result: CascadeResult) -> list:
+    return [result.pruned[k] for k in sorted(result.pruned)]
+
+
+def graph_lds(entries, edges) -> list[Fraction]:
+    """Log discrepancy of every graph node, indexed like ``entries``."""
+    lds: list = [None] * len(entries)
+    layout = _layout(len(entries), edges)
+    for part, comp in zip(layout, place_entries(layout, entries)):
+        shape = comp_weights(comp)
+        if part[0] == "chain":
+            for j, i in enumerate(part[1], start=1):
+                lds[i] = ld_chain(shape, j)
+        else:
+            lds[part[1]] = ld_fork(shape, "branch")
+            for ti, twig in enumerate(part[2], start=1):
+                for j, i in enumerate(twig, start=1):
+                    lds[i] = ld_fork(shape, (ti, j))
+    return lds
+
+
+def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
+    """Log discrepancies do not decrease under the forward swap from the
+    child back to the parent, given the parent's graph and lds.  The
+    reverse swap keeps every parent entry at its graph index and appends
+    the new (-2)-curve, so indices match."""
+    entries, edges = parent_graph
+    att = _attachments(entries, move[0])
+    child_lds = graph_lds(*_blow_up_graph(entries, edges, att, *move))
+    for i, parent_ld in enumerate(parent_lds):
+        if child_lds[i] > parent_ld:
+            raise AssertionError(
+                f"log discrepancy decreased under forward swap {move}"
+            )
 
 
 def _expand_parent(args):

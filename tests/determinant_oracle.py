@@ -1,0 +1,64 @@
+"""Determinants and invariant factors by their definitions: the oracles
+for the discriminant recursions of ``chains`` and for the Smith normal
+form of ``homology``.
+
+``minors_invariant_factors`` takes gcds of minors, each a cofactor
+expansion (``_det_exact``), not ``chains.det``: the Smith normal form
+uses ``chains.det`` for its own checks, and ``chains.det`` is itself
+checked against the cofactor expansion.
+"""
+
+import itertools
+from math import gcd
+
+from delpezzo3.chains import det
+
+
+def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
+    """det(-intersection matrix) of an arbitrary weighted graph: the
+    matrix with ``weights`` on the diagonal and -1 for each edge.  Used as
+    the independent oracle for the chain/fork recursions.
+    """
+    n = len(weights)
+    m = [[0] * n for _ in range(n)]
+    for i, w in enumerate(weights):
+        m[i][i] = w
+    for i, j in edges:
+        m[i][j] -= 1
+        m[j][i] -= 1
+    return det(m)
+
+
+def minors_invariant_factors(m) -> tuple[int, ...]:
+    """Invariant factors of a ``homology.IntMatrix`` via gcds of k x k
+    minors; the independent oracle for the Smith normal form."""
+    entries = [list(r) for r in m.entries]
+    n = min(m.rows, m.cols)
+    dets_prev = 1
+    out = []
+    for k in range(1, n + 1):
+        g = 0
+        for rows in itertools.combinations(range(m.rows), k):
+            for cols in itertools.combinations(range(m.cols), k):
+                sub = [[entries[i][j] for j in cols] for i in rows]
+                g = gcd(g, _det_exact(sub))
+            if g == 1:
+                break
+        if g == 0:
+            out.extend([0] * (n - len(out)))
+            break
+        out.append(g // dets_prev)
+        dets_prev = g
+    return tuple(out)
+
+
+def _det_exact(sub) -> int:
+    n = len(sub)
+    if n == 1:
+        return sub[0][0]
+    total = 0
+    for j in range(n):
+        if sub[0][j]:
+            minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
+            total += (-1) ** j * sub[0][j] * _det_exact(minor)
+    return total

@@ -9,17 +9,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import cascade_oracle
+import width_oracle
+from blowdown_oracle import contracts_to_zero_curve
+from determinant_oracle import tree_determinant
+
 from delpezzo3 import fixtures, homology, notation, swaps, verify
 from delpezzo3 import simulator as sim
-from delpezzo3.boundary import canonical_form, delpezzo_check_width
-from delpezzo3.chains import (
-    contracts_to_zero_curve,
-    discriminant,
-    dual_chain,
-    fork_triples,
-    ld_chain,
-    tree_determinant,
-)
+from delpezzo3.boundary import canonical_form, width_check
+from delpezzo3.chains import discriminant, dual_chain, fork_triples, ld_chain
 
 PLANS = Path(__file__).resolve().parents[1] / "src" / "delpezzo3" / "data" / "plans"
 
@@ -50,8 +48,10 @@ def test_criterion_2_worked_ld_values():
     rows = {r.name: r for r in fixtures.load_table("char0")}
     x1 = notation.substitute(rows["w3.rivet_A"].expr, {"k": 3})
     x2 = notation.substitute(rows["w3.nu_3=1_c2"].expr, {"k": 3})
-    lds1 = sorted(x1.ld(ci, pos) for ci, pos in x1.horizontal_positions())
-    lds2 = sorted(x2.ld(ci, pos) for ci, pos in x2.horizontal_positions())
+    lds1, lds2 = (
+        sorted(width_oracle.ld(x, ci, pos) for ci, pos in width_oracle.horizontal_positions(x))
+        for x in (x1, x2)
+    )
     ok = (
         lds1 == sorted([F(2, 3), F(4, 9), F(5, 9)])
         and sum(lds1) == F(5, 3)
@@ -71,7 +71,7 @@ def test_criterion_3_negative_fixtures():
     exact = True
     for row in rows:
         d = notation.substitute(row.expr, {})
-        res = delpezzo_check_width(d)
+        res = width_check(d)
         exact = exact and (res.lhs == row.lhs) and not res.satisfied
         seen.add(res.lhs)
     ok = exact and len(rows) >= 12 and quoted <= seen
@@ -256,7 +256,7 @@ def test_criterion_8_property_suites():
         inversions += 1
         if monotone < 10**3 and child.is_admissible():
             graph = swaps.to_graph(d)
-            swaps._check_lds_monotone(graph, swaps.graph_lds(*graph), move)
+            cascade_oracle._check_lds_monotone(graph, cascade_oracle.graph_lds(*graph), move)
             monotone += 1
     elapsed = time.time() - t0
     ok = elapsed < 60.0

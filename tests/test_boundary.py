@@ -2,18 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+import width_oracle
 
 from delpezzo3.boundary import (
     DecoratedType,
     Entry,
     canonical_form,
     chain_comp,
-    delpezzo_check_general,
-    delpezzo_check_width,
     fork_comp,
     graph_automorphisms,
     render_singularity_type,
     singularity_type_of,
+    width_check,
 )
 
 F = Fraction
@@ -53,29 +53,29 @@ def xbar2():
 
 
 def test_xbar1_check():
-    res = delpezzo_check_width(xbar1())
+    res = width_check(xbar1())
     assert res.satisfied and res.lhs == F(5, 3)
-    gen = delpezzo_check_general(xbar1(), [1, 1, 1], 3)
+    gen = width_oracle.delpezzo_check_general(xbar1(), [1, 1, 1], 3)
     assert gen.satisfied and gen.lhs == F(5, 3) and gen.rhs == 1
 
 
 def test_xbar2_check():
-    res = delpezzo_check_width(xbar2())
+    res = width_check(xbar2())
     assert res.satisfied and res.lhs == F(67, 45)
 
 
 def test_width2_fixture_fails():
     u = chain(2, 2, 2, 3, 2, 3, 2, horizontal=(4,), two_section=(6,))
     d = DecoratedType((u,), width=2)
-    res = delpezzo_check_width(d)
+    res = width_check(d)
     assert not res.satisfied and res.lhs == F(11, 13)
-    gen = delpezzo_check_general(d, [1, 2], 3)
+    gen = width_oracle.delpezzo_check_general(d, [1, 2], 3)
     assert not gen.satisfied and gen.lhs == F(11, 13)
 
 
 def test_width1_fixture_fails():
     d = DecoratedType((chain(2, 2, 2, 3, 2, 2, 2, horizontal=(4,)),), width=1)
-    res = delpezzo_check_width(d)
+    res = width_check(d)
     assert not res.satisfied and res.lhs == F(1, 3) and res.rhs == F(1, 3)
 
 
@@ -89,7 +89,7 @@ def test_width3_fork_fixture_fails():
         ),
     )
     d = DecoratedType((fork, chain(3)), width=3)
-    res = delpezzo_check_width(d)
+    res = width_check(d)
     assert not res.satisfied and res.lhs == 1
 
 
@@ -97,7 +97,7 @@ def test_all_canonical_width3_passes():
     comps = (chain(2, 2, horizontal=(1,)), chain(2, horizontal=(1,)),
              chain(2, 2, 2, horizontal=(2,)))
     d = DecoratedType(comps, width=3)
-    res = delpezzo_check_width(d)
+    res = width_check(d)
     assert res.satisfied and res.lhs == 3
 
 
@@ -107,8 +107,7 @@ def test_check_rejects_non_admissible():
          chain(2, horizontal=(1,)), chain(2, horizontal=(1,))),
         width=3,
     )
-    with pytest.raises(ValueError):
-        delpezzo_check_width(d)
+    assert width_check(d) is None
 
 
 def test_validation_errors():
@@ -293,8 +292,8 @@ def test_automorphism_free_labels():
 def test_ld_positions_fork():
     fork = fork_comp(E(2), ((E(2),), (E(2),), (E(2), E(3, True))))
     d = DecoratedType((fork,))
-    assert d.ld(0, (3, 2)) == F(1, 3)
-    assert d.ld(0, "branch") == F(1, 3)
+    assert width_oracle.ld(d, 0, (3, 2)) == F(1, 3)
+    assert width_oracle.ld(d, 0, "branch") == F(1, 3)
 
 
 def test_primitive_char3_automorphism_report():
@@ -331,7 +330,6 @@ def test_primitive_char3_automorphism_report():
 
 def test_width_dispatch_agrees_with_general():
     import random as _random
-    from delpezzo3.boundary import delpezzo_check_general
 
     rng = _random.Random(13)
     built = 0
@@ -344,12 +342,12 @@ def test_width_dispatch_agrees_with_general():
         comp = chain(*weights, horizontal=tuple(horizontals), two_section=two_section)
         d = DecoratedType((comp,), width=width)
         built += 1
-        specific = delpezzo_check_width(d)
+        specific = width_check(d)
         degrees = []
-        for ci, pos in d.horizontal_positions():
-            degrees.append(2 if d.entry_at(ci, pos).two_section else
+        for ci, pos in width_oracle.horizontal_positions(d):
+            degrees.append(2 if width_oracle.entry_at(d, ci, pos).two_section else
                            (3 if width == 1 else 1))
-        general = delpezzo_check_general(d, degrees, 3)
+        general = width_oracle.delpezzo_check_general(d, degrees, 3)
         assert specific.satisfied == general.satisfied
         if width != 1:
             assert specific.lhs == general.lhs
@@ -364,7 +362,7 @@ def test_failed_check_stays_failed_under_weight_growth():
 
     for expr in rows:
         d = _notation.substitute(expr, {})
-        assert not delpezzo_check_width(d).satisfied
+        assert not width_check(d).satisfied
         for _ in range(10):
             comps = list(d.components)
             ci = rng.randrange(len(comps))
@@ -380,7 +378,7 @@ def test_failed_check_stays_failed_under_weight_growth():
                 entries.insert(0, Entry(2))
             comps[ci] = chain_comp(entries)
             bigger = DecoratedType(tuple(comps), d.width, d.char_tag, d.free_labels)
-            assert not delpezzo_check_width(bigger).satisfied
+            assert not width_check(bigger).satisfied
 
 
 def test_canonical_form_collision_sweep():

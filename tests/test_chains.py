@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowdown_oracle import contract_marker_gain, contracts_to_zero_curve, smooth_point_extension
+from determinant_oracle import _det_exact, tree_determinant
+
+from delpezzo3 import notation, star_compose
 from delpezzo3.chains import (
     Fork,
-    TWO_NEG1,
     chains_with_discriminant,
-    contract_marker_gain,
-    contracts_to_zero_curve,
     det,
     discriminant,
-    drop_after_two_neg1,
     dual_chain,
     fork_triples,
     hirzebruch_jung,
     is_admissible,
     ld_chain,
     ld_fork,
-    smooth_point_extension,
-    star_compose,
-    tree_determinant,
 )
 
 F = Fraction
@@ -86,8 +83,6 @@ def test_tree_determinant_singular():
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4),
        st.integers(1, 4))
 def test_det_matches_cofactor_expansion(rows, n):
-    from delpezzo3.homology import _det_exact
-
     m = [row[:n] for row in rows[:n]]
     assert det(m) == _det_exact(m)
 
@@ -166,12 +161,19 @@ def test_extension_rule():
         assert contract_marker_gain((100, t + (1,) + dual)) is None
 
 
+def substituted_weights(text):
+    """The weights of the one chain that ``text`` substitutes to."""
+    (comp,) = notation.substitute(notation.parse(text), {}).components
+    return tuple(e.weight for e in comp[1])
+
+
 def test_star_compose_conventions():
-    assert star_compose((2, 3), (2,)) == (2, 4)
-    assert star_compose(TWO_NEG1, (3, 2)) == (4, 2)
-    assert drop_after_two_neg1((3, 2)) == (2,)
+    assert star_compose((2, 3), (2,)) == (2, 4) == substituted_weights("[2,3]*[2]")
+    assert star_compose("(2)_{-1}", (3, 2)) == (4, 2) == substituted_weights("[(2)_{-1}]*[3,2]")
+    # [(2)_{-1}, b_1, b_2, ...] = [b_2, ...]
+    assert substituted_weights("[(2)_{-1},3,2]") == (2,)
     with pytest.raises(ValueError):
-        star_compose(TWO_NEG1, ())
+        star_compose("(2)_{-1}", ())
     with pytest.raises(ValueError):
         star_compose((2,), ())
 

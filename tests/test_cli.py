@@ -166,6 +166,15 @@ def test_negative_counts_are_usage_errors():
     assert run("cascade", "--root", "w1b", "--depth", "0").exit_code == 0
 
 
+def test_check_width_with_a_file_is_a_usage_error():
+    table = str(fixtures.data_dir() / "tables" / "char3.types")
+    res = run("check", table, "--cutoff", "3", "--width", "1")
+    assert res.exit_code == 2 and "Usage:" in res.output and "--width" in res.output
+    assert "Traceback" not in res.output and "# command: check" not in res.output
+    assert run("check", table, "--cutoff", "3").exit_code == 0
+    assert run("check", "[2,2,2,3h,2,2,2]", "--width", "1").exit_code == 0
+
+
 # -- malformed type text: exit 0, 1 or 2, never a traceback --------------------
 
 _marks = st.sampled_from(["", "h", "u", "hu"])
@@ -203,6 +212,8 @@ def test_validation_errors_are_parse_errors():
         ("parse", "[2,0u]"),
         ("dual", "<2;[2],[2],[2]>"),
         ("ld", "[2h@1@1@1@1]", "1"),
+        ("dual", "[2]+[3]"),
+        ("ld", "[2,3]+[5]", "1"),
     ):
         assert_one_line_error(run(*args), 2, "parse error:")
 

@@ -24,7 +24,6 @@ from delpezzo3.boundary import (
     _label_blocks,
     canonical_form,
     comp_weights,
-    delpezzo_check_width,
     width_check,
 )
 from delpezzo3.chains import Fork, fork_lds, ld_fork
@@ -76,27 +75,35 @@ def test_width_check_once_per_key(stem, depth, monkeypatch):
 
 @pytest.mark.parametrize("stem, depth", [("w3_a", 4), ("w3_b", 4), ("w1_b", 6)])
 def test_monotone_check_on_every_ok_edge(stem, depth, monkeypatch):
-    """In serial mode the monotonicity check runs on the same (parent,
-    move) edges, in the same order, as in the cascade that width-checked
-    every child: a child whose key its level has already produced still
-    gets it when that key is ok."""
-    def recorder(module):
-        calls = []
-        original = module._check_lds_monotone
+    """The oracle's monotonicity check runs on every ok (parent, move)
+    edge of the cascade, in frontier and move order: each reverse swap
+    of an ok node above the last depth whose child is an ok node, also
+    when a sibling or an earlier parent produced that key first."""
+    calls = []
+    original = cascade_oracle._check_lds_monotone
 
-        def recording(parent_graph, parent_lds, move):
-            calls.append((parent_graph, move))
-            original(parent_graph, parent_lds, move)
+    def recording(parent_graph, parent_lds, move):
+        calls.append((parent_graph, move))
+        original(parent_graph, parent_lds, move)
 
-        monkeypatch.setattr(module, "_check_lds_monotone", recording)
-        return calls
-
-    new_calls, old_calls = recorder(swaps), recorder(cascade_oracle)
+    monkeypatch.setattr(cascade_oracle, "_check_lds_monotone", recording)
     root, excluded = load_primitive(stem)
-    new = swaps.cascade(root, depth, check_monotone=True, excluded_labels=excluded)
+    new = swaps.cascade(root, depth, excluded_labels=excluded)
     cascade_oracle.cascade(root, depth, check_monotone=True, excluded_labels=excluded)
-    assert new_calls == old_calls
-    assert len(new_calls) > len(new.nodes) - 1
+    ok_edges = []
+    for level in range(depth):
+        for key in sorted(k for k, n in new.nodes.items() if n.depth == level):
+            parent = new.nodes[key].dtype
+            graph = swaps.to_graph(parent)
+            for move in swaps.reverse_moves(parent, excluded, graph=graph):
+                try:
+                    child = swaps.reverse_swap(parent, *move, excluded, graph=graph)
+                except swaps.SwapError:
+                    continue
+                if canonical_form(child) in new.nodes:
+                    ok_edges.append((graph, move))
+    assert calls == ok_edges
+    assert len(calls) > len(new.nodes) - 1
 
 
 @pytest.mark.parametrize("stem, depth", [("w3_a", 5), ("w3_b", 5), ("w1_b", 6)])
@@ -169,7 +176,7 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
         for moves in (swaps.reverse_moves, every_pair):
             with monkeypatch.context() as m:
                 m.setattr(swaps, "reverse_moves", moves)
-                batches = list(swaps._expand_run(parents, True, excluded, True))
+                batches = list(swaps._expand_run(parents, excluded, True))
                 assert len(batches) == len(parents)
                 earlier: dict = {}  # key -> (status, lhs) of its record
                 for parent, batch in zip(parents, batches):
@@ -207,31 +214,31 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
                         assert got[move] == (key, *expected, kept)
                         recorded.append(move)
                     assert recorded == list(got)
-                lean = swaps._expand_run(parents, True, excluded, False)
+                lean = swaps._expand_run(parents, excluded, False)
                 assert [[(*r[:4], None) for r in b] for b in batches] == list(lean)
     assert children > 5000 and rejected > 5000 and duplicates > 1000
 
 
 def test_monotone_check_once_per_parent(cascades, monkeypatch):
-    """Over a run of parents, every ok edge, a child whose key the run
-    has already recorded included, gets exactly one check of the child's
-    lds against its parent's graph and lds, built once per parent."""
+    """In the oracle's expansion of a parent, every ok edge, a child
+    whose key an earlier parent has produced included, gets exactly one
+    check of the child's lds against its parent's graph and lds, built
+    once per parent."""
     calls = []
-    original = swaps._check_lds_monotone
+    original = cascade_oracle._check_lds_monotone
 
     def recording(parent_graph, parent_lds, move):
         calls.append((parent_graph, parent_lds, move))
         original(parent_graph, parent_lds, move)
 
-    monkeypatch.setattr(swaps, "_check_lds_monotone", recording)
+    monkeypatch.setattr(cascade_oracle, "_check_lds_monotone", recording)
     result, excluded = cascades[0]
     parents = [n.dtype for n in result.nodes.values() if n.depth < 2]
     checked = duplicates = 0
     seen = set()
-    run = swaps._expand_run(parents, True, excluded, True)
     for parent in parents:
         calls.clear()
-        out = next(run)
+        out = cascade_oracle._expand_parent((None, parent, True, excluded))
         ok_moves = []
         for move in swaps.reverse_moves(parent, excluded):
             try:
@@ -244,14 +251,13 @@ def test_monotone_check_once_per_parent(cascades, monkeypatch):
                 duplicates += canonical_form(child) in seen
                 seen.add(canonical_form(child))
         assert [move for *_, move in calls] == ok_moves
-        assert {move for _, move, status, _, _ in out if status == "ok"} <= set(ok_moves)
+        assert [move for _, _, move, status, _, _ in out if status == "ok"] == ok_moves
         graph = swaps.to_graph(parent)
-        lds = swaps.graph_lds(*graph)
+        lds = cascade_oracle.graph_lds(*graph)
         for parent_graph, parent_lds, _ in calls:
             assert parent_graph is calls[0][0] and parent_lds is calls[0][1]
             assert (parent_graph, parent_lds) == (graph, lds)
         checked += len(calls)
-    assert next(run, None) is None
     assert checked > 30 and duplicates > 0
 
 
@@ -303,11 +309,8 @@ def assert_width_verdicts_match(types):
             continue
         if not d.is_admissible():
             assert width_check(d) is None
-            with pytest.raises(ValueError):
-                delpezzo_check_width(d)
             continue
-        expected = oracle.delpezzo_check_width(d)
-        assert width_check(d) == delpezzo_check_width(d) == expected
+        assert width_check(d) == oracle.delpezzo_check_width(d)
         admissible += 1
     return admissible
 

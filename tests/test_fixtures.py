@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from delpezzo3 import fixtures, notation
-from delpezzo3.boundary import delpezzo_check_width
+from delpezzo3.boundary import width_check
 
 
 def test_roundtrip_full_corpus():
@@ -24,7 +24,7 @@ def test_negative_fixtures_fail_with_quoted_values():
     seen = set()
     for row in rows:
         d = notation.substitute(row.expr, {})
-        res = delpezzo_check_width(d)
+        res = width_check(d)
         assert not res.satisfied, row.name
         assert res.lhs == row.lhs, (row.name, str(res.lhs))
         seen.add(res.lhs)

