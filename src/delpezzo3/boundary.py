@@ -13,7 +13,7 @@ import itertools
 import marshal
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 
 from delpezzo3.chains import (
@@ -27,31 +27,73 @@ from delpezzo3.chains import (
 CHAR_TAGS = ("any", "ne2", "eq2", "ne23", "eq3")
 
 
-@dataclass(frozen=True)
 class Entry:
-    """One boundary component: a weight with its decorations."""
+    """One boundary component: a weight with its decorations.
 
-    weight: int
-    horizontal: bool = False
-    two_section: bool = False
-    labels: tuple[int, ...] = ()
+    Entries are immutable and interned: equal field values give one object
+    per process, validated and built once, so ``==`` is ``is``.  The labels
+    are kept sorted and the marks as bools: ``Entry(2, 1, labels=[3, 1])``
+    is ``Entry(2, True, False, (1, 3))``.  The hash is that of the field
+    tuple ``(weight, horizontal, two_section, labels)``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.two_section and not self.horizontal:
+    __slots__ = ("weight", "horizontal", "two_section", "labels", "_skeleton", "_hash")
+
+    def __new__(cls, weight: int, horizontal: bool = False, two_section: bool = False,
+                labels: tuple[int, ...] = ()) -> Entry:
+        key = (weight, horizontal, two_section, labels)
+        try:
+            return _ENTRIES[key]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable labels, such as a list
+            return cls(weight, horizontal, two_section, tuple(labels))
+        if two_section and not horizontal:
             raise ValueError("the 2-section mark implies the horizontal mark")
-        labels = tuple(sorted(self.labels))
+        labels = tuple(sorted(labels))
         mults = tuple(sorted(map(labels.count, set(labels)))) if len(labels) > 1 else (1,) * len(labels)
         if mults and mults[-1] > 2:
             raise ValueError("a (-1)-curve meets a component at most twice")
-        object.__setattr__(self, "labels", labels)
-        # not a field: equality, hashing and repr ignore it
-        object.__setattr__(
-            self, "_skeleton", (self.weight, self.horizontal, self.two_section, mults)
-        )
+        fields = (weight, bool(horizontal), bool(two_section), labels)
+        self = _ENTRIES.get(fields)
+        if self is None:
+            self = object.__new__(cls)
+            init = object.__setattr__
+            init(self, "weight", weight)
+            init(self, "horizontal", fields[1])
+            init(self, "two_section", fields[2])
+            init(self, "labels", labels)
+            init(self, "_skeleton", fields[:3] + (mults,))
+            init(self, "_hash", hash(fields))
+            _ENTRIES[fields] = self
+        _ENTRIES[key] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"Entry(weight={self.weight!r}, horizontal={self.horizontal!r}, "
+                f"two_section={self.two_section!r}, labels={self.labels!r})")
+
+    def __reduce__(self):
+        # unpickling and copying call Entry again, which interns
+        return Entry, (self.weight, self.horizontal, self.two_section, self.labels)
 
     def skeleton(self) -> tuple:
         """Label-name-free data used by canonical forms."""
         return self._skeleton
+
+
+# every Entry made so far, under its field tuple and under each other
+# argument tuple it was called with
+_ENTRIES: dict[tuple, Entry] = {}
 
 
 Component = tuple  # ("chain", entries) | ("fork", branch, (t1, t2, t3))

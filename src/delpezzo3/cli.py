@@ -206,7 +206,9 @@ def verify_tables(table_name, cutoff, jobs, cascade_depth, fmt):
     if cascade_depth > 0:
         for root_name in verify.table_roots(tables):
             root = _load_root(root_name)
-            targets, _ = verify.cascade_targets(tables, root, cutoff, cascade_depth)
+            targets, beyond = verify.cascade_targets(tables, root, cutoff, cascade_depth)
+            if beyond:
+                report.count(f"cascade-beyond[{root_name}]", beyond)
             if not targets:
                 continue
             result, missing = verify.coverage(root, targets, cascade_depth, jobs)

@@ -479,7 +479,7 @@ def _eval_lit(lit: ChainLit, assignment: dict[str, int]) -> list:
             if n == -1:
                 out.append(_MARKER)
             else:
-                out.extend(Entry(2) for _ in range(n))
+                out.extend([Entry(2)] * n)
         else:
             w = item.value.evaluate(assignment)
             out.append(Entry(w, item.horizontal, item.two_section, item.labels))

@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 import width_oracle
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delpezzo3.boundary import (
     DecoratedType,
@@ -120,6 +125,68 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         DecoratedType((chain(2, labels={1: (7, 7)}),
                        chain(3, labels={1: (7, 7)}),))
+
+
+# -- interned entries ----------------------------------------------------------------
+
+
+def test_equal_entries_are_one_object():
+    e = Entry(3, True, False, (1, 2, 2))
+    for same in (
+        Entry(3, True, False, (2, 1, 2)),
+        Entry(3, True, False, [2, 2, 1]),
+        Entry(3, 1, 0, (2, 2, 1)),
+        Entry(3, horizontal=True, labels=(1, 2, 2)),
+        Entry(labels=(2, 1, 2), weight=3, two_section=False, horizontal=1),
+    ):
+        assert same is e
+    assert e.labels == (1, 2, 2)
+    assert e.horizontal is True and e.two_section is False
+    assert Entry(3) is Entry(3, False, False, ()) is not e
+
+
+def test_pickle_and_copies_give_the_interned_entry():
+    e = Entry(4, True, True, (5, 2))
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps([e, e], protocol=0)) == [e, e]
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert copy.deepcopy(chain_comp([e, Entry(2)]))[1][0] is e
+
+
+def test_entry_hash_repr_and_immutability():
+    e = Entry(2, True, False, [7, 3])
+    assert hash(e) == hash((2, True, False, (3, 7)))
+    assert repr(e) == "Entry(weight=2, horizontal=True, two_section=False, labels=(3, 7))"
+    for name in ("weight", "labels", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del e.weight
+    assert e.weight == 2
+
+
+def test_invalid_entries_raise_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="2-section mark implies the horizontal"):
+            Entry(2, False, True)
+        with pytest.raises(ValueError, match="at most twice"):
+            Entry(2, labels=[4, 4, 4])
+        with pytest.raises(ValueError, match="at most twice"):
+            Entry(2, True, True, (4, 1, 4, 4))
+
+
+_entry_args = st.tuples(
+    st.integers(2, 5), st.booleans(), st.booleans(),
+    st.lists(st.integers(1, 3), max_size=4),
+).filter(lambda a: (a[1] or not a[2]) and all(a[3].count(l) <= 2 for l in a[3]))
+
+
+@given(_entry_args, _entry_args)
+def test_entry_equality_is_field_equality(a, b):
+    ea, eb = Entry(*a), Entry(*b)
+    same_fields = (a[0], a[1], a[2], sorted(a[3])) == (b[0], b[1], b[2], sorted(b[3]))
+    assert (ea == eb) == (ea is eb) == same_fields
 
 
 def four_times(label, *weights):

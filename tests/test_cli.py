@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo3.cli import main
-from delpezzo3 import fixtures
+from delpezzo3 import fixtures, verify
 
 
 def run(*args):
@@ -230,6 +230,34 @@ def test_jobs_do_not_change_output():
         one, two = run(*args, "--jobs", "1"), run(*args, "--jobs", "2")
         assert one.exit_code == two.exit_code == 0
         assert one.stdout_bytes == two.stdout_bytes
+
+
+# -- targets beyond --cascade-depth are counted -----------------------------------
+
+
+def test_cascade_beyond_counts_targets_past_the_depth():
+    tables = fixtures.load_all_tables(("char0",))
+    roots = [verify.load_root(name) for name in verify.table_roots(tables)]
+    # at depth 1, w2b, w2c, w3a and w3b have every target beyond it
+    for depth in ("1", "2"):
+        res = run("verify-tables", "--table", "char0", "--cutoff", "12",
+                  "--cascade-depth", depth)
+        assert res.exit_code == 0, res.output
+        counted = {}
+        for line in res.output.splitlines():
+            if line.startswith("# cascade-beyond["):
+                key, n = line[2:].split(": ")
+                counted[key] = int(n)
+        expected, no_target = {}, set()
+        for root in roots:
+            targets, beyond = verify.cascade_targets(tables, root, 12, int(depth))
+            if beyond:
+                expected[f"cascade-beyond[{root.name}]"] = beyond
+            if beyond and not targets:
+                no_target.add(root.name)
+        assert counted == expected
+        assert no_target == ({"w2b", "w2c", "w3a", "w3b"} if depth == "1" else set())
+    assert "cascade-beyond" not in run("verify-tables", "--table", "char0").output
 
 
 # -- distinctness on a copy of the corpus ---------------------------------------
