@@ -175,6 +175,30 @@ def comp_entries(comp: Component) -> list[Entry]:
     return [comp[1]] + [e for t in comp[2] for e in t]
 
 
+def graph_of(components) -> tuple[list[Entry], list[list[int]]]:
+    """The graph form of a boundary: its entries in ``comp_entries``
+    order, and ``adj``, where ``adj[i]`` lists the neighbours of entry i.
+    A chain is a path; a fork's branch meets each twig's LAST entry."""
+    entries: list[Entry] = []
+    adj: list[list[int]] = []
+    for comp in components:
+        if comp[0] == "chain":
+            branch, arms = None, [comp[1]]
+        else:
+            branch, arms = len(entries), comp[2]
+            entries.append(comp[1])
+            adj.append([])
+        for arm in arms:
+            first, last = len(entries), len(entries) + len(arm) - 1
+            entries.extend(arm)
+            adj.extend([j for j in (i - 1, i + 1) if first <= j <= last]
+                       for i in range(first, last + 1))
+            if branch is not None:
+                adj[last].append(branch)
+                adj[branch].append(last)
+    return entries, adj
+
+
 def comp_weights(comp: Component):
     """Undecorated shape: a weight tuple or a chains.Fork."""
     if comp[0] == "chain":
@@ -390,7 +414,7 @@ def _block_search(block: tuple[Component, ...]) -> tuple[tuple, int]:
     parts.sort(key=lambda part: part[0])
     keys = tuple([key for key, _ in parts])
     if len(set(keys)) < len(keys):
-        orders = _refined_placements(parts, labels)
+        orders = _refined_placements(parts, labels, graph_of(block)[1])
     elif all(len(readings) == 1 for _, readings in parts):
         return _placement_code(keys, [i for _, (r,) in parts for i in r], labels), 1
     else:
@@ -406,7 +430,7 @@ def _block_search(block: tuple[Component, ...]) -> tuple[tuple, int]:
     return best, count
 
 
-def _refined_placements(parts, labels):
+def _refined_placements(parts, labels, adjacent):
     """The placements of a block with repeated keys that the leaves of an
     individualization-refinement search give, each once.
 
@@ -420,28 +444,17 @@ def _refined_placements(parts, labels):
     entries and places the components in order of key and least ranks,
     each in its reading of least ranks.  Every choice reads colours only,
     so the placements given are closed under the block's automorphisms.
+    ``adjacent`` is the block's ``graph_of`` neighbour lists, whose ids
+    are the block-local ones of ``labels``.
     """
     n = len(labels)
     contacts = [tuple(Counter(ls).items()) for ls in labels]
     start: list = [None] * n
-    adjacent: list[list[int]] = [[] for _ in range(n)]
     for key, readings in parts:
         for reading in readings:
             for pos, i in enumerate(reading):
                 if start[i] is None or pos < start[i][1]:
                     start[i] = (key, pos)
-        reading = readings[0]
-        if key[0] == "chain":
-            edges = list(zip(reading, reading[1:]))
-        else:
-            edges, tip = [], 1
-            for twig in key[2]:
-                arm = reading[tip:tip + len(twig)]
-                edges += list(zip(arm, arm[1:])) + [(arm[-1], reading[0])]
-                tip += len(twig)
-        for a, b in edges:
-            adjacent[a].append(b)
-            adjacent[b].append(a)
     met: dict = {}
     for i, pairs in enumerate(contacts):
         for l, c in pairs:

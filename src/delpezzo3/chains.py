@@ -104,24 +104,30 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _fork_excess(f: Fork) -> int | None:
+    """D (sum of 1/d(T_i) - 1) with D = d(T_1) d(T_2) d(T_3), an integer
+    of the sign of sum 1/d(T_i) - 1; None if the branch is below 2 or a
+    twig is not admissible."""
+    if f.branch < 2 or not all(is_admissible(t) for t in f.twigs):
+        return None
+    ds = [_disc_chain(t) for t in f.twigs]
+    big_d = ds[0] * ds[1] * ds[2]
+    return sum(big_d // d for d in ds) - big_d
+
+
 def is_admissible(t: Chain | Fork) -> bool:
     """Chains: all weights >= 2. Forks: branch >= 2, admissible twigs and
     sum of reciprocal twig discriminants > 1."""
     if isinstance(t, Fork):
-        if t.branch < 2:
-            return False
-        if not all(is_admissible(tw) for tw in t.twigs):
-            return False
-        s = sum(Fraction(1, _disc_chain(tw)) for tw in t.twigs)
-        return s > 1
+        excess = _fork_excess(t)
+        return excess is not None and excess > 0
     return all(a >= 2 for a in t)
 
 
 def is_log_canonical_fork(f: Fork) -> bool:
     """Branch >= 2, admissible twigs, sum of 1/d(T_i) >= 1 (allows = 1)."""
-    if f.branch < 2 or not all(is_admissible(tw) for tw in f.twigs):
-        return False
-    return sum(Fraction(1, _disc_chain(tw)) for tw in f.twigs) >= 1
+    excess = _fork_excess(f)
+    return excess is not None and excess >= 0
 
 
 def fork_triples(max_k: int) -> list[tuple[int, int, int]]:
@@ -206,16 +212,10 @@ def fork_lds(f: Fork, positions) -> list[Fraction] | None:
     With D = d(T_1) d(T_2) d(T_3), delta - 1 = (sum of D/d(T_i) - D) / D
     and branch - e = d(fork) / D, so ld(branch) = (sum D/d(T_i) - D) / d(fork).
     """
-    if f.branch < 2 or not all(is_admissible(t) for t in f.twigs):
+    num = _fork_excess(f)
+    if num is None or num <= 0:  # delta <= 1
         return None
-    ds = [_disc_chain(t) for t in f.twigs]
-    big_d = ds[0] * ds[1] * ds[2]
-    num = sum(big_d // d for d in ds) - big_d
-    if num <= 0:  # delta <= 1
-        return None
-    den = f.branch * big_d - sum(
-        _disc_chain(t[:-1]) * (big_d // d) for t, d in zip(f.twigs, ds)
-    )
+    den = _disc_fork(f)
     out = []
     for position in positions:
         if position == "branch":
@@ -226,5 +226,5 @@ def fork_lds(f: Fork, positions) -> list[Fraction] | None:
         if not 1 <= j <= len(t):
             raise IndexError(f"position {j} out of range for twig of length {len(t)}")
         out.append(Fraction(num * _disc_chain(t[: j - 1]) + den * _disc_chain(t[j:]),
-                            den * ds[i - 1]))
+                            den * _disc_chain(t)))
     return out

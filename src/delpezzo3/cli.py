@@ -68,10 +68,12 @@ def main() -> None:
 @click.option("--strict", is_flag=True, help="exit 1 if any row fails")
 @format_option
 def check(source, width, cutoff, strict, fmt):
-    """Run the del Pezzo criterion on a type expression or fixture file."""
+    """Run the del Pezzo criterion on a type expression or fixture file.
+    SOURCE is read as a file only if it names one; anything else, a
+    directory included, is parsed as a type expression."""
     path = Path(source)
     try:
-        is_file = path.exists()
+        is_file = path.is_file()
     except OSError:  # a type expression too long to be a file name
         is_file = False
     if is_file:
@@ -180,7 +182,7 @@ def _digest(key: bytes) -> str:
               help="char0, char3, char2_moduli, char2, nonlt_char2 or all")
 @click.option("--cutoff", type=click.IntRange(min=0), default=12, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="worker processes, at most one per core")
+              help="worker processes for the --cascade-depth cascades, at most one per core")
 @click.option("--cascade-depth", type=click.IntRange(min=0), default=0, show_default=True,
               help="also require width-3/width-1 rows to appear in the "
                    "cascade of their primitive root (0 = skip)")
@@ -193,7 +195,7 @@ def verify_tables(table_name, cutoff, jobs, cascade_depth, fmt):
     stems = fixtures.TABLE_STEMS if table_name == "all" else (table_name,)
     tables = fixtures.load_all_tables(stems)
     cases = verify.table_cases(tables, cutoff)
-    instances = verify.verify_instances(cases, jobs)
+    instances = verify.verify_instances(cases)
     report = Report("verify-tables", ("row", "assignment", "lhs", "status", "detail"))
     for inst in instances:
         report.add(inst.name, fmt_assignment(inst.assignment), inst.lhs, inst.status, inst.detail)

@@ -22,6 +22,7 @@ from delpezzo3.boundary import (
     DecoratedType,
     Entry,
     canonical_form,
+    graph_of,
     place_entries,
     walk_components,
     width_check,
@@ -36,42 +37,16 @@ class SwapError(ValueError):
 
 
 def to_graph(d: DecoratedType):
-    entries: list[Entry] = []
-    edges: set = set()
-    for comp in d.components:
-        if comp[0] == "chain":
-            base = len(entries)
-            entries.extend(comp[1])
-            for i in range(len(comp[1]) - 1):
-                edges.add(frozenset((base + i, base + i + 1)))
-        else:
-            b = len(entries)
-            entries.append(comp[1])
-            for twig in comp[2]:
-                first = len(entries)
-                entries.extend(twig)
-                # the twig's LAST entry meets the branch
-                edges.add(frozenset((b, first + len(twig) - 1)))
-                for i in range(len(twig) - 1):
-                    edges.add(frozenset((first + i, first + i + 1)))
-    return entries, edges
+    """The graph form ``(entries, adj)`` of ``d``: ``graph_of`` its components."""
+    return graph_of(d.components)
 
 
-def from_graph(entries, edges, width, char_tag, free_labels) -> DecoratedType:
-    components = place_entries(_layout(len(entries), edges), entries)
-    return DecoratedType(components, width, char_tag, frozenset(free_labels))
-
-
-def _layout(n: int, edges) -> list:
-    """``walk_components`` of the graph on ``n`` nodes with these edges."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+def from_graph(entries, adj, width, char_tag, free_labels) -> DecoratedType:
     try:
-        return walk_components(adj)
+        layout = walk_components(adj)
     except ValueError as err:
         raise SwapError(str(err)) from None
+    return DecoratedType(place_entries(layout, entries), width, char_tag, frozenset(free_labels))
 
 
 def _attachments(entries, label):
@@ -100,7 +75,7 @@ def forward_swap(d: DecoratedType, label: int,
     """Contract the vertical (-1)-curve with the given label."""
     if label in excluded_labels:
         raise SwapError(f"label {label} meets the boundary in a node")
-    entries, edges = to_graph(d)
+    entries, adj = to_graph(d)
     att = _attachments(entries, label)
     if not att:
         raise SwapError(f"label {label} has no boundary attachment")
@@ -116,14 +91,12 @@ def forward_swap(d: DecoratedType, label: int,
     c = minus_two[0]
     others = [i for i, _ in att if i != c]
     g = others[0] if others else None
-    neighbors = [j for e in edges if c in e for j in e if j != c]
+    neighbors = adj[c]
 
     new_entries = []
-    remap = {}
     for i, e in enumerate(entries):
         if i == c:
             continue
-        remap[i] = len(new_entries)
         e = _strip_label(e, label)
         if i == g:
             if e.weight - 1 < 2:
@@ -132,15 +105,12 @@ def forward_swap(d: DecoratedType, label: int,
         if i in neighbors or i == g:
             e = _add_label(e, label)
         new_entries.append(e)
-    new_edges = {
-        frozenset((remap[a], remap[b]))
-        for a, b in (tuple(e) for e in edges)
-        if a != c and b != c
-    }
+    # drop c and close the gap it leaves in the numbering
+    new_adj = [[j - (j > c) for j in nb if j != c] for i, nb in enumerate(adj) if i != c]
     free = set(d.free_labels)
     if g is None and not neighbors:
         free.add(label)
-    return from_graph(new_entries, new_edges, d.width, d.char_tag, free)
+    return from_graph(new_entries, new_adj, d.width, d.char_tag, free)
 
 
 def reverse_swap(d: DecoratedType, label: int, target: int,
@@ -150,35 +120,33 @@ def reverse_swap(d: DecoratedType, label: int, target: int,
     passed by a caller that builds it once for many swaps of ``d``."""
     if label in excluded_labels:
         raise SwapError(f"label {label} meets the boundary in a node")
-    entries, edges = to_graph(d) if graph is None else graph
+    entries, adj = to_graph(d) if graph is None else graph
     att = _attachments(entries, label)
     if target not in {i for i, _ in att}:
         raise SwapError(f"entry {target} is not an attachment of label {label}")
     if any(k > 1 for _, k in att):
         raise SwapError("the curve meets a boundary component twice")
-    new_entries, new_edges = _blow_up_graph(entries, edges, att, label, target)
-    return from_graph(new_entries, new_edges, d.width, d.char_tag, d.free_labels)
+    new_entries, new_adj = _blow_up_graph(entries, adj, att, label, target)
+    return from_graph(new_entries, new_adj, d.width, d.char_tag, d.free_labels)
 
 
-def _blow_up_graph(entries, edges, att, label: int, target: int):
+def _blow_up_graph(entries, adj, att, label: int, target: int):
     """The reverse swap in graph form: every entry keeps its index, the
     target gains one weight, the label moves from the other attachments
-    ``att`` to the new (-2)-curve, which is appended and meets them."""
-    att = {i for i, _ in att}
-    new_entries = []
-    for i, e in enumerate(entries):
-        if i == target:
-            e = Entry(e.weight + 1, e.horizontal, e.two_section, e.labels)
-        elif i in att:
-            e = _strip_label(e, label)
-        new_entries.append(e)
-    c_index = len(new_entries)
+    ``att`` to the new (-2)-curve, which is appended and meets them.  The
+    lists of ``adj`` that do not change are shared, not copied."""
+    new_entries = list(entries)
+    new_adj = list(adj)
+    c = len(entries)
+    others = [i for i, _ in att if i != target]
+    e = entries[target]
+    new_entries[target] = Entry(e.weight + 1, e.horizontal, e.two_section, e.labels)
+    for i in others:
+        new_entries[i] = _strip_label(entries[i], label)
+        new_adj[i] = adj[i] + [c]
     new_entries.append(Entry(2, labels=(label,)))
-    new_edges = set(edges)
-    for i in att:
-        if i != target:
-            new_edges.add(frozenset((i, c_index)))
-    return new_entries, new_edges
+    new_adj.append(others)
+    return new_entries, new_adj
 
 
 def legal_forward_labels(d: DecoratedType,

@@ -116,19 +116,13 @@ def evaluate(name: str, d: DecoratedType, assignment: tuple,
     return Instance(name, assignment, admissible, lhs, "PASS" if ok else "FAIL", detail, sing)
 
 
-def _evaluate_case(case) -> Instance:
-    stem, row, assignment = case
-    d = notation.substitute(row.expr, dict(assignment))
-    return evaluate(row.name, d, assignment, row.sing, stem == LC_ONLY_STEM)
-
-
-def verify_instances(cases, jobs: int = 1) -> list[Instance]:
-    """One ``Instance`` per case, in case order for every ``jobs``."""
-    pool = swaps.process_pool(jobs)
-    if pool is None:
-        return [_evaluate_case(case) for case in cases]
-    with pool:
-        return list(pool.map(_evaluate_case, cases, chunksize=16))
+def verify_instances(cases) -> list[Instance]:
+    """One ``Instance`` per case, in case order."""
+    return [
+        evaluate(row.name, notation.substitute(row.expr, dict(assignment)), assignment,
+                 row.sing, stem == LC_ONLY_STEM)
+        for stem, row, assignment in cases
+    ]
 
 
 # -- distinctness ------------------------------------------------------------------

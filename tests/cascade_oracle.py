@@ -18,6 +18,7 @@ from delpezzo3.boundary import (
     canonical_form,
     comp_weights,
     place_entries,
+    walk_components,
     width_check,
 )
 from delpezzo3.chains import ld_chain, ld_fork
@@ -26,7 +27,6 @@ from delpezzo3.swaps import (
     SwapError,
     _attachments,
     _blow_up_graph,
-    _layout,
     process_pool,
     reverse_moves,
     reverse_swap,
@@ -52,10 +52,10 @@ def pruned_nodes(result: CascadeResult) -> list:
     return [result.pruned[k] for k in sorted(result.pruned)]
 
 
-def graph_lds(entries, edges) -> list[Fraction]:
+def graph_lds(entries, adj) -> list[Fraction]:
     """Log discrepancy of every graph node, indexed like ``entries``."""
     lds: list = [None] * len(entries)
-    layout = _layout(len(entries), edges)
+    layout = walk_components(adj)
     for part, comp in zip(layout, place_entries(layout, entries)):
         shape = comp_weights(comp)
         if part[0] == "chain":
@@ -74,9 +74,9 @@ def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
     child back to the parent, given the parent's graph and lds.  The
     reverse swap keeps every parent entry at its graph index and appends
     the new (-2)-curve, so indices match."""
-    entries, edges = parent_graph
+    entries, adj = parent_graph
     att = _attachments(entries, move[0])
-    child_lds = graph_lds(*_blow_up_graph(entries, edges, att, *move))
+    child_lds = graph_lds(*_blow_up_graph(entries, adj, att, *move))
     for i, parent_ld in enumerate(parent_lds):
         if child_lds[i] > parent_ld:
             raise AssertionError(

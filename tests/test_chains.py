@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import width_oracle
 from blowdown_oracle import contract_marker_gain, contracts_to_zero_curve, smooth_point_extension
 from determinant_oracle import _det_exact, tree_determinant
 
@@ -15,9 +16,11 @@ from delpezzo3.chains import (
     det,
     discriminant,
     dual_chain,
+    fork_lds,
     fork_triples,
     hirzebruch_jung,
     is_admissible,
+    is_log_canonical_fork,
     ld_chain,
     ld_fork,
 )
@@ -243,6 +246,37 @@ def test_is_admissible_examples():
     assert is_admissible(Fork(2, ((2,), (3,), (5,))))
     assert is_admissible((2, 5, 2))
     assert not is_admissible((2, 1, 2))
+
+
+def test_fork_rule_matches_the_fraction_definitions():
+    """``is_admissible``, ``is_log_canonical_fork`` and ``fork_lds`` read
+    the sum of 1/d(T_i) as one integer; each agrees with the sum taken in
+    Fractions, on seeded random forks and on forks whose sum is exactly 1
+    (log canonical, not admissible)."""
+    boundary = [Fork(2, ((2,), (3,), (6,))), Fork(2, ((3,), (3,), (3,))),
+                Fork(2, ((2,), (4,), (4,)))]
+    rng = random.Random(12)
+    forks = boundary + [
+        Fork(rng.randint(1, 4), tuple(
+            tuple(rng.choice([1, 2, 2, 2, 2, 3, 4, 6]) for _ in range(rng.choice([1, 1, 2, 3])))
+            for _ in range(3)))
+        for _ in range(3000)
+    ]
+    admissible = lc_only = 0
+    for f in forks:
+        valid = f.branch >= 2 and all(a >= 2 for t in f.twigs for a in t)
+        total = sum(F(1, discriminant(t)) for t in f.twigs) if valid else None
+        assert is_admissible(f) == (valid and total > 1), f
+        assert is_log_canonical_fork(f) == (valid and total >= 1), f
+        positions = ["branch"] + [(i, j) for i, t in enumerate(f.twigs, start=1)
+                                  for j in range(1, len(t) + 1)]
+        if valid and total > 1:
+            admissible += 1
+            assert fork_lds(f, positions) == [width_oracle.ld_fork(f, p) for p in positions]
+        else:
+            lc_only += valid and total == 1
+            assert fork_lds(f, positions) is None, f
+    assert admissible > 300 and lc_only > len(boundary)
 
 
 def test_fork_triples():

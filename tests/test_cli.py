@@ -166,6 +166,12 @@ def test_negative_counts_are_usage_errors():
     assert run("cascade", "--root", "w1b", "--depth", "0").exit_code == 0
 
 
+def test_check_on_a_directory_is_a_parse_error(tmp_path):
+    # "" names the current directory
+    for source in (str(tmp_path), ""):
+        assert_one_line_error(run("check", source), 2, "parse error:")
+
+
 def test_check_width_with_a_file_is_a_usage_error():
     table = str(fixtures.data_dir() / "tables" / "char3.types")
     res = run("check", table, "--cutoff", "3", "--width", "1")
@@ -330,15 +336,16 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for args in (
         ("cascade", "--root", "w1b", "--depth", "2"),
-        ("verify-tables", "--table", "char2_moduli", "--cutoff", "3"),
+        # one coverage cascade for each of the roots w1b and w1c3
+        ("verify-tables", "--table", "char3", "--cutoff", "3", "--cascade-depth", "1"),
     ):
         one, many = run(*args, "--jobs", "1"), run(*args, "--jobs", "100000")
         assert one.exit_code == many.exit_code == 0
         assert one.stdout_bytes == many.stdout_bytes
-    assert RecordingExecutor.sizes == [2, 2]
+    assert RecordingExecutor.sizes == [2, 2, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run("cascade", "--root", "w1b", "--depth", "2", "--jobs", "8").exit_code == 0
-    assert RecordingExecutor.sizes == [2, 2]
+    assert RecordingExecutor.sizes == [2, 2, 2]
 
 
 # -- generated blowup plans: exit 0, 1 or 2, never a traceback or a hang ---------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import cascade_oracle
 import pytest
@@ -174,30 +175,86 @@ def test_graph_round_trip_and_lds():
         types += [d, relabelled_copy(d, rng)]
     admissible = 0
     for d in types:
-        entries, edges = swaps.to_graph(d)
-        assert swaps.from_graph(entries, edges, d.width, d.char_tag, d.free_labels) == d
+        entries, adj = swaps.to_graph(d)
+        assert swaps.from_graph(entries, adj, d.width, d.char_tag, d.free_labels) == d
         # the same graph with its nodes renumbered at random
         perm = list(range(len(entries)))
         rng.shuffle(perm)
         moved = [None] * len(entries)
+        moved_adj = [None] * len(entries)
         for i, e in enumerate(entries):
             moved[perm[i]] = e
-        moved_edges = {frozenset(perm[i] for i in e) for e in edges}
-        again = swaps.from_graph(moved, moved_edges, d.width, d.char_tag, d.free_labels)
+            moved_adj[perm[i]] = [perm[j] for j in adj[i]]
+        again = swaps.from_graph(moved, moved_adj, d.width, d.char_tag, d.free_labels)
         assert canonical_form(again) == canonical_form(d)
         if d.is_admissible():
             admissible += 1
             expected = [width_oracle.ld(d, ci, pos) for ci, pos in to_graph_positions(d)]
-            assert cascade_oracle.graph_lds(entries, edges) == expected
-            moved_lds = cascade_oracle.graph_lds(moved, moved_edges)
+            assert cascade_oracle.graph_lds(entries, adj) == expected
+            moved_lds = cascade_oracle.graph_lds(moved, moved_adj)
             assert [moved_lds[perm[i]] for i in range(len(entries))] == expected
     assert len(types) >= 1290 and admissible > 900
 
 
 def test_from_graph_rejects_cycles_and_non_forks():
     two = Entry(2)
-    triangle = {frozenset(p) for p in ((0, 1), (1, 2), (0, 2))}
-    star = {frozenset((0, i)) for i in range(1, 5)}
-    for n, edges in ((3, triangle), (4, triangle | {frozenset((2, 3))}), (5, star)):
+    triangle = [[1, 2], [0, 2], [0, 1]]
+    triangle_with_tail = [[1, 2], [0, 2], [0, 1, 3], [2]]
+    star = [[1, 2, 3, 4], [0], [0], [0], [0]]
+    for adj in (triangle, triangle_with_tail, star):
         with pytest.raises(swaps.SwapError):
-            swaps.from_graph([two] * n, edges, None, "any", frozenset())
+            swaps.from_graph([two] * len(adj), adj, None, "any", frozenset())
+
+
+def is_symmetric(adj) -> bool:
+    arcs = Counter((i, j) for i, nb in enumerate(adj) for j in nb)
+    return all(arcs[j, i] == k for (i, j), k in arcs.items())
+
+
+def test_swaps_leave_shared_neighbour_lists_unchanged(monkeypatch):
+    """A reverse swap's child graph shares the parent's unchanged
+    neighbour lists.  After every reverse and forward swap of a parent
+    read from one graph, and every reverse swap of each child read from
+    the child's graph, that graph still equals a fresh ``to_graph`` of the
+    parent, and every graph handed to ``from_graph`` is symmetric."""
+    parents = []
+    for stem in ("w3_a", "w3_b", "w1_b"):
+        root, excluded = load_primitive(stem)
+        result = swaps.cascade(root, 2, excluded_labels=excluded)
+        parents += [(node.dtype, excluded) for node in result.nodes.values()]
+    graphs = []
+    original_from_graph, original_to_graph = swaps.from_graph, swaps.to_graph
+
+    def recording(entries, adj, *rest):
+        assert is_symmetric(adj)
+        graphs.append((entries, adj))
+        return original_from_graph(entries, adj, *rest)
+
+    monkeypatch.setattr(swaps, "from_graph", recording)
+    children = forwards = 0
+    for parent, excluded in parents:
+        graph = original_to_graph(parent)
+        # forward_swap builds its own graph: hand it the shared one
+        monkeypatch.setattr(swaps, "to_graph", lambda d: graph if d is parent else original_to_graph(d))
+        for move in swaps.reverse_moves(parent, excluded, graph=graph):
+            try:
+                child = swaps.reverse_swap(parent, *move, excluded, graph=graph)
+            except swaps.SwapError:
+                continue
+            child_graph = graphs[-1]
+            children += 1
+            # the child's graph numbers its entries as the blow-up left them
+            for child_move in swaps.reverse_moves(child, excluded, graph=child_graph):
+                try:
+                    swaps.reverse_swap(child, *child_move, excluded, graph=child_graph)
+                except swaps.SwapError:
+                    pass
+        for label in sorted(parent.labels()):
+            try:
+                swaps.forward_swap(parent, label, excluded)
+            except swaps.SwapError:
+                continue
+            forwards += 1
+        assert graph == original_to_graph(parent)
+        assert is_symmetric(graph[1])
+    assert children > 1000 and forwards > 100 and len(graphs) > 10000
