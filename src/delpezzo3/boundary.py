@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from delpezzo3.chains import (
     Fork,
-    fork_lds,
+    chain_ld_terms,
+    fork_ld_terms,
     is_admissible,
     is_log_canonical_fork,
-    ld_chain,
 )
 
 CHAR_TAGS = ("any", "ne2", "eq2", "ne23", "eq3")
@@ -151,11 +151,13 @@ def _walk_path(adj, start: int, prev) -> list[int]:
     """The path from ``start`` away from ``prev`` to the end of its arm."""
     path = [start]
     while True:
-        nxts = [i for i in adj[path[-1]] if i != prev]
-        if not nxts:
+        for i in adj[path[-1]]:
+            if i != prev:
+                break
+        else:
             return path
         prev = path[-1]
-        path.append(nxts[0])
+        path.append(i)
 
 
 def place_entries(layout, entries) -> tuple[Component, ...]:
@@ -280,27 +282,29 @@ def width_check(d: DecoratedType) -> CheckResult | None:
     Width 3: ld(H1)+ld(H2)+ld(H3) > 1; width 2: ld(H1)+2 ld(H2) > 1 with
     H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
     these normalizations.  Only an admissible type with a width outside
-    1-3 raises ValueError.  One pass over the components: each shape is
-    built once, a fork's discriminants once for all its horizontal
-    entries.  Chains are always admissible: every weight is at least 2."""
-    lhs = Fraction(0)
+    1-3 raises ValueError.  One pass over the components: the lhs is
+    summed as one integer fraction from each marked chain's continuants
+    and each fork's discriminants, and reduced once.  Chains are always
+    admissible: every weight is at least 2."""
+    num, den = 0, 1
     for comp in d.components:
-        shape = comp_weights(comp)
         if comp[0] == "chain":
-            for j, e in enumerate(comp[1], start=1):
-                if e.horizontal:
-                    lhs += ld_chain(shape, j) * (2 if e.two_section else 1)
-            continue
-        marked = [("branch", comp[1])] if comp[1].horizontal else []
-        for ti, twig in enumerate(comp[2], start=1):
-            marked += [((ti, j), e) for j, e in enumerate(twig, start=1) if e.horizontal]
-        lds = fork_lds(shape, [pos for pos, _ in marked])
-        if lds is None:
-            return None
-        for ld, (_, e) in zip(lds, marked):
-            lhs += ld * (2 if e.two_section else 1)
+            marked = [(j, e) for j, e in enumerate(comp[1], start=1) if e.horizontal]
+            if not marked:
+                continue
+            terms = chain_ld_terms(tuple(e.weight for e in comp[1]), [j for j, _ in marked])
+        else:
+            marked = [("branch", comp[1])] if comp[1].horizontal else []
+            for ti, twig in enumerate(comp[2], start=1):
+                marked += [((ti, j), e) for j, e in enumerate(twig, start=1) if e.horizontal]
+            terms = fork_ld_terms(comp_weights(comp), [pos for pos, _ in marked])
+            if terms is None:
+                return None
+        for (x, y), (_, e) in zip(terms, marked):
+            num, den = num * y + (2 * x if e.two_section else x) * den, den * y
     if d.width not in (1, 2, 3):
         raise ValueError("decorated type carries no usable width")
+    lhs = Fraction(num, den)
     rhs = Fraction(1, 3) if d.width == 1 else Fraction(1)
     return CheckResult(lhs > rhs, lhs, rhs)
 

@@ -181,6 +181,58 @@ def dual_chain(t: Chain) -> Chain:
     return hirzebruch_jung(d, d - _disc_chain(t[:-1]))
 
 
+def continuants(t: Chain) -> tuple[list[int], list[int]]:
+    """The prefix and suffix discriminants of a chain, in one pass:
+    ``prefix[k] = d(t[:k])`` and ``suffix[k] = d(t[k:])`` for
+    ``k = 0..len(t)``, so ``d(t) = prefix[-1] = suffix[0]``."""
+    n = len(t)
+    prefix = [1] * (n + 1)
+    suffix = [1] * (n + 1)
+    for k in range(n):
+        # the recursion of _disc_chain, from the left and from the right
+        prefix[k + 1] = t[k] * prefix[k] - (prefix[k - 1] if k else 0)
+        i = n - 1 - k
+        suffix[i] = t[i] * suffix[i + 1] - (suffix[i + 2] if k else 0)
+    return prefix, suffix
+
+
+def chain_ld_terms(t: Chain, js) -> list[tuple[int, int]]:
+    """The log discrepancy of the j-th component (1-based) of an
+    admissible chain, (d(T^{>j}) + d(T^{<j})) / d(T), as a pair
+    (numerator, denominator) of integers for each j of ``js``."""
+    prefix, suffix = continuants(t)
+    return [(suffix[j] + prefix[j - 1], prefix[-1]) for j in js]
+
+
+def fork_ld_terms(f: Fork, positions) -> list[tuple[int, int]] | None:
+    """``ld_fork`` at each of ``positions`` as a pair (numerator,
+    denominator) of integers, reading each twig's continuants once;
+    None if the fork is not admissible.
+
+    With D = d(T_1) d(T_2) d(T_3), delta - 1 = (sum of D/d(T_i) - D) / D
+    and branch - e = d(fork) / D, so ld(branch) = (sum D/d(T_i) - D) / d(fork).
+    """
+    num = _fork_excess(f)
+    if num is None or num <= 0:  # delta <= 1
+        return None
+    den = _disc_fork(f)
+    twigs: dict = {}
+    out = []
+    for position in positions:
+        if position == "branch":
+            out.append((num, den))
+            continue
+        i, j = position
+        t = f.twigs[i - 1]
+        if not 1 <= j <= len(t):
+            raise IndexError(f"position {j} out of range for twig of length {len(t)}")
+        if i not in twigs:
+            twigs[i] = continuants(t)
+        prefix, suffix = twigs[i]
+        out.append((num * prefix[j - 1] + den * suffix[j], den * prefix[-1]))
+    return out
+
+
 def ld_chain(t: Chain, j: int) -> Fraction:
     """Log discrepancy of the j-th component (1-based) of an admissible
     chain: (d(T^{>j}) + d(T^{<j})) / d(T)."""
@@ -189,7 +241,8 @@ def ld_chain(t: Chain, j: int) -> Fraction:
         raise IndexError(f"position {j} out of range for chain of length {len(t)}")
     if not is_admissible(t):
         raise ValueError(f"log discrepancies need an admissible chain, got {list(t)}")
-    return Fraction(_disc_chain(t[j:]) + _disc_chain(t[: j - 1]), _disc_chain(t))
+    (num, den), = chain_ld_terms(t, [j])
+    return Fraction(num, den)
 
 
 def ld_fork(f: Fork, position: str | tuple[int, int]) -> Fraction:
@@ -206,25 +259,7 @@ def ld_fork(f: Fork, position: str | tuple[int, int]) -> Fraction:
 
 
 def fork_lds(f: Fork, positions) -> list[Fraction] | None:
-    """``ld_fork`` at each of ``positions``, reading the twig
-    discriminants once; None if the fork is not admissible.
-
-    With D = d(T_1) d(T_2) d(T_3), delta - 1 = (sum of D/d(T_i) - D) / D
-    and branch - e = d(fork) / D, so ld(branch) = (sum D/d(T_i) - D) / d(fork).
-    """
-    num = _fork_excess(f)
-    if num is None or num <= 0:  # delta <= 1
-        return None
-    den = _disc_fork(f)
-    out = []
-    for position in positions:
-        if position == "branch":
-            out.append(Fraction(num, den))
-            continue
-        i, j = position
-        t = f.twigs[i - 1]
-        if not 1 <= j <= len(t):
-            raise IndexError(f"position {j} out of range for twig of length {len(t)}")
-        out.append(Fraction(num * _disc_chain(t[: j - 1]) + den * _disc_chain(t[j:]),
-                            den * _disc_chain(t)))
-    return out
+    """``ld_fork`` at each of ``positions``; None if the fork is not
+    admissible."""
+    terms = fork_ld_terms(f, positions)
+    return None if terms is None else [Fraction(num, den) for num, den in terms]

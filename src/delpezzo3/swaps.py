@@ -8,7 +8,11 @@ intersection of A with one of its boundary attachments.
 
 The cascade enumerator closes a vertically primitive root under reverse
 swaps, keeping the children that stay admissible and satisfy the width
-inequality, and deduplicating by canonical form.
+inequality, and deduplicating by canonical form.  Reverse swaps on
+different labels commute, so a node skips each move whose child an
+earlier sibling also makes by the node's own move (partial-order
+reduction, after Godefroid, "Partial-Order Methods for the Verification
+of Concurrent Systems", LNCS 1032, 1996).
 """
 
 from __future__ import annotations
@@ -210,35 +214,68 @@ class CascadeResult:
     pruned: dict  # canonical_form -> CascadeNode
 
 
-def _expand_run(parents, excluded, expand):
-    """Generate and classify all reverse-swap children of a run of
-    parents, yielding one record list per parent.
+def _expand_run(parents, excluded, expand, skips):
+    """Generate and classify the reverse-swap children of a run of
+    parents, yielding one pair (records, skips) per parent.
 
     Each parent's graph is built once and shared by its move list and
-    every child.  A child whose key the run has already classified gets
-    no width check and no record.  A record is (key, move, status, lhs,
-    child), with the child only when it is ok and ``expand`` is set."""
-    seen: set = set()
-    for parent in parents:
+    every child.  The moves in the parent's entry of ``skips`` are not
+    tried.  A child whose key the run has already classified gets no
+    width check and no record.  A record is (key, move, status, lhs,
+    child), with the child only when it is ok and ``expand`` is set; the
+    yielded ``skips`` maps the move of each record with a child to the
+    moves that child need not try (``_commuting_skips``)."""
+    seen: dict = {}  # key -> whether it was ok
+    for parent, skip in zip(parents, skips):
         graph = to_graph(parent)
-        out = []
+        records, siblings = [], {}
         for move in reverse_moves(parent, excluded, graph=graph):
+            if move in skip:
+                continue
             try:
                 child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
             except SwapError:
                 continue
             key = canonical_form(child)
-            if key in seen:
-                continue
-            seen.add(key)
-            res = width_check(child)
-            if res is None:
-                out.append((key, move, "inadmissible", None, None))
-            elif not res.satisfied:
-                out.append((key, move, "inequality", res.lhs, None))
-            else:
-                out.append((key, move, "ok", res.lhs, child if expand else None))
-        yield out
+            ok = seen.get(key)
+            if ok is None:
+                res = width_check(child)
+                ok = seen[key] = res is not None and res.satisfied
+                if res is None:
+                    records.append((key, move, "inadmissible", None, None))
+                else:
+                    status = "ok" if ok else "inequality"
+                    records.append((key, move, status, res.lhs, child if ok and expand else None))
+            if ok:
+                siblings[move] = key
+        yield records, {move: _commuting_skips(graph, move, key, siblings)
+                        for key, move, _, _, child in records if child is not None}
+
+
+def _commuting_skips(graph, move, key, siblings) -> tuple:
+    """The moves that the child ``key``, made by ``move`` from the parent
+    of graph ``graph``, need not try, because a sibling earlier in the
+    frontier makes the same children by them; ``siblings`` maps each
+    move of the parent to the key of its ok child.
+
+    A move (a, t) of the child on another label, with t an entry of the
+    parent, commutes with ``move``: the two blow up different points.
+    If the sibling that (a, t) makes from the parent has a key before
+    ``key``, that sibling is expanded first, and its move on ``move``'s
+    label makes the same child up to the order of the two new entries.
+    The child numbers its entries by walking the blown-up graph, as
+    ``from_graph`` does, so one more walk maps t to the child's index."""
+    label, target = move
+    earlier = [(a, t) for (a, t), k in siblings.items() if a != label and k < key]
+    if not earlier:
+        return ()
+    entries, adj = graph
+    _, new_adj = _blow_up_graph(entries, adj, _attachments(entries, label), label, target)
+    order = []
+    for part in walk_components(new_adj):
+        order += part[1] if part[0] == "chain" else [part[1], *chain.from_iterable(part[2])]
+    index = {i: t for t, i in enumerate(order)}
+    return tuple((a, index[t]) for a, t in earlier)
 
 
 def _expand_run_list(args) -> list:
@@ -275,6 +312,17 @@ def cascade(
     ``_expand_run`` width-checks each key once per run.  The runs merge
     in frontier order and deduplicate by canonical form, the first
     occurrence kept, so the result is independent of ``jobs``.
+
+    Two reverse swaps on different labels commute, so a node does not
+    try the moves that ``_commuting_skips`` finds: each makes a child
+    that a sibling earlier in the frontier also makes.  The first
+    (parent, move) that makes a key is never skipped, so every node's
+    depth, parent, move, status and lhs are those of the full closure;
+    like deduplication by key, this takes the types that share a key to
+    have children that share keys.  The run that makes a child to
+    expand finds its skipped moves from the keys of the child's ok
+    siblings and sends them back with the child; they ride in the
+    frontier to the run that expands it.
     """
     root_check = width_check(root)
     if root_check is None or not root_check.satisfied:
@@ -282,29 +330,29 @@ def cascade(
     root_key = canonical_form(root)
     nodes = {root_key: CascadeNode(0, None, None, "ok", root_check.lhs, root)}
     pruned: dict = {}
-    frontier = [(root_key, root)]
+    frontier = [(root_key, root, ())]
     depth = 0
     workers = min(jobs, os.cpu_count() or 1)
     pool = process_pool(workers)
     try:
         while frontier and depth < max_depth:
             depth += 1
-            parents = [p for _, p in frontier]
-            size = -(-len(parents) // workers) if pool is not None else len(parents)
-            runs = [(parents[i:i + size], excluded_labels, depth < max_depth)
-                    for i in range(0, len(parents), size)]
+            size = -(-len(frontier) // workers) if pool is not None else len(frontier)
+            parts = [frontier[i:i + size] for i in range(0, len(frontier), size)]
+            runs = [([p for _, p, _ in part], excluded_labels, depth < max_depth,
+                     [s for _, _, s in part]) for part in parts]
             batches = (chain.from_iterable(pool.map(_expand_run_list, runs))
                        if pool is not None else _expand_run(*runs[0]))
             next_frontier = []
-            for (parent_key, parent), batch in zip(frontier, batches):
-                for key, move, status, lhs, child in batch:
+            for (parent_key, parent, _), (records, skips) in zip(frontier, batches):
+                for key, move, status, lhs, child in records:
                     if key in nodes or key in pruned:
                         continue
                     node = CascadeNode(depth, parent_key, move, status, lhs, parent)
                     (nodes if status == "ok" else pruned)[key] = node
                     if child is not None:
-                        next_frontier.append((key, child))
-            next_frontier.sort(key=lambda kv: kv[0])
+                        next_frontier.append((key, child, skips[move]))
+            next_frontier.sort(key=lambda item: item[0])
             frontier = next_frontier
     finally:
         if pool is not None:

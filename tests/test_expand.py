@@ -1,11 +1,15 @@
 """The one-pass cascade expansion against the per-child work it replaced:
-the lean cascade against ``cascade_oracle``, children built from the
-parent's shared graph against ``reverse_swap``, the linear label
-encoding of ``block_search_oracle`` against its exhaustive tie-break
-search, and the one-pass width verdict against ``width_oracle``."""
+the lean cascade against ``cascade_oracle``, the moves its
+commuting-swap skip leaves out against the children they make, children
+built from the parent's shared graph against ``reverse_swap``, the
+linear label encoding of ``block_search_oracle`` against its exhaustive
+tie-break search, and the one-pass width verdict with its integer lhs
+against ``width_oracle``."""
 
+import concurrent.futures
+import os
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import cascade_oracle
 import pytest
@@ -16,17 +20,23 @@ from block_search_oracle import (
     _encode_arrangement,
     _encode_search,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_canonical import fixture_instances, random_type, relabelled_copy
 from test_swaps import load_primitive
 
 from delpezzo3 import notation, swaps
 from delpezzo3.boundary import (
+    DecoratedType,
+    Entry,
     _label_blocks,
     canonical_form,
+    chain_comp,
     comp_weights,
+    fork_comp,
     width_check,
 )
-from delpezzo3.chains import Fork, fork_lds, ld_fork
+from delpezzo3.chains import Fork, fork_lds, ld_chain, ld_fork
 
 
 def cascade_of(stem, depth):
@@ -106,49 +116,111 @@ def test_monotone_check_on_every_ok_edge(stem, depth, monkeypatch):
     assert len(calls) > len(new.nodes) - 1
 
 
-@pytest.mark.parametrize("stem, depth", [("w3_a", 5), ("w3_b", 5), ("w1_b", 6)])
-def test_width_check_once_per_key_per_run_with_a_pool(stem, depth, monkeypatch):
-    """At ``jobs=2`` on two cores each level's frontier is cut into one
-    run per worker, and each key gets one width check per run."""
-    import concurrent.futures
-    import os
-
-    runs = [Counter()]  # keys width-checked per run, the root's check first
-    tasks_per_level = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Two cores, and a stand-in for ProcessPoolExecutor that runs each
+    task in this process, so no pool is ever started.  Returns the list
+    of each ``map`` call's tasks, each task added as it starts."""
+    maps = []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: runs each task in this
-        process, so no pool is ever started."""
-
         def __init__(self, max_workers):
             assert max_workers == 2
 
         def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            tasks_per_level.append(len(tasks))
+            maps.append([])
             out = []
             for task in tasks:
-                runs.append(Counter())
+                maps[-1].append(task)
                 out.append(fn(task))
             return out
 
         def shutdown(self):
             pass
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return maps
+
+
+@pytest.mark.parametrize("stem, depth", [("w3_a", 5), ("w3_b", 5), ("w1_b", 6)])
+def test_width_check_once_per_key_per_run_with_a_pool(stem, depth, in_process_pool, monkeypatch):
+    """At ``jobs=2`` on two cores each level's frontier is cut into one
+    run per worker, and each key gets one width check per run."""
+    runs = defaultdict(Counter)  # keys width-checked per run, the root's check first
     original = swaps.width_check
 
     def counting(d):
-        runs[-1][canonical_form(d)] += 1
+        runs[sum(map(len, in_process_pool))][canonical_form(d)] += 1
         return original(d)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(swaps, "width_check", counting)
     root, excluded = load_primitive(stem)
     result = swaps.cascade(root, depth, jobs=2, excluded_labels=excluded)
-    assert all(count == 1 for run in runs for count in run.values())
+    assert all(count == 1 for run in runs.values() for count in run.values())
     frontiers = Counter(n.depth for n in result.nodes.values())
-    assert tasks_per_level == [min(2, frontiers[d]) for d in range(depth) if frontiers[d]]
+    assert [len(tasks) for tasks in in_process_pool] == [
+        min(2, frontiers[d]) for d in range(depth) if frontiers[d]
+    ]
+
+
+def test_skipped_moves_are_made_by_an_earlier_parent(in_process_pool, monkeypatch):
+    """Every move that ``_expand_run`` is told to skip is illegal or makes
+    a child whose key the cascade records with a parent earlier in
+    frontier order, so no first occurrence is lost, at one run per level
+    and at two (the in-process pool).  The skips are many, and the same
+    for every ``jobs``."""
+    expanded = []  # (parent, its skipped moves), in the order the runs see them
+    original = swaps._expand_run
+
+    def recording(parents, excluded, expand, skips):
+        expanded.extend(zip(parents, skips))
+        return original(parents, excluded, expand, skips)
+
+    monkeypatch.setattr(swaps, "_expand_run", recording)
+    made = Counter()  # per (jobs, legal): skipped moves
+    for stem, depth in (("w3_a", 5), ("w3_b", 5), ("w1_b", 6)):
+        root, excluded = load_primitive(stem)
+        skipped = {}
+        for jobs in (1, 2):
+            expanded.clear()
+            result = swaps.cascade(root, depth, jobs=jobs, excluded_labels=excluded)
+            for parent, skip in expanded:
+                parent_key = canonical_form(parent)
+                level = result.nodes[parent_key].depth
+                for move in skip:
+                    try:
+                        child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
+                    except swaps.SwapError:
+                        made[jobs, False] += 1
+                        continue
+                    key = canonical_form(child)
+                    node = result.nodes.get(key) or result.pruned[key]
+                    assert node.depth == level + 1
+                    assert node.parent < parent_key
+                    made[jobs, True] += 1
+            skipped[jobs] = {canonical_form(parent): skip for parent, skip in expanded}
+        assert skipped[1] == skipped[2]
+    assert made[1, True] == made[2, True] > 1500
+    assert made[1, False] == made[2, False] < made[1, True] / 20
+
+
+def test_skip_cuts_reverse_swaps(cascades, monkeypatch):
+    """The depth-4 w3a and w3b cascades make at most 3200 reverse swaps
+    (4033 without the commuting-swap skip), with the same nodes."""
+    calls = []
+    original = swaps.reverse_swap
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(swaps, "reverse_swap", counting)
+    for (result, excluded), stem in zip(cascades, ("w3_a", "w3_b")):
+        again, _ = cascade_of(stem, 4)
+        assert again.nodes.keys() == result.nodes.keys()
+        assert again.pruned.keys() == result.pruned.keys()
+    assert len(calls) <= 3200
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +248,10 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
         for moves in (swaps.reverse_moves, every_pair):
             with monkeypatch.context() as m:
                 m.setattr(swaps, "reverse_moves", moves)
-                batches = list(swaps._expand_run(parents, excluded, True))
+                no_skips = [()] * len(parents)
+                batches = [
+                    records for records, _ in swaps._expand_run(parents, excluded, True, no_skips)
+                ]
                 assert len(batches) == len(parents)
                 earlier: dict = {}  # key -> (status, lhs) of its record
                 for parent, batch in zip(parents, batches):
@@ -214,7 +289,9 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
                         assert got[move] == (key, *expected, kept)
                         recorded.append(move)
                     assert recorded == list(got)
-                lean = swaps._expand_run(parents, excluded, False)
+                lean = (
+                    records for records, _ in swaps._expand_run(parents, excluded, False, no_skips)
+                )
                 assert [[(*r[:4], None) for r in b] for b in batches] == list(lean)
     assert children > 5000 and rejected > 5000 and duplicates > 1000
 
@@ -316,18 +393,74 @@ def assert_width_verdicts_match(types):
 
 
 def test_width_verdict_matches_oracle_on_fixtures():
-    assert assert_width_verdicts_match(fixture_instances(6)) > 600
+    assert assert_width_verdicts_match(fixture_instances(12)) > 1200
 
 
-def test_width_verdict_matches_oracle_on_cascade_nodes(cascades):
-    types = [
-        n.dtype for result, _ in cascades for n in (*result.nodes.values(), *result.pruned.values())
-    ]
-    for stem in ("w1_a", "w1_b", "w1_c3_notGK"):
-        result, _ = cascade_of(stem, 6)
+def test_width_verdict_matches_oracle_on_cascade_nodes():
+    types = []
+    for stem, depth in (("w3_a", 5), ("w3_b", 5), ("w1_a", 6), ("w1_b", 6), ("w1_c3_notGK", 6)):
+        result, _ = cascade_of(stem, depth)
         types += [n.dtype for n in (*result.nodes.values(), *result.pruned.values())]
-    assert len(types) > 2300
-    assert assert_width_verdicts_match(types) > 1200
+    assert len(types) > 5000
+    assert assert_width_verdicts_match(types) > 2400
+
+
+_weights = st.lists(st.integers(2, 5), min_size=1, max_size=5)
+_shapes = st.one_of(
+    _weights.map(lambda ws: (ws,)),
+    st.tuples(st.integers(2, 4), _weights, _weights, _weights),
+)
+
+
+@st.composite
+def marked_types(draw):
+    """One to three chains and forks, with width 1-3 horizontal marks on
+    distinct entries, one of them the 2-section at width 2."""
+    shapes = draw(st.lists(_shapes, min_size=1, max_size=3))
+    size = sum(1 if isinstance(part, int) else len(part) for s in shapes for part in s)
+    width = draw(st.integers(1, min(3, size)))
+    marked = draw(st.lists(st.integers(0, size - 1), min_size=width, max_size=width, unique=True))
+    two_section = marked[draw(st.integers(0, width - 1))] if width == 2 else None
+    count = iter(range(size))
+
+    def entry(weight):
+        i = next(count)
+        return Entry(weight, i in marked, i == two_section)
+
+    components = []
+    for s in shapes:
+        if len(s) == 1:
+            components.append(chain_comp([entry(w) for w in s[0]]))
+        else:
+            branch = entry(s[0])
+            components.append(fork_comp(branch, [[entry(w) for w in t] for t in s[1:]]))
+    return DecoratedType(tuple(components), width)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(marked_types())
+def test_width_check_matches_fraction_oracle(d):
+    """The integer lhs equals the oracle's sum of ``Fraction`` log
+    discrepancies, and width_check is None exactly when a component is
+    not admissible."""
+    if d.is_admissible():
+        assert width_check(d) == oracle.delpezzo_check_width(d)
+    else:
+        assert width_check(d) is None
+        with pytest.raises(ValueError):
+            oracle.delpezzo_check_width(d)
+
+
+def test_ld_chain_matches_oracle():
+    """Every position of every admissible chain of length 1-6 with
+    weights 2-4."""
+    chains = [()]
+    for _ in range(6):
+        chains = [t + (w,) for t in chains for w in (2, 3, 4)]
+        for t in chains:
+            assert [ld_chain(t, j) for j in range(1, len(t) + 1)] == [
+                oracle.ld_chain(t, j) for j in range(1, len(t) + 1)
+            ]
 
 
 def test_fork_lds_match_oracle():

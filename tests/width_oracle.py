@@ -1,13 +1,16 @@
 """The width criterion as it was computed before the one-pass
 ``boundary.width_check``: admissibility, component shape and every fork's
-delta/e recomputed for each horizontal entry.  Kept as the oracle for the
-one-pass verdict and for ``chains.fork_lds``, together with the general
-ampleness criterion, of which the width forms are special cases."""
+delta/e recomputed for each horizontal entry, and each log discrepancy a
+``Fraction`` of discriminants looked up slice by slice.  Kept as the
+oracle for the one-pass verdict with its integer lhs and for the
+continuant formulas of ``chains.ld_chain`` and ``chains.fork_lds``,
+together with the general ampleness criterion, of which the width forms
+are special cases."""
 
 from fractions import Fraction
 
 from delpezzo3.boundary import CheckResult, DecoratedType, Entry, comp_weights
-from delpezzo3.chains import Fork, _disc_chain, is_admissible, ld_chain
+from delpezzo3.chains import Fork, _disc_chain, is_admissible
 
 
 def fork_delta_e(f: Fork) -> tuple[Fraction, Fraction]:
@@ -15,6 +18,12 @@ def fork_delta_e(f: Fork) -> tuple[Fraction, Fraction]:
     delta = sum(Fraction(1, _disc_chain(t)) for t in f.twigs)
     e = sum(Fraction(_disc_chain(t[:-1]), _disc_chain(t)) for t in f.twigs)
     return delta, e
+
+
+def ld_chain(t, j: int) -> Fraction:
+    """(d(T^{>j}) + d(T^{<j})) / d(T), each slice's discriminant looked
+    up on its own."""
+    return Fraction(_disc_chain(t[j:]) + _disc_chain(t[: j - 1]), _disc_chain(t))
 
 
 def ld_fork(f: Fork, position) -> Fraction:
