@@ -20,8 +20,7 @@ class IntMatrix:
     entries: tuple  # tuple of row tuples
 
     def __post_init__(self):
-        rows = len(self.entries)
-        if rows == 0 or len({len(r) for r in self.entries}) != 1:
+        if len({len(r) for r in self.entries}) != 1 or not self.entries[0]:
             raise ValueError("matrix needs a positive rectangular shape")
         object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
 
@@ -46,102 +45,60 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Diagonalize by unimodular row/column operations, divisibility
-    chain d_1 | d_2 | ...; pivots chosen with minimal absolute value."""
+    """Diagonalize by unimodular row and column operations, in one loop.
+
+    For each t the pivot is an entry of least absolute value in the
+    trailing block a[t:, t:], moved to (t, t), and floor-quotient steps
+    clear its row and column.  If a remainder is left, or the pivot does
+    not divide some entry of the block (whose row is then added to the
+    pivot row, to leave a remainder at the next clearing), the pivot is
+    chosen again; a remainder is smaller than the pivot, so the loop ends.
+    It moves on to t + 1 only when the pivot divides the whole block, so
+    the chain d_1 | d_2 | ... and the zeros last hold as it goes.
+    """
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
     u = _identity(rows)
     v = _identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        for j in range(cols):
-            a[dst][j] += q * a[src][j]
-        for j in range(rows):
-            u[dst][j] += q * u[src][j]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
     while t < min(rows, cols):
         pivot = None
-        best = None
         for i in range(t, rows):
             for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
+                if a[i][j] and (pivot is None or abs(a[i][j]) < pivot[0]):
+                    pivot = (abs(a[i][j]), i, j)
+            if pivot and pivot[0] == 1:
+                break  # no entry is smaller than a unit
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            progress = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                    progress = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                    progress = True
-            if not progress:
-                break
-        if a[t][t] < 0:
-            negate_row(t)
+        _, i, j = pivot
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, cols):
+            q = a[t][j] // p
+            if q:
+                for row in a + v:
+                    if row[t]:
+                        row[j] -= q * row[t]
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :]):
+            continue
+        block = range(t + 1, rows) if abs(p) > 1 else ()  # a unit divides all
+        i = next((i for i in block if any(x % p for x in a[i][t + 1 :])), None)
+        if i is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
+            continue
+        if p < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
-    # enforce the divisibility chain
-    t = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            if a[i][i] and a[i + 1][i + 1] % a[i][i] != 0:
-                add_col(i + 1, i, 1)
-                # re-clear the 2x2 block
-                while a[i + 1][i] != 0:
-                    if a[i][i] != 0:
-                        q = a[i + 1][i] // a[i][i]
-                        add_row(i, i + 1, -q)
-                    if a[i + 1][i] != 0:
-                        swap_rows(i, i + 1)
-                while a[i][i + 1] != 0:
-                    q = a[i][i + 1] // a[i][i]
-                    add_col(i, i + 1, -q)
-                    if a[i][i + 1] != 0:
-                        swap_cols(i, i + 1)
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-            elif a[i][i] == 0 and a[i + 1][i + 1] != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
     diag = tuple(a[i][i] for i in range(min(rows, cols)))
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1

@@ -549,6 +549,12 @@ def _attach(entries: list[Entry], prefix: tuple[int, ...], suffix: tuple[int, ..
     return out
 
 
+def _check_weights(entries) -> None:
+    for e in entries:
+        if e.weight < 2:
+            raise NotationError(f"weight {e.weight} < 2 in a boundary position")
+
+
 def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
     """Instantiate the expression at a parameter assignment satisfying all
     constraints; empty chains vanish."""
@@ -569,11 +575,7 @@ def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
                 merged = _star_merge(merged, part)
             entries = _resolve_markers(merged)
             entries = _attach(entries, comp.prefix, comp.suffix)
-            for e in entries:
-                if e.weight < 2:
-                    raise NotationError(
-                        f"weight {e.weight} < 2 in a boundary position"
-                    )
+            _check_weights(entries)
             if entries:
                 components.append(chain_comp(entries))
         else:
@@ -592,11 +594,7 @@ def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
             if any(not t for t in twigs):
                 raise NotationError("fork twig vanished under substitution")
             fork = fork_comp(branch, twigs)
-            for e in [branch] + [e for t in twigs for e in t]:
-                if e.weight < 2:
-                    raise NotationError(
-                        f"weight {e.weight} < 2 in a boundary position"
-                    )
+            _check_weights([branch] + [e for t in twigs for e in t])
             if comp.prefix or comp.suffix:
                 raise NotationError("component labels on forks are not supported;"
                                     " put them on twig entries")

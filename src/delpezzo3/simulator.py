@@ -394,17 +394,10 @@ def fiber_vector(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str) -> d
         # point of the base-fiber lines as a section; subtract its total
         # transform once
         common = _common_point_step(cfg, fibration)
-        correction = total_transform(cfg, common.exceptional, from_step=_step_index(cfg, common) + 1)
+        correction = total_transform(cfg, common.exceptional, from_step=cfg.history.index(common) + 1)
         for c, m in correction.items():
             vec[c] = vec.get(c, 0) - m
     return {c: m for c, m in vec.items() if m}
-
-
-def _step_index(cfg: SurfaceConfig, step: Step) -> int:
-    for i, s in enumerate(cfg.history):
-        if s.name == step.name:
-            return i
-    raise SimulationError(f"step {step.name} not in history")
 
 
 def _common_point_step(cfg: SurfaceConfig, fibration: Fibration) -> Step:
@@ -420,10 +413,7 @@ def pairing(cfg: SurfaceConfig, vec1: dict, vec2: dict) -> int:
     total = 0
     for a, ma in vec1.items():
         for b, mb in vec2.items():
-            if a == b:
-                total += ma * mb * cfg.curves[a].self_int
-            else:
-                total += ma * mb * cfg.intersection(a, b)
+            total += ma * mb * cfg.intersection(a, b)
     return total
 
 
@@ -434,9 +424,7 @@ def class_pairing(cfg: SurfaceConfig, curve: str, ruling: str) -> int:
     v, h = c.base_class
     if ruling == "v":
         return h
-    if ruling == "h":
-        return v
-    return v  # degree on P2
+    return v  # the "h" ruling, or the degree on P2
 
 
 def boundary_curves(cfg: SurfaceConfig) -> list[str]:
@@ -512,22 +500,11 @@ def section_degrees(cfg: SurfaceConfig, fibration: Fibration) -> dict:
 # -- width-2 bookkeeping -----------------------------------------------------
 
 
-def _fiber_of_step(cfg: SurfaceConfig, fibration: Fibration, step: Step) -> str | None:
-    """The degenerate fiber a blowup belongs to: the one whose total
-    transform contains a branch curve of the center."""
-    for bf in fibration.base_fibers:
-        vec = fiber_vector(cfg, fibration, bf)
-        if any(vec.get(c, 0) > 0 for c in step.branch_mults):
-            return bf
-    return None
-
-
 def width2_counters(cfg: SurfaceConfig, fibration: Fibration):
     """k_i and l_i: blowups on the transforms of the 2-section (the conic)
     and of the 1-section (the exceptional over the common point)."""
     h1, h2 = None, None
-    for h in fibration.horizontal:
-        deg = section_degrees(cfg, fibration)[h]
+    for h, deg in section_degrees(cfg, fibration).items():
         if deg == 1:
             h1 = h
         elif deg == 2:
@@ -536,8 +513,13 @@ def width2_counters(cfg: SurfaceConfig, fibration: Fibration):
         raise SimulationError("width-2 fibration needs a 1- and a 2-section")
     k = {bf: 0 for bf in fibration.base_fibers}
     l = {bf: 0 for bf in fibration.base_fibers}
+    vecs = [(bf, fiber_vector(cfg, fibration, bf)) for bf in fibration.base_fibers]
     for step in cfg.history:
-        fiber = _fiber_of_step(cfg, fibration, step)
+        # a blowup belongs to the fiber whose total transform contains a
+        # branch curve of its center
+        fiber = next(
+            (bf for bf, vec in vecs if any(vec.get(c, 0) > 0 for c in step.branch_mults)), None
+        )
         if fiber is None:
             continue
         if h2 in step.branch_mults:

@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,40 @@ def test_snf_against_minors_oracle():
         rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(5)]
         m = M(rows)
         assert homology.smith_normal_form(m).diagonal == minors_invariant_factors(m)
+
+
+def test_snf_pinned_matrix():
+    # a blow-up case: under a two-phase elimination the entries reached
+    # 3185 digits by the fifth pivot
+    m = M([
+        [0, 0, -3, 0, 0, -2, 3, 0],
+        [0, 0, 4, 0, 0, -2, 0, 2],
+        [2, 0, 0, 2, -3, 0, 0, 2],
+        [3, 1, 0, 1, 4, 2, 0, 1],
+        [0, -4, 4, 3, -2, 0, -2, 0],
+        [0, -3, -1, 0, 0, 3, -4, 0],
+        [2, -2, -3, 1, -3, 0, 0, -3],
+    ])
+    assert homology.smith_normal_form(m).diagonal == (1, 1, 1, 1, 1, 1, 2)
+    assert minors_invariant_factors(m) == (1, 1, 1, 1, 1, 1, 2)
+
+
+def test_snf_against_minors_oracle_7x8():
+    rng = random.Random(14)
+    for _ in range(50):
+        m = M([[rng.randint(-4, 4) for _ in range(8)] for _ in range(7)])
+        assert homology.smith_normal_form(m).diagonal == minors_invariant_factors(m)
+
+
+def test_snf_random_10x11_stays_small_and_fast():
+    # the shape of the exotic pair's restriction matrices
+    rng = random.Random(15)
+    mats = [M([[rng.randint(-4, 4) for _ in range(11)] for _ in range(10)]) for _ in range(100)]
+    start = time.perf_counter()
+    forms = [homology.smith_normal_form(m) for m in mats]
+    assert time.perf_counter() - start < 2.0
+    for snf in forms:
+        assert max(abs(x) for row in snf.u + snf.v for x in row).bit_length() < 256
 
 
 def test_cokernel_examples():
@@ -79,3 +114,7 @@ def test_bad_matrix_shapes():
         M([])
     with pytest.raises(ValueError):
         M([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        homology.IntMatrix(((),))
+    with pytest.raises(ValueError):
+        M([[], []])

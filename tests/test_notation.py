@@ -80,9 +80,19 @@ def test_substitute_rejects_bad_values():
     expr = parse(LEM_W3_I)
     with pytest.raises(NotationError):
         substitute(expr, {"k": 2})  # violates k>=3
-    low = parse("[k-1,2] ; k>=2")
-    with pytest.raises(NotationError):
-        substitute(low, {"k": 2})  # weight 1 in a boundary position
+    # the first low weight is named: components in order, a fork's branch
+    # before its twigs, and the weight before the fork-label error
+    for text, first in [
+        ("[k-1,2] ; k>=2", 1),
+        ("[2,k-2] + <k-1;[2],[2],[2]> ; k>=2", 0),
+        ("<k-1;[2],[2],[2]> + [k-2] ; k>=2", 1),
+        ("<k-1;[2],[k-2],[3]> ; k>=2", 1),
+        ("<2;[2],[k-2],[k-1]> ; k>=2", 0),
+        ("@1<k-1;[2],[2],[2]> ; k>=2", 1),
+    ]:
+        with pytest.raises(NotationError) as err:
+            substitute(parse(text), {"k": 2})
+        assert str(err.value) == f"weight {first} < 2 in a boundary position"
 
 
 def test_parse_errors_have_positions():
