@@ -126,18 +126,22 @@ def walk_components(adj) -> list:
         if seen[start]:
             continue
         seen[start] = True
-        comp = [start]
+        comp, degrees, branch, tips = [start], 0, [], []
         for i in comp:
+            k = len(adj[i])
+            degrees += k
+            if k >= 3:
+                branch.append(i)
+            elif k <= 1:
+                tips.append(i)
             for j in adj[i]:
                 if not seen[j]:
                     seen[j] = True
                     comp.append(j)
-        if sum(len(adj[i]) for i in comp) != 2 * (len(comp) - 1):
+        if degrees != 2 * (len(comp) - 1):
             raise ValueError("boundary component contains a cycle")
-        branch = [i for i in comp if len(adj[i]) >= 3]
         if not branch:
-            tip = min(i for i in comp if len(adj[i]) <= 1)
-            out.append(("chain", _walk_path(adj, tip, None)))
+            out.append(("chain", _walk_path(adj, min(tips), None)))
         elif len(branch) == 1 and len(adj[branch[0]]) == 3:
             b = branch[0]
             twigs = tuple(_walk_path(adj, first, b)[::-1] for first in sorted(adj[b]))
@@ -171,34 +175,44 @@ def place_entries(layout, entries) -> tuple[Component, ...]:
     )
 
 
-def comp_entries(comp: Component) -> list[Entry]:
-    if comp[0] == "chain":
-        return list(comp[1])
-    return [comp[1]] + [e for t in comp[2] for e in t]
+def comp_entries(comp):
+    """A component's entries, or a ``walk_components`` part's nodes, in
+    order: a chain's own sequence, or a fork's branch and then its twigs'."""
+    return comp[1] if comp[0] == "chain" else [comp[1], *comp[2][0], *comp[2][1], *comp[2][2]]
 
 
 def graph_of(components) -> tuple[list[Entry], list[list[int]]]:
     """The graph form of a boundary: its entries in ``comp_entries``
     order, and ``adj``, where ``adj[i]`` lists the neighbours of entry i.
-    A chain is a path; a fork's branch meets each twig's LAST entry."""
-    entries: list[Entry] = []
-    adj: list[list[int]] = []
-    for comp in components:
-        if comp[0] == "chain":
-            branch, arms = None, [comp[1]]
-        else:
-            branch, arms = len(entries), comp[2]
-            entries.append(comp[1])
-            adj.append([])
-        for arm in arms:
-            first, last = len(entries), len(entries) + len(arm) - 1
-            entries.extend(arm)
-            adj.extend([j for j in (i - 1, i + 1) if first <= j <= last]
-                       for i in range(first, last + 1))
-            if branch is not None:
-                adj[last].append(branch)
-                adj[branch].append(last)
+    A chain is a path; a fork's branch meets each twig's LAST entry.  Of
+    ``walk_components`` parts, the nodes in that order and their graph."""
+    entries, layout = layout_of(components)
+    adj: list[list[int]] = [[] for _ in entries]
+    for part in layout:
+        for path in [part[1]] if part[0] == "chain" else [[*t, part[1]] for t in part[2]]:
+            for i, j in zip(path, path[1:]):
+                adj[i].append(j)
+                adj[j].append(i)
     return entries, adj
+
+
+def layout_of(components) -> tuple[list[Entry], list]:
+    """The components' entries in ``comp_entries`` order and, counted without
+    a walk, their ``walk_components`` layout, in index ranges for lists."""
+    entries, layout = [], []
+    for comp in components:
+        first = len(entries)
+        if comp[0] == "chain":
+            entries += comp[1]
+            layout.append(("chain", range(first, len(entries))))
+            continue
+        entries.append(comp[1])
+        twigs = []
+        for twig in comp[2]:
+            twigs.append(range(len(entries), len(entries) + len(twig)))
+            entries += twig
+        layout.append(("fork", first, tuple(twigs)))
+    return entries, layout
 
 
 def comp_weights(comp: Component):
@@ -210,6 +224,31 @@ def comp_weights(comp: Component):
     )
 
 
+def _check_boundary(entries, width, char_tag, free_labels) -> None:
+    """The checks of a DecoratedType and of a BoundaryGraph."""
+    if char_tag not in CHAR_TAGS:
+        raise ValueError(f"unknown characteristic tag {char_tag!r}")
+    horizontals = two_sections = 0
+    mults = dict.fromkeys(free_labels, 0)
+    for e in entries:
+        if e.weight < 2:
+            raise ValueError("boundary weights must be >= 2")
+        horizontals += e.horizontal
+        two_sections += e.two_section
+        for l in e.labels:
+            mults[l] = mults.get(l, 0) + 1
+    if width is not None:
+        if horizontals != width:
+            raise ValueError(f"width {width} needs {width} horizontal marks, found {horizontals}")
+        if width == 2 and two_sections != 1:
+            raise ValueError("width 2 needs exactly one 2-section mark")
+        if width != 2 and two_sections:
+            raise ValueError("2-section marks only occur in width 2")
+    for label, total in mults.items():
+        if total > 3:
+            raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
+
+
 @dataclass(frozen=True)
 class DecoratedType:
     components: tuple[Component, ...]
@@ -218,35 +257,15 @@ class DecoratedType:
     free_labels: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.char_tag not in CHAR_TAGS:
-            raise ValueError(f"unknown characteristic tag {self.char_tag!r}")
-        horizontals = two_sections = 0
-        mults = dict.fromkeys(self.free_labels, 0)
-        for e in self.entries():
-            if e.weight < 2:
-                raise ValueError("boundary weights must be >= 2")
-            horizontals += e.horizontal
-            two_sections += e.two_section
-            for l in e.labels:
-                mults[l] = mults.get(l, 0) + 1
-        if self.width is not None:
-            if horizontals != self.width:
-                raise ValueError(
-                    f"width {self.width} needs {self.width} horizontal marks,"
-                    f" found {horizontals}"
-                )
-            if self.width == 2 and two_sections != 1:
-                raise ValueError("width 2 needs exactly one 2-section mark")
-            if self.width != 2 and two_sections:
-                raise ValueError("2-section marks only occur in width 2")
-        for label, total in mults.items():
-            if total > 3:
-                raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
+        _check_boundary(self.entries(), self.width, self.char_tag, self.free_labels)
 
     # -- basic accessors ---------------------------------------------------
 
     def entries(self) -> list[Entry]:
         return [e for c in self.components for e in comp_entries(c)]
+
+    def walk(self) -> tuple[list[Entry], list]:
+        return layout_of(self.components)
 
     def labels(self) -> frozenset[int]:
         out = set(self.free_labels)
@@ -268,6 +287,23 @@ class DecoratedType:
         return True
 
 
+@dataclass(frozen=True, slots=True)
+class BoundaryGraph:
+    """``entries`` and their ``walk_components`` layout, checked and read as a DecoratedType."""
+
+    entries: list[Entry]
+    layout: list
+    width: int | None = None
+    char_tag: str = "any"
+    free_labels: frozenset[int] = frozenset()
+
+    def __post_init__(self) -> None:
+        _check_boundary(self.entries, self.width, self.char_tag, self.free_labels)
+
+    def walk(self) -> tuple[list[Entry], list]:
+        return self.entries, self.layout
+
+
 @dataclass(frozen=True)
 class CheckResult:
     satisfied: bool
@@ -275,33 +311,36 @@ class CheckResult:
     rhs: Fraction
 
 
-def width_check(d: DecoratedType) -> CheckResult | None:
+def width_check(d: DecoratedType | BoundaryGraph) -> CheckResult | None:
     """The width form of the ampleness criterion, or None if a component
     is not admissible, so the result also decides admissibility.
 
     Width 3: ld(H1)+ld(H2)+ld(H3) > 1; width 2: ld(H1)+2 ld(H2) > 1 with
     H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
     these normalizations.  Only an admissible type with a width outside
-    1-3 raises ValueError.  One pass over the components: the lhs is
-    summed as one integer fraction from each marked chain's continuants
-    and each fork's discriminants, and reduced once.  Chains are always
-    admissible: every weight is at least 2."""
+    1-3 raises ValueError.  One pass over the components of ``d.walk()``:
+    the lhs is summed as one integer fraction from each marked chain's
+    continuants and each fork's discriminants, and reduced once.  Chains
+    are always admissible: every weight is at least 2."""
+    entries, layout = d.walk()
     num, den = 0, 1
-    for comp in d.components:
-        if comp[0] == "chain":
-            marked = [(j, e) for j, e in enumerate(comp[1], start=1) if e.horizontal]
+    for part in layout:
+        if part[0] == "chain":
+            marked = [(j, i) for j, i in enumerate(part[1], start=1) if entries[i].horizontal]
             if not marked:
                 continue
-            terms = chain_ld_terms(tuple(e.weight for e in comp[1]), [j for j, _ in marked])
+            weights = tuple([entries[i].weight for i in part[1]])
+            terms = chain_ld_terms(weights, [j for j, _ in marked])
         else:
-            marked = [("branch", comp[1])] if comp[1].horizontal else []
-            for ti, twig in enumerate(comp[2], start=1):
-                marked += [((ti, j), e) for j, e in enumerate(twig, start=1) if e.horizontal]
-            terms = fork_ld_terms(comp_weights(comp), [pos for pos, _ in marked])
+            marked = [("branch", part[1])] if entries[part[1]].horizontal else []
+            for ti, twig in enumerate(part[2], start=1):
+                marked += [((ti, j), i) for j, i in enumerate(twig, start=1) if entries[i].horizontal]
+            twigs = tuple([tuple([entries[i].weight for i in t]) for t in part[2]])
+            terms = fork_ld_terms(Fork(entries[part[1]].weight, twigs), [pos for pos, _ in marked])
             if terms is None:
                 return None
-        for (x, y), (_, e) in zip(terms, marked):
-            num, den = num * y + (2 * x if e.two_section else x) * den, den * y
+        for (x, y), (_, i) in zip(terms, marked):
+            num, den = num * y + (2 * x if entries[i].two_section else x) * den, den * y
     if d.width not in (1, 2, 3):
         raise ValueError("decorated type carries no usable width")
     lhs = Fraction(num, den)
@@ -339,8 +378,8 @@ def render_singularity_type(sing: tuple) -> str:
 # Canonical forms and graph automorphisms.
 
 
-def _component_key(comp: Component, first: int):
-    """A component's label-free key and its readings of least key.
+def _component_key(entries, part, first: int):
+    """The label-free key and readings of least key of the layout ``part``.
 
     The entries get the block-local ids ``first, first + 1, ...`` in
     ``comp_entries`` order, and a reading lists them in the order the key
@@ -348,9 +387,9 @@ def _component_key(comp: Component, first: int):
     it is a palindrome; a fork's branch, then its twigs sorted by key, each
     tip first, in every order of the twigs of equal key.  The readings are
     the component's label-free automorphisms, one each."""
-    if comp[0] == "chain":
-        ids = list(range(first, first + len(comp[1])))
-        skeletons = tuple([e._skeleton for e in comp[1]])
+    if part[0] == "chain":
+        ids = list(range(first, first + len(part[1])))
+        skeletons = tuple([entries[i]._skeleton for i in part[1]])
         back = skeletons[::-1]
         if skeletons < back:
             return ("chain", skeletons), [ids]
@@ -359,11 +398,12 @@ def _component_key(comp: Component, first: int):
         return ("chain", skeletons), [ids, ids[::-1]] if len(ids) > 1 else [ids]
     arms = []
     start = first + 1
-    for twig in comp[2]:
-        arms.append((tuple([e._skeleton for e in twig]), list(range(start, start + len(twig)))))
+    for twig in part[2]:
+        skeletons = tuple([entries[i]._skeleton for i in twig])
+        arms.append((skeletons, list(range(start, start + len(twig)))))
         start += len(twig)
     arms.sort(key=lambda arm: arm[0])
-    key = ("fork", comp[1]._skeleton, (arms[0][0], arms[1][0], arms[2][0]))
+    key = ("fork", entries[part[1]]._skeleton, (arms[0][0], arms[1][0], arms[2][0]))
     if key[2][0] != key[2][1] != key[2][2]:
         return key, [[first, *arms[0][1], *arms[1][1], *arms[2][1]]]
     readings = [[first]]
@@ -396,8 +436,9 @@ def _placement_code(keys: tuple, order, labels) -> tuple:
     return keys, tuple(sorted(map(tuple, met.values())))
 
 
-def _block_search(block: tuple[Component, ...]) -> tuple[tuple, int]:
-    """The code of one label-connected block and |Aut(block)|.
+def _block_search(entries, block: list) -> tuple[tuple, int]:
+    """The code of one label-connected block, a list of layout parts over
+    ``entries``, and |Aut(block)|.
 
     A placement puts the components in order of key, each in one of its
     readings, and numbers the entries by position.  If the keys are
@@ -411,10 +452,10 @@ def _block_search(block: tuple[Component, ...]) -> tuple[tuple, int]:
     never meet."""
     parts = []
     labels: list = []
-    for comp in block:
-        key, readings = _component_key(comp, len(labels))
+    for part in block:
+        key, readings = _component_key(entries, part, len(labels))
         parts.append((key, readings))
-        labels += [e.labels for e in comp_entries(comp)]
+        labels += [entries[i].labels for i in comp_entries(part)]
     parts.sort(key=lambda part: part[0])
     keys = tuple([key for key, _ in parts])
     if len(set(keys)) < len(keys):
@@ -502,34 +543,30 @@ def _refined_placements(parts, labels, adjacent):
             yield order
 
 
-def _label_blocks(d: DecoratedType) -> list[tuple[Component, ...]]:
-    """The label-connected blocks of ``d``: maximal sets of components
-    joined by shared (-1)-curve labels, found by union-find over labels."""
-    parent = list(range(len(d.components)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[int, int] = {}
-    for ci, comp in enumerate(d.components):
-        for e in comp_entries(comp):
-            for l in e.labels:
+def _label_blocks(entries, layout) -> list[list]:
+    """The label-connected blocks of the boundary ``entries`` laid out by
+    ``layout``: maximal sets of its parts joined by shared (-1)-curve
+    labels, each in layout order, in order of its first part."""
+    block = list(range(len(layout)))  # each part's block, named by one of its parts
+    owner: dict[int, int] = {}  # label -> the first part it meets
+    for ci, part in enumerate(layout):
+        for i in comp_entries(part):
+            for l in entries[i].labels:
                 cj = owner.setdefault(l, ci)
-                if cj != ci:
-                    parent[find(ci)] = find(cj)
-    blocks: dict[int, list[Component]] = {}
-    for ci, comp in enumerate(d.components):
-        blocks.setdefault(find(ci), []).append(comp)
-    return [tuple(b) for b in blocks.values()]
+                if block[cj] != block[ci]:
+                    old, new = block[ci], block[cj]
+                    block = [new if b == old else b for b in block]
+    blocks: dict[int, list] = {}
+    for ci, part in enumerate(layout):
+        blocks.setdefault(block[ci], []).append(part)
+    return list(blocks.values())
 
 
-def canonical_form(d: DecoratedType) -> bytes:
+def canonical_form(d: DecoratedType | BoundaryGraph) -> bytes:
     """Byte string equal for isomorphic decorated graphs: invariant under
     chain reversal, twig permutation, component reordering and any
-    relabeling of the (-1)-curves; deterministic across runs.
+    relabeling of the (-1)-curves; deterministic across runs.  It reads
+    ``d.walk()``, so a :class:`BoundaryGraph` has the form of its type.
 
     An isomorphism maps label-connected blocks (components joined by
     shared labels) onto blocks, so the form is the sorted list of block
@@ -543,7 +580,8 @@ def canonical_form(d: DecoratedType) -> bytes:
     times the ties left after refinement; identical components in separate
     blocks cost nothing extra.
     """
-    codes = sorted(_block_search(b)[0] for b in _label_blocks(d))
+    entries, layout = d.walk()
+    codes = sorted(_block_search(entries, b)[0] for b in _label_blocks(entries, layout))
     # marshal's version 0 writes no references between objects, so equal
     # codes give equal bytes; it takes a tenth of the time of repr
     return marshal.dumps((tuple(codes), len(d.free_labels)), 0)
@@ -569,8 +607,9 @@ def graph_automorphisms(d: DecoratedType) -> AutGroup:
     counts nothing.  The cost is that of ``canonical_form``.
     """
     classes: dict[tuple, list[int]] = {}
-    for block in _label_blocks(d):
-        code, count = _block_search(block)
+    entries, layout = d.walk()
+    for block in _label_blocks(entries, layout):
+        code, count = _block_search(entries, block)
         classes.setdefault(code, []).append(count)
     order = math.factorial(len(d.free_labels))
     for orders in classes.values():

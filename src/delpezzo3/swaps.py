@@ -8,11 +8,12 @@ intersection of A with one of its boundary attachments.
 
 The cascade enumerator closes a vertically primitive root under reverse
 swaps, keeping the children that stay admissible and satisfy the width
-inequality, and deduplicating by canonical form.  Reverse swaps on
-different labels commute, so a node skips each move whose child an
-earlier sibling also makes by the node's own move (partial-order
-reduction, after Godefroid, "Partial-Order Methods for the Verification
-of Concurrent Systems", LNCS 1032, 1996).
+inequality, and deduplicating by canonical form.  A child is classified
+from the one walk of its blown-up graph and becomes a DecoratedType only
+if it is expanded.  Reverse swaps on different labels commute, so a node
+skips each move whose child an earlier sibling also makes by the node's
+own move (partial-order reduction, after Godefroid, "Partial-Order
+Methods for the Verification of Concurrent Systems", LNCS 1032, 1996).
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from fractions import Fraction
 from itertools import chain
 
 from delpezzo3.boundary import (
+    BoundaryGraph,
     DecoratedType,
     Entry,
     canonical_form,
+    comp_entries,
     graph_of,
     place_entries,
     walk_components,
@@ -46,20 +49,20 @@ def to_graph(d: DecoratedType):
 
 
 def from_graph(entries, adj, width, char_tag, free_labels) -> DecoratedType:
+    return DecoratedType(place_entries(_walk(adj), entries), width, char_tag,
+                         frozenset(free_labels))
+
+
+def _walk(adj) -> list:
+    """``walk_components(adj)``, its error a SwapError."""
     try:
-        layout = walk_components(adj)
+        return walk_components(adj)
     except ValueError as err:
         raise SwapError(str(err)) from None
-    return DecoratedType(place_entries(layout, entries), width, char_tag, frozenset(free_labels))
 
 
 def _attachments(entries, label):
-    out = []
-    for i, e in enumerate(entries):
-        k = e.labels.count(label)
-        if k:
-            out.append((i, k))
-    return out
+    return [(i, e.labels.count(label)) for i, e in enumerate(entries) if label in e.labels]
 
 
 def _strip_label(e: Entry, label: int) -> Entry:
@@ -122,25 +125,25 @@ def reverse_swap(d: DecoratedType, label: int, target: int,
     """Blow up the intersection of the labeled (-1)-curve with the
     boundary entry at graph index ``target``.  ``graph`` is ``to_graph(d)``,
     passed by a caller that builds it once for many swaps of ``d``."""
+    new_entries, new_adj = _blow_up_graph(to_graph(d) if graph is None else graph, label, target,
+                                          excluded_labels)
+    return from_graph(new_entries, new_adj, d.width, d.char_tag, d.free_labels)
+
+
+def _blow_up_graph(graph, label: int, target: int, excluded_labels: frozenset = frozenset()):
+    """The reverse swap in graph form, with its checks: every entry keeps
+    its index, the target gains one weight, the label moves from its other
+    attachments to the new (-2)-curve, which is appended and meets them.
+    The lists of ``adj`` that do not change are shared, not copied."""
     if label in excluded_labels:
         raise SwapError(f"label {label} meets the boundary in a node")
-    entries, adj = to_graph(d) if graph is None else graph
+    entries, adj = graph
     att = _attachments(entries, label)
     if target not in {i for i, _ in att}:
         raise SwapError(f"entry {target} is not an attachment of label {label}")
     if any(k > 1 for _, k in att):
         raise SwapError("the curve meets a boundary component twice")
-    new_entries, new_adj = _blow_up_graph(entries, adj, att, label, target)
-    return from_graph(new_entries, new_adj, d.width, d.char_tag, d.free_labels)
-
-
-def _blow_up_graph(entries, adj, att, label: int, target: int):
-    """The reverse swap in graph form: every entry keeps its index, the
-    target gains one weight, the label moves from the other attachments
-    ``att`` to the new (-2)-curve, which is appended and meets them.  The
-    lists of ``adj`` that do not change are shared, not copied."""
-    new_entries = list(entries)
-    new_adj = list(adj)
+    new_entries, new_adj = list(entries), list(adj)
     c = len(entries)
     others = [i for i, _ in att if i != target]
     e = entries[target]
@@ -176,14 +179,10 @@ def reverse_moves(d: DecoratedType, excluded_labels: frozenset = frozenset(),
     ``graph`` is ``to_graph(d)``, passed by a caller that has built it."""
     entries, _ = to_graph(d) if graph is None else graph
     moves = []
-    for label in sorted(d.labels()):
-        if label in excluded_labels:
-            continue
+    for label in sorted(d.labels() - excluded_labels):
         att = _attachments(entries, label)
-        if any(k > 1 for _, k in att):
-            continue
-        for i, _ in att:
-            moves.append((label, i))
+        if all(k == 1 for _, k in att):
+            moves += [(label, i) for i, _ in att]
     return moves
 
 
@@ -193,8 +192,8 @@ def reverse_moves(d: DecoratedType, excluded_labels: frozenset = frozenset(),
 @dataclass(frozen=True, slots=True)
 class CascadeNode:
     """One node of a cascade.  The root keeps its own type; every other
-    node keeps its parent's, and ``dtype`` rebuilds its own from the move
-    on every read."""
+    node, classified in graph form, keeps its parent's, and ``dtype``
+    builds its own from the move on every read."""
 
     depth: int
     parent: bytes | None
@@ -220,61 +219,60 @@ def _expand_run(parents, excluded, expand, skips):
 
     Each parent's graph is built once and shared by its move list and
     every child.  The moves in the parent's entry of ``skips`` are not
-    tried.  A child whose key the run has already classified gets no
-    width check and no record.  A record is (key, move, status, lhs,
-    child), with the child only when it is ok and ``expand`` is set; the
-    yielded ``skips`` maps the move of each record with a child to the
-    moves that child need not try (``_commuting_skips``)."""
+    tried.  A child is blown up in graph form and walked once; that
+    ``BoundaryGraph`` gives its key and, for a key new to the run, its
+    width check and a record (key, move, status, lhs, child).  The child
+    is there only when it is ok and ``expand`` is set, built by
+    ``reverse_swap``; the yielded ``skips`` maps its move to the moves it
+    need not try (``_commuting_skips``, from the child's walk)."""
     seen: dict = {}  # key -> whether it was ok
     for parent, skip in zip(parents, skips):
         graph = to_graph(parent)
-        records, siblings = [], {}
+        records, siblings, expanded = [], {}, {}
         for move in reverse_moves(parent, excluded, graph=graph):
             if move in skip:
                 continue
             try:
-                child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
+                entries, adj = _blow_up_graph(graph, *move, excluded)
+                walked = BoundaryGraph(entries, _walk(adj), parent.width, parent.char_tag,
+                                       parent.free_labels)
             except SwapError:
                 continue
-            key = canonical_form(child)
+            key = canonical_form(walked)
             ok = seen.get(key)
             if ok is None:
-                res = width_check(child)
+                res = width_check(walked)
                 ok = seen[key] = res is not None and res.satisfied
                 if res is None:
                     records.append((key, move, "inadmissible", None, None))
                 else:
-                    status = "ok" if ok else "inequality"
-                    records.append((key, move, status, res.lhs, child if ok and expand else None))
+                    child = reverse_swap(parent, *move, graph=graph) if ok and expand else None
+                    records.append((key, move, "ok" if ok else "inequality", res.lhs, child))
+                    if child is not None:
+                        expanded[move] = key, walked.layout
             if ok:
                 siblings[move] = key
-        yield records, {move: _commuting_skips(graph, move, key, siblings)
-                        for key, move, _, _, child in records if child is not None}
+        yield records, {move: _commuting_skips(layout, move, key, siblings)
+                        for move, (key, layout) in expanded.items()}
 
 
-def _commuting_skips(graph, move, key, siblings) -> tuple:
-    """The moves that the child ``key``, made by ``move`` from the parent
-    of graph ``graph``, need not try, because a sibling earlier in the
-    frontier makes the same children by them; ``siblings`` maps each
-    move of the parent to the key of its ok child.
+def _commuting_skips(layout, move, key, siblings) -> tuple:
+    """The moves that the child ``key``, made by ``move`` and walked into
+    ``layout``, need not try, because a sibling earlier in the frontier
+    makes the same children by them; ``siblings`` maps each move of the
+    parent to the key of its ok child.
 
     A move (a, t) of the child on another label, with t an entry of the
     parent, commutes with ``move``: the two blow up different points.
     If the sibling that (a, t) makes from the parent has a key before
     ``key``, that sibling is expanded first, and its move on ``move``'s
     label makes the same child up to the order of the two new entries.
-    The child numbers its entries by walking the blown-up graph, as
-    ``from_graph`` does, so one more walk maps t to the child's index."""
-    label, target = move
-    earlier = [(a, t) for (a, t), k in siblings.items() if a != label and k < key]
+    The child numbers its entries in the order of its walk, as
+    ``from_graph`` does, so ``layout`` maps t to the child's index."""
+    earlier = [(a, t) for (a, t), k in siblings.items() if a != move[0] and k < key]
     if not earlier:
         return ()
-    entries, adj = graph
-    _, new_adj = _blow_up_graph(entries, adj, _attachments(entries, label), label, target)
-    order = []
-    for part in walk_components(new_adj):
-        order += part[1] if part[0] == "chain" else [part[1], *chain.from_iterable(part[2])]
-    index = {i: t for t, i in enumerate(order)}
+    index = {i: t for t, i in enumerate(chain.from_iterable(map(comp_entries, layout)))}
     return tuple((a, index[t]) for a, t in earlier)
 
 

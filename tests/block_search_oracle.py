@@ -14,7 +14,20 @@ import itertools
 import math
 from collections import Counter
 
-from delpezzo3.boundary import Component, DecoratedType, _label_blocks, comp_entries
+from delpezzo3.boundary import (
+    Component,
+    DecoratedType,
+    _label_blocks,
+    comp_entries,
+    place_entries,
+)
+
+
+def label_blocks(d: DecoratedType) -> list[tuple[Component, ...]]:
+    """The label-connected blocks of ``d`` that ``boundary`` finds, each
+    as a tuple of components."""
+    entries, layout = d.walk()
+    return [place_entries(block, entries) for block in _label_blocks(entries, layout)]
 
 
 def _variants(comp: Component) -> list[Component]:
@@ -163,7 +176,7 @@ def _twin_labels(block: tuple[Component, ...]) -> int:
 
 def canonical_form(d: DecoratedType) -> bytes:
     """The sorted block codes plus the number of free labels."""
-    codes = sorted(_block_search(b)[0] for b in _label_blocks(d))
+    codes = sorted(_block_search(b)[0] for b in label_blocks(d))
     return repr((tuple(codes), len(d.free_labels))).encode()
 
 
@@ -171,7 +184,7 @@ def graph_automorphisms_order(d: DecoratedType) -> int:
     """|free|! times prod |Aut(block)|^m m! over classes of m isomorphic
     blocks, with |Aut(block)| the search's count over ``_twin_labels``."""
     classes: dict[bytes, list[int]] = {}
-    for block in _label_blocks(d):
+    for block in label_blocks(d):
         code, count = _block_search(block)
         classes.setdefault(code, []).append(count // _twin_labels(block))
     order = math.factorial(len(d.free_labels))

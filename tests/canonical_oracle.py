@@ -4,7 +4,8 @@ oracle for the tests.
 
 Both search every order of identical components of the whole type, so
 their cost is factorial in the number of identical components; use them
-on small types only.
+on small types only.  A ``BoundaryGraph`` is read as the type that
+``place_entries`` builds from it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from delpezzo3.boundary import Component, DecoratedType, Entry, comp_entries
+from delpezzo3.boundary import (
+    BoundaryGraph,
+    Component,
+    DecoratedType,
+    Entry,
+    comp_entries,
+    place_entries,
+)
 
 
 def _chain_variants(comp: Component):
@@ -108,8 +116,9 @@ def _encode_arrangement(ordered_variants, free_label_count: int):
     return best[0]
 
 
-def _arrangements(d: DecoratedType):
-    canon = [_canonical_variants(c) for c in d.components]
+def _arrangements(d: DecoratedType | BoundaryGraph):
+    components = d.components if isinstance(d, DecoratedType) else place_entries(d.layout, d.entries)
+    canon = [_canonical_variants(c) for c in components]
     order = sorted(range(len(canon)), key=lambda i: canon[i][0])
     groups = []
     for _, grp in itertools.groupby(order, key=lambda i: canon[i][0]):
@@ -123,7 +132,7 @@ def _arrangements(d: DecoratedType):
             yield comp_order, list(variants)
 
 
-def canonical_form(d: DecoratedType) -> bytes:
+def canonical_form(d: DecoratedType | BoundaryGraph) -> bytes:
     """Byte string equal for isomorphic decorated graphs: invariant under
     chain reversal, twig permutation, component reordering and any
     relabeling of the (-1)-curves; deterministic across runs."""

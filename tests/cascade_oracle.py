@@ -3,6 +3,11 @@ records: every child gets a width check, duplicates included, every
 record carries the child's type, and every node keeps its own type.
 Kept as the oracle for ``swaps.cascade``.
 
+``expand_run`` and ``commuting_skips`` are ``swaps._expand_run`` and
+``swaps._commuting_skips`` as they were before children were classified
+in graph form: every child is built as a ``DecoratedType`` by
+``reverse_swap``, and the skips blow the child up and walk it again.
+
 With ``check_monotone`` it also checks, on every ok (parent, move) edge,
 duplicate children included, that no log discrepancy decreases under
 the forward swap from the child back to the parent: the monotonicity
@@ -12,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
+from delpezzo3 import swaps
 from delpezzo3.boundary import (
     DecoratedType,
     canonical_form,
@@ -25,7 +32,6 @@ from delpezzo3.chains import ld_chain, ld_fork
 from delpezzo3.swaps import (
     CascadeResult,
     SwapError,
-    _attachments,
     _blow_up_graph,
     process_pool,
     reverse_moves,
@@ -74,9 +80,7 @@ def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
     child back to the parent, given the parent's graph and lds.  The
     reverse swap keeps every parent entry at its graph index and appends
     the new (-2)-curve, so indices match."""
-    entries, adj = parent_graph
-    att = _attachments(entries, move[0])
-    child_lds = graph_lds(*_blow_up_graph(entries, adj, att, *move))
+    child_lds = graph_lds(*_blow_up_graph(parent_graph, *move))
     for i, parent_ld in enumerate(parent_lds):
         if child_lds[i] > parent_ld:
             raise AssertionError(
@@ -161,3 +165,48 @@ def cascade(
         if pool is not None:
             pool.shutdown()
     return CascadeResult(nodes, pruned)
+
+
+def expand_run(parents, excluded, expand, skips):
+    """``swaps._expand_run`` with every child built by ``reverse_swap``;
+    the moves come from ``swaps.reverse_moves``, read at each parent."""
+    seen: dict = {}  # key -> whether it was ok
+    for parent, skip in zip(parents, skips):
+        graph = to_graph(parent)
+        records, siblings = [], {}
+        for move in swaps.reverse_moves(parent, excluded, graph=graph):
+            if move in skip:
+                continue
+            try:
+                child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
+            except SwapError:
+                continue
+            key = canonical_form(child)
+            ok = seen.get(key)
+            if ok is None:
+                res = width_check(child)
+                ok = seen[key] = res is not None and res.satisfied
+                if res is None:
+                    records.append((key, move, "inadmissible", None, None))
+                else:
+                    status = "ok" if ok else "inequality"
+                    records.append((key, move, status, res.lhs, child if ok and expand else None))
+            if ok:
+                siblings[move] = key
+        yield records, {move: commuting_skips(graph, move, key, siblings)
+                        for key, move, _, _, child in records if child is not None}
+
+
+def commuting_skips(graph, move, key, siblings) -> tuple:
+    """``swaps._commuting_skips`` from the parent's graph: blow the child
+    up again and walk it to map the parent's entries to the child's."""
+    label, target = move
+    earlier = [(a, t) for (a, t), k in siblings.items() if a != label and k < key]
+    if not earlier:
+        return ()
+    _, new_adj = _blow_up_graph(graph, label, target)
+    order = []
+    for part in walk_components(new_adj):
+        order += part[1] if part[0] == "chain" else [part[1], *chain.from_iterable(part[2])]
+    index = {i: t for t, i in enumerate(order)}
+    return tuple((a, index[t]) for a, t in earlier)

@@ -2,13 +2,15 @@
 for the discriminant recursions of ``chains`` and for the Smith normal
 form of ``homology``.
 
-``minors_invariant_factors`` takes gcds of minors, each a cofactor
-expansion (``_det_exact``), not ``chains.det``: the Smith normal form
-uses ``chains.det`` for its own checks, and ``chains.det`` is itself
-checked against the cofactor expansion.
+``minors_invariant_factors`` takes gcds of minors, each by Gaussian
+elimination over ``Fraction`` (``_det_fraction``), not ``chains.det``:
+the Smith normal form uses ``chains.det`` for its own checks, and
+``chains.det`` is itself checked against the cofactor expansion
+(``_det_exact``).
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 from delpezzo3.chains import det
@@ -38,10 +40,9 @@ def minors_invariant_factors(m) -> tuple[int, ...]:
     out = []
     for k in range(1, n + 1):
         g = 0
-        for rows in itertools.combinations(range(m.rows), k):
-            for cols in itertools.combinations(range(m.cols), k):
-                sub = [[entries[i][j] for j in cols] for i in rows]
-                g = gcd(g, _det_exact(sub))
+        for rows, cols in itertools.product(itertools.combinations(range(m.rows), k),
+                                            itertools.combinations(range(m.cols), k)):
+            g = gcd(g, _det_fraction([[entries[i][j] for j in cols] for i in rows]))
             if g == 1:
                 break
         if g == 0:
@@ -62,3 +63,30 @@ def _det_exact(sub) -> int:
             minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
             total += (-1) ** j * sub[0][j] * _det_exact(minor)
     return total
+
+
+def _det_fraction(sub) -> int:
+    """The determinant by Gaussian elimination in integer row operations:
+    row r below the pivot row c becomes pivot * row r - m[r][c] * row c,
+    which multiplies the determinant by the pivot.  So the determinant is
+    the product of the pivots, negated for each row swap, over the product
+    of those multipliers: a ``Fraction`` whose denominator must be 1."""
+    m = [list(row) for row in sub]
+    n = len(m)
+    num = den = 1
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            num = -num
+        pivot = m[c][c]
+        num *= pivot
+        for r in range(c + 1, n):
+            if m[r][c]:
+                m[r] = [pivot * x - m[r][c] * y for x, y in zip(m[r], m[c])]
+                den *= pivot
+    det = Fraction(num, den)
+    assert det.denominator == 1
+    return int(det)

@@ -1,10 +1,11 @@
 """The one-pass cascade expansion against the per-child work it replaced:
 the lean cascade against ``cascade_oracle``, the moves its
 commuting-swap skip leaves out against the children they make, children
-built from the parent's shared graph against ``reverse_swap``, the
-linear label encoding of ``block_search_oracle`` against its exhaustive
-tie-break search, and the one-pass width verdict with its integer lhs
-against ``width_oracle``."""
+built from the parent's shared graph against ``reverse_swap``, children
+classified in graph form against the expansion that built every child as
+a ``DecoratedType``, the linear label encoding of ``block_search_oracle``
+against its exhaustive tie-break search, and the one-pass width verdict
+with its integer lhs against ``width_oracle``."""
 
 import concurrent.futures
 import os
@@ -19,6 +20,7 @@ from block_search_oracle import (
     _arrangements,
     _encode_arrangement,
     _encode_search,
+    label_blocks,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,13 +29,15 @@ from test_swaps import load_primitive
 
 from delpezzo3 import notation, swaps
 from delpezzo3.boundary import (
+    BoundaryGraph,
     DecoratedType,
     Entry,
-    _label_blocks,
     canonical_form,
     chain_comp,
     comp_weights,
     fork_comp,
+    graph_of,
+    walk_components,
     width_check,
 )
 from delpezzo3.chains import Fork, fork_lds, ld_chain, ld_fork
@@ -223,6 +227,26 @@ def test_skip_cuts_reverse_swaps(cascades, monkeypatch):
     assert len(calls) <= 3200
 
 
+def test_skip_cuts_blow_ups(cascades, monkeypatch):
+    """The depth-4 w3a and w3b cascades blow up at most 3500 graphs, one
+    per child classified and one more per child that ``reverse_swap``
+    builds to expand (4424 without the commuting-swap skip), with the
+    same nodes."""
+    calls = []
+    original = swaps._blow_up_graph
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(swaps, "_blow_up_graph", counting)
+    for (result, excluded), stem in zip(cascades, ("w3_a", "w3_b")):
+        again, _ = cascade_of(stem, 4)
+        assert again.nodes.keys() == result.nodes.keys()
+        assert again.pruned.keys() == result.pruned.keys()
+    assert len(calls) <= 3500
+
+
 @pytest.fixture(scope="module")
 def cascades():
     return [cascade_of(stem, 4) for stem in ("w3_a", "w3_b")]
@@ -296,6 +320,27 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
     assert children > 5000 and rejected > 5000 and duplicates > 1000
 
 
+@pytest.mark.parametrize("moves", [swaps.reverse_moves, every_pair],
+                         ids=["reverse_moves", "every_pair"])
+def test_expand_run_matches_decorated_type_oracle(moves, monkeypatch):
+    """For every parent of the depth-5 cascades of w3a, w3b, w1b, w1c3 and
+    w2c, in one run per root, ``_expand_run``, which classifies each child
+    in graph form, yields the same (records, skips) as the expansion that
+    built every child by ``reverse_swap``; also with every (label, index)
+    pair as a move, where a move ``reverse_swap`` rejects makes no record."""
+    monkeypatch.setattr(swaps, "reverse_moves", moves)
+    records = skipped = 0
+    for stem in ("w3_a", "w3_b", "w1_b", "w1_c3_notGK", "w2_c"):
+        result, excluded = cascade_of(stem, 5)
+        parents = [n.dtype for n in result.nodes.values() if n.depth < 5]
+        no_skips = [()] * len(parents)
+        new = list(swaps._expand_run(parents, excluded, True, no_skips))
+        assert new == list(cascade_oracle.expand_run(parents, excluded, True, no_skips))
+        records += sum(len(batch) for batch, _ in new)
+        skipped += sum(map(len, (s for _, skips in new for s in skips.values())))
+    assert records > 5000 and skipped > 1000
+
+
 def test_monotone_check_once_per_parent(cascades, monkeypatch):
     """In the oracle's expansion of a parent, every ok edge, a child
     whose key an earlier parent has produced included, gets exactly one
@@ -341,7 +386,7 @@ def test_monotone_check_once_per_parent(cascades, monkeypatch):
 def encoding_cases(types):
     """Every arrangement of every block of ``types``."""
     for d in types:
-        for block in _label_blocks(d):
+        for block in label_blocks(d):
             yield from _arrangements(block)
 
 
@@ -449,6 +494,66 @@ def test_width_check_matches_fraction_oracle(d):
         assert width_check(d) is None
         with pytest.raises(ValueError):
             oracle.delpezzo_check_width(d)
+
+
+@st.composite
+def labelled_types(draw):
+    """A ``marked_types`` type whose entries one to three labels meet, each
+    label one to three entries, an entry possibly twice."""
+    d = draw(marked_types())
+    entries, adj = graph_of(d.components)
+    met: list = [[] for _ in entries]
+    for label in range(1, draw(st.integers(1, 3)) + 1):
+        met_by = st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=3)
+        for i in draw(met_by.filter(lambda met: max(Counter(met).values()) < 3)):
+            met[i].append(label)
+    entries = [Entry(e.weight, e.horizontal, e.two_section, tuple(ls)) for e, ls in zip(entries, met)]
+    return swaps.from_graph(entries, adj, d.width, d.char_tag, d.free_labels)
+
+
+def error_class(fn, *args):
+    """The class of the ValueError that ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as err:
+        return type(err)
+    return None
+
+
+def walked_child(entries, adj, d):
+    return BoundaryGraph(entries, swaps._walk(adj), d.width, d.char_tag, d.free_labels)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(labelled_types())
+def test_graph_form_matches_decorated_type(d):
+    """The layout a type counts from its components is the walk of its
+    graph; and for every (label, index) pair that ``_blow_up_graph``
+    accepts, the walked blow-up has the canonical form and the width
+    check of the type ``from_graph`` builds from it, that check agrees
+    with the ``Fraction`` oracle, and a graph that ``from_graph`` rejects
+    (a cycle, or neither a chain nor a fork) is rejected with the same
+    error class."""
+    graph = swaps.to_graph(d)
+    entries, layout = d.walk()
+    assert entries == graph[0]
+    assert [(p[0], list(p[1])) if p[0] == "chain" else (*p[:2], tuple(map(list, p[2])))
+            for p in layout] == walk_components(graph[1])
+    for label, target in every_pair(d, graph=graph):
+        try:
+            blown_up = swaps._blow_up_graph(graph, label, target)
+        except swaps.SwapError:
+            continue
+        args = (*blown_up, d.width, d.char_tag, d.free_labels)
+        error = error_class(walked_child, *blown_up, d)
+        assert error == error_class(swaps.from_graph, *args)
+        if error is not None:
+            continue
+        walked, child = walked_child(*blown_up, d), swaps.from_graph(*args)
+        assert canonical_form(walked) == canonical_form(child)
+        assert width_check(walked) == width_check(child)
+        if child.is_admissible():
+            assert width_check(child) == oracle.delpezzo_check_width(child)
 
 
 def test_ld_chain_matches_oracle():
