@@ -112,43 +112,41 @@ def fork_comp(branch: Entry, twigs) -> Component:
 
 def walk_components(adj) -> list:
     """Split the graph on nodes ``0..n-1`` (``adj[i]`` lists the
-    neighbors of node i) into chains and forks of node indices.
-
-    Components come in order of their smallest node, as
-    ``("chain", [i, ...])`` read from the smaller tip, or
-    ``("fork", b, (twig1, twig2, twig3))`` with the twigs in order of
-    their node next to the branch b, each listed tip first.  A cycle, or
-    a tree that is neither a chain nor a fork, raises ``ValueError``.
+    neighbors of node i) into chains and forks of node indices, each by
+    ``walk_component``, in order of their smallest node.  A cycle, or a
+    tree that is neither a chain nor a fork, raises ``ValueError``.
     """
-    seen = [False] * len(adj)
-    out = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp, degrees, branch, tips = [start], 0, [], []
-        for i in comp:
-            k = len(adj[i])
-            degrees += k
-            if k >= 3:
-                branch.append(i)
-            elif k <= 1:
-                tips.append(i)
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-        if degrees != 2 * (len(comp) - 1):
-            raise ValueError("boundary component contains a cycle")
-        if not branch:
-            out.append(("chain", _walk_path(adj, min(tips), None)))
-        elif len(branch) == 1 and len(adj[branch[0]]) == 3:
-            b = branch[0]
-            twigs = tuple(_walk_path(adj, first, b)[::-1] for first in sorted(adj[b]))
-            out.append(("fork", b, twigs))
-        else:
-            raise ValueError("boundary component is not a chain or fork")
-    return out
+    seen: set = set()
+    return [walk_component(adj, start, seen) for start in range(len(adj)) if start not in seen]
+
+
+def walk_component(adj, start: int, seen: set):
+    """The component of node ``start``, as ``("chain", [i, ...])`` read
+    from the smaller tip, or ``("fork", b, (twig1, twig2, twig3))`` with
+    the twigs in order of their node next to the branch b, each listed tip
+    first; its nodes are added to ``seen``.  A cycle, or a tree that is
+    neither a chain nor a fork, raises ``ValueError``."""
+    seen.add(start)
+    comp, degrees, branch, tips = [start], 0, [], []
+    for i in comp:
+        k = len(adj[i])
+        degrees += k
+        if k >= 3:
+            branch.append(i)
+        elif k <= 1:
+            tips.append(i)
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                comp.append(j)
+    if degrees != 2 * (len(comp) - 1):
+        raise ValueError("boundary component contains a cycle")
+    if not branch:
+        return ("chain", _walk_path(adj, min(tips), None))
+    if len(branch) == 1 and len(adj[branch[0]]) == 3:
+        b = branch[0]
+        return ("fork", b, tuple(_walk_path(adj, first, b)[::-1] for first in sorted(adj[b])))
+    raise ValueError("boundary component is not a chain or fork")
 
 
 def _walk_path(adj, start: int, prev) -> list[int]:
@@ -224,31 +222,6 @@ def comp_weights(comp: Component):
     )
 
 
-def _check_boundary(entries, width, char_tag, free_labels) -> None:
-    """The checks of a DecoratedType and of a BoundaryGraph."""
-    if char_tag not in CHAR_TAGS:
-        raise ValueError(f"unknown characteristic tag {char_tag!r}")
-    horizontals = two_sections = 0
-    mults = dict.fromkeys(free_labels, 0)
-    for e in entries:
-        if e.weight < 2:
-            raise ValueError("boundary weights must be >= 2")
-        horizontals += e.horizontal
-        two_sections += e.two_section
-        for l in e.labels:
-            mults[l] = mults.get(l, 0) + 1
-    if width is not None:
-        if horizontals != width:
-            raise ValueError(f"width {width} needs {width} horizontal marks, found {horizontals}")
-        if width == 2 and two_sections != 1:
-            raise ValueError("width 2 needs exactly one 2-section mark")
-        if width != 2 and two_sections:
-            raise ValueError("2-section marks only occur in width 2")
-    for label, total in mults.items():
-        if total > 3:
-            raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
-
-
 @dataclass(frozen=True)
 class DecoratedType:
     components: tuple[Component, ...]
@@ -257,7 +230,28 @@ class DecoratedType:
     free_labels: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        _check_boundary(self.entries(), self.width, self.char_tag, self.free_labels)
+        if self.char_tag not in CHAR_TAGS:
+            raise ValueError(f"unknown characteristic tag {self.char_tag!r}")
+        horizontals = two_sections = 0
+        mults = dict.fromkeys(self.free_labels, 0)
+        for e in self.entries():
+            if e.weight < 2:
+                raise ValueError("boundary weights must be >= 2")
+            horizontals += e.horizontal
+            two_sections += e.two_section
+            for l in e.labels:
+                mults[l] = mults.get(l, 0) + 1
+        width = self.width
+        if width is not None:
+            if horizontals != width:
+                raise ValueError(f"width {width} needs {width} horizontal marks, found {horizontals}")
+            if width == 2 and two_sections != 1:
+                raise ValueError("width 2 needs exactly one 2-section mark")
+            if width != 2 and two_sections:
+                raise ValueError("2-section marks only occur in width 2")
+        for label, total in mults.items():
+            if total > 3:
+                raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -266,6 +260,11 @@ class DecoratedType:
 
     def walk(self) -> tuple[list[Entry], list]:
         return layout_of(self.components)
+
+    def label_blocks(self) -> tuple[list[Entry], list[list]]:
+        """The entries and their ``_label_blocks``."""
+        entries, layout = layout_of(self.components)
+        return entries, _label_blocks(entries, layout)
 
     def labels(self) -> frozenset[int]:
         out = set(self.free_labels)
@@ -289,19 +288,23 @@ class DecoratedType:
 
 @dataclass(frozen=True, slots=True)
 class BoundaryGraph:
-    """``entries`` and their ``walk_components`` layout, checked and read as a DecoratedType."""
+    """A boundary read as a DecoratedType without being one: ``entries``,
+    their ``walk_components`` layout and its ``_label_blocks``.  Nothing
+    is checked; the cascade builds it from a blow-up of a checked type
+    (``swaps._Frame``), which passes the checks of a DecoratedType."""
 
     entries: list[Entry]
     layout: list
+    blocks: list[list]
     width: int | None = None
     char_tag: str = "any"
     free_labels: frozenset[int] = frozenset()
 
-    def __post_init__(self) -> None:
-        _check_boundary(self.entries, self.width, self.char_tag, self.free_labels)
-
     def walk(self) -> tuple[list[Entry], list]:
         return self.entries, self.layout
+
+    def label_blocks(self) -> tuple[list[Entry], list[list]]:
+        return self.entries, self.blocks
 
 
 @dataclass(frozen=True)
@@ -543,11 +546,11 @@ def _refined_placements(parts, labels, adjacent):
             yield order
 
 
-def _label_blocks(entries, layout) -> list[list]:
-    """The label-connected blocks of the boundary ``entries`` laid out by
-    ``layout``: maximal sets of its parts joined by shared (-1)-curve
-    labels, each in layout order, in order of its first part."""
-    block = list(range(len(layout)))  # each part's block, named by one of its parts
+def _block_names(entries, layout) -> list[int]:
+    """Each part of ``layout`` its label-connected block's name, one of
+    the block's parts: the blocks are maximal sets of parts joined by
+    shared (-1)-curve labels over ``entries``."""
+    block = list(range(len(layout)))
     owner: dict[int, int] = {}  # label -> the first part it meets
     for ci, part in enumerate(layout):
         for i in comp_entries(part):
@@ -556,9 +559,16 @@ def _label_blocks(entries, layout) -> list[list]:
                 if block[cj] != block[ci]:
                     old, new = block[ci], block[cj]
                     block = [new if b == old else b for b in block]
+    return block
+
+
+def _label_blocks(entries, layout) -> list[list]:
+    """The label-connected blocks of the boundary ``entries`` laid out by
+    ``layout`` (``_block_names``), each a list of its parts in layout
+    order, in order of its first part."""
     blocks: dict[int, list] = {}
-    for ci, part in enumerate(layout):
-        blocks.setdefault(block[ci], []).append(part)
+    for part, name in zip(layout, _block_names(entries, layout)):
+        blocks.setdefault(name, []).append(part)
     return list(blocks.values())
 
 
@@ -566,7 +576,8 @@ def canonical_form(d: DecoratedType | BoundaryGraph) -> bytes:
     """Byte string equal for isomorphic decorated graphs: invariant under
     chain reversal, twig permutation, component reordering and any
     relabeling of the (-1)-curves; deterministic across runs.  It reads
-    ``d.walk()``, so a :class:`BoundaryGraph` has the form of its type.
+    ``d.label_blocks()``, so a :class:`BoundaryGraph` has the form of its
+    type.
 
     An isomorphism maps label-connected blocks (components joined by
     shared labels) onto blocks, so the form is the sorted list of block
@@ -580,8 +591,8 @@ def canonical_form(d: DecoratedType | BoundaryGraph) -> bytes:
     times the ties left after refinement; identical components in separate
     blocks cost nothing extra.
     """
-    entries, layout = d.walk()
-    codes = sorted(_block_search(entries, b)[0] for b in _label_blocks(entries, layout))
+    entries, blocks = d.label_blocks()
+    codes = sorted(_block_search(entries, b)[0] for b in blocks)
     # marshal's version 0 writes no references between objects, so equal
     # codes give equal bytes; it takes a tenth of the time of repr
     return marshal.dumps((tuple(codes), len(d.free_labels)), 0)
@@ -592,7 +603,7 @@ class AutGroup:
     order: int
 
 
-def graph_automorphisms(d: DecoratedType) -> AutGroup:
+def graph_automorphisms(d: DecoratedType | BoundaryGraph) -> AutGroup:
     """The self-isomorphisms in the sense of canonical_form equality,
     counted as permutations of the boundary entries.
 
@@ -607,8 +618,8 @@ def graph_automorphisms(d: DecoratedType) -> AutGroup:
     counts nothing.  The cost is that of ``canonical_form``.
     """
     classes: dict[tuple, list[int]] = {}
-    entries, layout = d.walk()
-    for block in _label_blocks(entries, layout):
+    entries, blocks = d.label_blocks()
+    for block in blocks:
         code, count = _block_search(entries, block)
         classes.setdefault(code, []).append(count)
     order = math.factorial(len(d.free_labels))

@@ -157,7 +157,7 @@ def cascade(root_name, depth, cutoff, jobs, fmt):
     result against the fixture corpus."""
     root = _load_root(root_name)
     result = root.cascade(depth, jobs)
-    tables = fixtures.load_all_tables(verify.CASCADE_STEMS)
+    tables = fixtures.load_all_tables(verify.CASCADE_STEMS, root_name)
     targets, _ = verify.cascade_targets(tables, root, cutoff, depth)
     known = {t.key: f"{t.name} {fmt_assignment(t.assignment)}".strip() for t in targets}
     report = Report("cascade", ("canonical", "depth", "status", "lhs", "match"))

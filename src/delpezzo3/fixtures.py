@@ -87,8 +87,14 @@ def _expand_placeholders(line: str, t) -> str:
     return out
 
 
-def parse_fixture_file(path: Path) -> list[FixtureRow]:
+def parse_fixture_file(path: Path, root: str | None = None) -> list[FixtureRow]:
+    """The rows of a fixture file in order, an ``expand:`` row once per
+    chain of its family.  Given ``root``, only the rows whose ``# root:``
+    names it are parsed and returned.  A row without a ``name:`` is named
+    ``<stem>:<n>`` by its place among all the rows of the file, so a row
+    has one name with or without ``root``."""
     rows: list[FixtureRow] = []
+    count = 0  # rows so far, parsed or not
     pending: dict[str, str] = {}
     for raw in path.read_text().splitlines():
         line = raw.strip()
@@ -99,8 +105,12 @@ def parse_fixture_file(path: Path) -> list[FixtureRow]:
             if m:
                 pending[m.group(1)] = m.group(2).strip()
             continue
-        name = pending.get("name", f"{path.stem}:{len(rows) + 1}")
-        root = pending.get("root")
+        name = pending.get("name", f"{path.stem}:{count + 1}")
+        family = _chain_family(pending["expand"]) if "expand" in pending else None
+        count += 1 if family is None else len(family)
+        if root is not None and pending.get("root") != root:
+            pending = {}
+            continue
         lhs = None
         if "lhs" in pending:
             lhs = Fraction(pending["lhs"])
@@ -109,11 +119,11 @@ def parse_fixture_file(path: Path) -> list[FixtureRow]:
             int(x) for x in pending.get("node-labels", "").split(",") if x.strip()
         )
         sing_text = pending.get("sing")
-        if "expand" in pending:
+        if family is not None:
             variants = [
                 (f"{name}(T={_chain_text(t)})", _expand_placeholders(line, t),
                  sing_text and _expand_placeholders(sing_text, t), _chain_text(t))
-                for t in _chain_family(pending["expand"])
+                for t in family
             ]
         else:
             variants = [(name, line, sing_text, None)]
@@ -124,7 +134,7 @@ def parse_fixture_file(path: Path) -> list[FixtureRow]:
                     text=text,
                     expr=notation.parse(text),
                     sing=notation.parse(sing, require_declared=False) if sing else None,
-                    root=root,
+                    root=pending.get("root"),
                     lhs=lhs,
                     abcd_table=abcd,
                     chain_choice=choice,
@@ -135,8 +145,9 @@ def parse_fixture_file(path: Path) -> list[FixtureRow]:
     return rows
 
 
-def load_table(stem: str) -> list[FixtureRow]:
-    return parse_fixture_file(data_dir() / "tables" / f"{stem}.types")
+def load_table(stem: str, root: str | None = None) -> list[FixtureRow]:
+    """The rows of a table, only those of ``root`` if given."""
+    return parse_fixture_file(data_dir() / "tables" / f"{stem}.types", root)
 
 
 def load_negative() -> list[FixtureRow]:
@@ -146,8 +157,8 @@ def load_negative() -> list[FixtureRow]:
 TABLE_STEMS = ("char0", "char3", "char2_moduli", "char2", "nonlt_char2")
 
 
-def load_all_tables(stems=TABLE_STEMS) -> dict[str, list[FixtureRow]]:
-    return {stem: load_table(stem) for stem in stems}
+def load_all_tables(stems=TABLE_STEMS, root: str | None = None) -> dict[str, list[FixtureRow]]:
+    return {stem: load_table(stem, root) for stem in stems}
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ intersection of A with one of its boundary attachments.
 
 The cascade enumerator closes a vertically primitive root under reverse
 swaps, keeping the children that stay admissible and satisfy the width
-inequality, and deduplicating by canonical form.  A child is classified
-from the one walk of its blown-up graph and becomes a DecoratedType only
-if it is expanded.  Reverse swaps on different labels commute, so a node
-skips each move whose child an earlier sibling also makes by the node's
-own move (partial-order reduction, after Godefroid, "Partial-Order
-Methods for the Verification of Concurrent Systems", LNCS 1032, 1996).
+inequality, and deduplicating by canonical form.  What a parent's
+children share, its graph, layout, label blocks and label attachments,
+is computed once per parent (``_Frame``).  A child is classified from
+that frame, with only the component of its new curve walked again, and
+becomes a DecoratedType only if it is expanded.  Reverse swaps on
+different labels commute, so a node skips each move whose child an
+earlier sibling also makes by the node's own move (partial-order
+reduction, after Godefroid, "Partial-Order Methods for the Verification
+of Concurrent Systems", LNCS 1032, 1996).
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ from delpezzo3.boundary import (
     BoundaryGraph,
     DecoratedType,
     Entry,
+    _block_names,
+    _label_blocks,
     canonical_form,
     comp_entries,
     graph_of,
     place_entries,
+    walk_component,
     walk_components,
     width_check,
 )
@@ -130,15 +136,19 @@ def reverse_swap(d: DecoratedType, label: int, target: int,
     return from_graph(new_entries, new_adj, d.width, d.char_tag, d.free_labels)
 
 
-def _blow_up_graph(graph, label: int, target: int, excluded_labels: frozenset = frozenset()):
+def _blow_up_graph(graph, label: int, target: int, excluded_labels: frozenset = frozenset(),
+                   att=None):
     """The reverse swap in graph form, with its checks: every entry keeps
     its index, the target gains one weight, the label moves from its other
     attachments to the new (-2)-curve, which is appended and meets them.
-    The lists of ``adj`` that do not change are shared, not copied."""
+    ``att`` is ``_attachments(entries, label)``, passed by a caller that
+    has it.  The lists of ``adj`` that do not change are shared, not
+    copied."""
     if label in excluded_labels:
         raise SwapError(f"label {label} meets the boundary in a node")
     entries, adj = graph
-    att = _attachments(entries, label)
+    if att is None:
+        att = _attachments(entries, label)
     if target not in {i for i, _ in att}:
         raise SwapError(f"entry {target} is not an attachment of label {label}")
     if any(k > 1 for _, k in att):
@@ -154,6 +164,76 @@ def _blow_up_graph(graph, label: int, target: int, excluded_labels: frozenset = 
     new_entries.append(Entry(2, labels=(label,)))
     new_adj.append(others)
     return new_entries, new_adj
+
+
+class _Frame:
+    """What the reverse-swap children of one parent share, computed once:
+    the parent's graph (``to_graph``), its layout in that numbering, each
+    entry's part, the parts' label blocks, and each label's attachments.
+
+    A blow-up changes one weight and joins the new (-2)-curve to the
+    label's other attachments, so ``child`` walks only the component of
+    the new curve and keeps every other part and block of the parent."""
+
+    __slots__ = ("parent", "graph", "layout", "part_of", "block_of", "blocks", "attachments")
+
+    def __init__(self, parent: DecoratedType):
+        self.parent = parent
+        self.graph = to_graph(parent)
+        entries = self.graph[0]
+        _, self.layout = parent.walk()
+        self.part_of = [0] * len(entries)
+        for p, part in enumerate(self.layout):
+            for i in comp_entries(part):
+                self.part_of[i] = p
+        self.blocks = _label_blocks(entries, self.layout)
+        names = _block_names(entries, self.layout)
+        index = {name: b for b, name in enumerate(dict.fromkeys(names))}
+        self.block_of = [index[name] for name in names]  # each part's block in ``blocks``
+        labels = {l for e in entries for l in e.labels}
+        self.attachments = {l: _attachments(entries, l) for l in labels}
+
+    def child(self, label: int, target: int, excluded_labels: frozenset) -> BoundaryGraph:
+        """The walked blow-up of the parent at ``(label, target)``; a
+        SwapError if the move is illegal or the new curve closes a cycle
+        or makes a component that is neither a chain nor a fork.
+
+        The new curve's component, the parts of the label's other
+        attachments joined by the new curve, is walked again.  In the
+        parent's layout it takes the slot of the first part it absorbs, or
+        goes last if it absorbs none, which is where ``walk_components``
+        puts it: components come in order of their smallest node, and the
+        new curve's node is the last.  The label now meets the target and
+        the new curve, so the new component joins the target's label
+        block, and every other block keeps its parts.  A blow-up of a
+        DecoratedType passes its checks: weights only grow, the marks do
+        not move, and the label meets the boundary twice."""
+        entries, adj = _blow_up_graph(self.graph, label, target, excluded_labels,
+                                      self.attachments.get(label, []))
+        c = len(entries) - 1
+        try:
+            merged = walk_component(adj, c, set())
+        except ValueError as err:
+            raise SwapError(str(err)) from None
+        absorbed = {self.part_of[i] for i in adj[c]}
+        first = min(absorbed, default=None)
+        home = self.block_of[self.part_of[target]]
+        layout, block = [], []
+        for p, part in enumerate(self.layout):
+            if p in absorbed:
+                if p != first:
+                    continue
+                part = merged
+            layout.append(part)
+            if self.block_of[p] == home:
+                block.append(part)
+        if first is None:
+            layout.append(merged)
+            block.append(merged)
+        blocks = self.blocks.copy()
+        blocks[home] = block
+        d = self.parent
+        return BoundaryGraph(entries, layout, blocks, d.width, d.char_tag, d.free_labels)
 
 
 def legal_forward_labels(d: DecoratedType,
@@ -217,25 +297,24 @@ def _expand_run(parents, excluded, expand, skips):
     """Generate and classify the reverse-swap children of a run of
     parents, yielding one pair (records, skips) per parent.
 
-    Each parent's graph is built once and shared by its move list and
-    every child.  The moves in the parent's entry of ``skips`` are not
-    tried.  A child is blown up in graph form and walked once; that
-    ``BoundaryGraph`` gives its key and, for a key new to the run, its
-    width check and a record (key, move, status, lhs, child).  The child
-    is there only when it is ok and ``expand`` is set, built by
-    ``reverse_swap``; the yielded ``skips`` maps its move to the moves it
-    need not try (``_commuting_skips``, from the child's walk)."""
+    Each parent's ``_Frame`` is built once and shared by its move list
+    and every child.  The moves in the parent's entry of ``skips`` are not
+    tried.  A child is built from the frame as a ``BoundaryGraph``, with
+    only the new curve's component walked, which gives its key and, for a
+    key new to the run, its width check and a record (key, move, status,
+    lhs, child).  The child is there only when it is ok and ``expand`` is
+    set, built by ``reverse_swap``; the yielded ``skips`` maps its move to
+    the moves it need not try (``_commuting_skips``, from the child's
+    layout)."""
     seen: dict = {}  # key -> whether it was ok
     for parent, skip in zip(parents, skips):
-        graph = to_graph(parent)
+        frame = _Frame(parent)
         records, siblings, expanded = [], {}, {}
-        for move in reverse_moves(parent, excluded, graph=graph):
+        for move in reverse_moves(parent, excluded, graph=frame.graph):
             if move in skip:
                 continue
             try:
-                entries, adj = _blow_up_graph(graph, *move, excluded)
-                walked = BoundaryGraph(entries, _walk(adj), parent.width, parent.char_tag,
-                                       parent.free_labels)
+                walked = frame.child(*move, excluded)
             except SwapError:
                 continue
             key = canonical_form(walked)
@@ -246,7 +325,8 @@ def _expand_run(parents, excluded, expand, skips):
                 if res is None:
                     records.append((key, move, "inadmissible", None, None))
                 else:
-                    child = reverse_swap(parent, *move, graph=graph) if ok and expand else None
+                    child = (reverse_swap(parent, *move, graph=frame.graph)
+                             if ok and expand else None)
                     records.append((key, move, "ok" if ok else "inequality", res.lhs, child))
                     if child is not None:
                         expanded[move] = key, walked.layout

@@ -238,6 +238,22 @@ def test_jobs_do_not_change_output():
         assert one.stdout_bytes == two.stdout_bytes
 
 
+def test_cascade_output_is_the_same_with_every_table_row(monkeypatch):
+    """``dp3 cascade`` parses only its root's table rows, and prints the
+    same bytes as when it parses all of them, for every root."""
+    filtered = {}
+    for name in verify.ROOTS:
+        result = run("cascade", "--root", name, "--depth", "3")
+        assert result.exit_code == 0
+        filtered[name] = result.stdout_bytes
+    load_all_tables = fixtures.load_all_tables
+    monkeypatch.setattr(fixtures, "load_all_tables", lambda stems, root=None: load_all_tables(stems))
+    for name in verify.ROOTS:
+        result = run("cascade", "--root", name, "--depth", "3")
+        assert result.exit_code == 0
+        assert result.stdout_bytes == filtered[name], name
+
+
 # -- targets beyond --cascade-depth are counted -----------------------------------
 
 

@@ -29,14 +29,15 @@ from test_swaps import load_primitive
 
 from delpezzo3 import notation, swaps
 from delpezzo3.boundary import (
-    BoundaryGraph,
     DecoratedType,
     Entry,
+    _label_blocks,
     canonical_form,
     chain_comp,
     comp_weights,
     fork_comp,
     graph_of,
+    place_entries,
     walk_components,
     width_check,
 )
@@ -209,42 +210,33 @@ def test_skipped_moves_are_made_by_an_earlier_parent(in_process_pool, monkeypatc
     assert made[1, False] == made[2, False] < made[1, True] / 20
 
 
-def test_skip_cuts_reverse_swaps(cascades, monkeypatch):
-    """The depth-4 w3a and w3b cascades make at most 3200 reverse swaps
-    (4033 without the commuting-swap skip), with the same nodes."""
-    calls = []
-    original = swaps.reverse_swap
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(swaps, "reverse_swap", counting)
-    for (result, excluded), stem in zip(cascades, ("w3_a", "w3_b")):
-        again, _ = cascade_of(stem, 4)
-        assert again.nodes.keys() == result.nodes.keys()
-        assert again.pruned.keys() == result.pruned.keys()
-    assert len(calls) <= 3200
-
-
 def test_skip_cuts_blow_ups(cascades, monkeypatch):
     """The depth-4 w3a and w3b cascades blow up at most 3500 graphs, one
     per child classified and one more per child that ``reverse_swap``
     builds to expand (4424 without the commuting-swap skip), with the
-    same nodes."""
-    calls = []
-    original = swaps._blow_up_graph
+    same nodes.  ``reverse_swap`` runs once per expanded child, an ok
+    node above the last depth."""
+    blow_ups, reverse_swaps = [], []
+    blow_up, reverse_swap = swaps._blow_up_graph, swaps.reverse_swap
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting_blow_up(*args):
+        blow_ups.append(args)
+        return blow_up(*args)
 
-    monkeypatch.setattr(swaps, "_blow_up_graph", counting)
+    def counting_reverse_swap(*args, **kwargs):
+        reverse_swaps.append(args)
+        return reverse_swap(*args, **kwargs)
+
+    monkeypatch.setattr(swaps, "_blow_up_graph", counting_blow_up)
+    monkeypatch.setattr(swaps, "reverse_swap", counting_reverse_swap)
     for (result, excluded), stem in zip(cascades, ("w3_a", "w3_b")):
         again, _ = cascade_of(stem, 4)
         assert again.nodes.keys() == result.nodes.keys()
         assert again.pruned.keys() == result.pruned.keys()
-    assert len(calls) <= 3500
+    assert len(blow_ups) <= 3500
+    assert len(reverse_swaps) == sum(
+        0 < n.depth < 4 for result, _ in cascades for n in result.nodes.values()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -520,36 +512,50 @@ def error_class(fn, *args):
     return None
 
 
-def walked_child(entries, adj, d):
-    return BoundaryGraph(entries, swaps._walk(adj), d.width, d.char_tag, d.free_labels)
+def as_lists(part):
+    """A layout part with its index ranges as lists."""
+    if part[0] == "chain":
+        return ("chain", list(part[1]))
+    return ("fork", part[1], tuple(map(list, part[2])))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(labelled_types())
-def test_graph_form_matches_decorated_type(d):
+@given(labelled_types(), st.sampled_from([frozenset(), frozenset({1})]))
+def test_graph_form_matches_decorated_type(d, excluded):
     """The layout a type counts from its components is the walk of its
-    graph; and for every (label, index) pair that ``_blow_up_graph``
-    accepts, the walked blow-up has the canonical form and the width
-    check of the type ``from_graph`` builds from it, that check agrees
-    with the ``Fraction`` oracle, and a graph that ``from_graph`` rejects
-    (a cycle, or neither a chain nor a fork) is rejected with the same
-    error class."""
-    graph = swaps.to_graph(d)
+    graph.  For every (label, index) pair, the child that the parent's
+    ``_Frame`` builds, with only the new curve's component walked, is the
+    one the whole blow-up gives: its layout is ``walk_components`` of the
+    blown-up neighbour lists and its blocks ``_label_blocks`` of that
+    layout, its entries make the DecoratedType that ``from_graph`` builds
+    from the blow-up, with the same canonical form and width check, and
+    that check agrees with the ``Fraction`` oracle.  A move that
+    ``_blow_up_graph`` rejects, or a graph that ``from_graph`` rejects (a
+    cycle, or neither a chain nor a fork), raises the same error class."""
+    frame = swaps._Frame(d)
+    graph = frame.graph
     entries, layout = d.walk()
     assert entries == graph[0]
-    assert [(p[0], list(p[1])) if p[0] == "chain" else (*p[:2], tuple(map(list, p[2])))
-            for p in layout] == walk_components(graph[1])
+    assert list(map(as_lists, layout)) == walk_components(graph[1])
     for label, target in every_pair(d, graph=graph):
         try:
-            blown_up = swaps._blow_up_graph(graph, label, target)
+            blown_up = swaps._blow_up_graph(graph, label, target, excluded)
         except swaps.SwapError:
+            assert error_class(frame.child, label, target, excluded) is swaps.SwapError
             continue
         args = (*blown_up, d.width, d.char_tag, d.free_labels)
-        error = error_class(walked_child, *blown_up, d)
+        error = error_class(frame.child, label, target, excluded)
         assert error == error_class(swaps.from_graph, *args)
         if error is not None:
             continue
-        walked, child = walked_child(*blown_up, d), swaps.from_graph(*args)
+        walked, child = frame.child(label, target, excluded), swaps.from_graph(*args)
+        whole = walk_components(blown_up[1])
+        assert walked.entries == blown_up[0]
+        assert list(map(as_lists, walked.layout)) == whole
+        assert [list(map(as_lists, b)) for b in walked.blocks] == _label_blocks(walked.entries, whole)
+        assert place_entries(whole, walked.entries) == child.components
+        assert (walked.width, walked.char_tag, walked.free_labels) == (
+            child.width, child.char_tag, child.free_labels)
         assert canonical_form(walked) == canonical_form(child)
         assert width_check(walked) == width_check(child)
         if child.is_admissible():

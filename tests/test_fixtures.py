@@ -62,3 +62,35 @@ def test_fixture_directory_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DP_FIXTURES", str(tmp_path))
     rows = fixtures.load_table("char0")
     assert len(rows) == 1 and rows[0].name == "only"
+
+
+def test_root_filter_parses_only_its_rows():
+    """Parsing with a root gives the rows of a full parse that name it,
+    for every root in the tables that name roots, and none for a root no
+    row names."""
+    for stem in ("char0", "char3"):
+        rows = fixtures.load_table(stem)
+        for root in {r.root for r in rows} | {"w2x2b", "none"}:
+            assert fixtures.load_table(stem, root) == [r for r in rows if r.root == root]
+
+
+def test_root_filter_keeps_the_numbering_of_unnamed_rows(tmp_path):
+    """An unnamed row is named by its place among all rows of the file,
+    an expanded row counting once per chain, with or without the filter."""
+    path = tmp_path / "mixed.types"
+    path.write_text(
+        "# root: w3a\n[2h,3h,2h] ; width=3\n"
+        "# root: w3b\n# expand: d(T)<=3\n{T}+[2h,3h,2h] ; width=3\n"
+        "[2h,2h,2h] ; width=3\n"
+        "# root: w3a\n# name: named\n[2h,4h,2h] ; width=3\n"
+        "# root: w3b\n[3h,2h,3h] ; width=3\n"
+        "# root: w3a\n[3h,3h,3h] ; width=3\n"
+    )
+    rows = fixtures.parse_fixture_file(path)
+    assert [r.name for r in rows] == [
+        "mixed:1", "mixed:2(T=[2])", "mixed:2(T=[3])", "mixed:2(T=[2,2])", "mixed:5",
+        "named", "mixed:7", "mixed:8",
+    ]
+    for root in ("w3a", "w3b"):
+        assert fixtures.parse_fixture_file(path, root) == [r for r in rows if r.root == root]
+    assert [r.name for r in fixtures.parse_fixture_file(path, "w3a")] == ["mixed:1", "named", "mixed:8"]
