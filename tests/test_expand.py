@@ -210,33 +210,47 @@ def test_skipped_moves_are_made_by_an_earlier_parent(in_process_pool, monkeypatc
     assert made[1, False] == made[2, False] < made[1, True] / 20
 
 
-def test_skip_cuts_blow_ups(cascades, monkeypatch):
-    """The depth-4 w3a and w3b cascades blow up at most 3500 graphs, one
-    per child classified and one more per child that ``reverse_swap``
-    builds to expand (4424 without the commuting-swap skip), with the
-    same nodes.  ``reverse_swap`` runs once per expanded child, an ok
-    node above the last depth."""
-    blow_ups, reverse_swaps = [], []
-    blow_up, reverse_swap = swaps._blow_up_graph, swaps.reverse_swap
+def test_skip_cuts_reverse_swaps(cascades, monkeypatch):
+    """The depth-4 w3a and w3b cascades call ``reverse_swap`` once per
+    expanded child, an ok node above the last depth (391), with the same
+    nodes.  Children are classified from the parent's frame, so the
+    commuting-swap skip no longer changes this count; the calls it saves
+    are blow-ups, which ``test_skip_cuts_blow_ups`` bounds."""
+    calls = []
+    original = swaps.reverse_swap
 
-    def counting_blow_up(*args):
-        blow_ups.append(args)
-        return blow_up(*args)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    def counting_reverse_swap(*args, **kwargs):
-        reverse_swaps.append(args)
-        return reverse_swap(*args, **kwargs)
-
-    monkeypatch.setattr(swaps, "_blow_up_graph", counting_blow_up)
-    monkeypatch.setattr(swaps, "reverse_swap", counting_reverse_swap)
+    monkeypatch.setattr(swaps, "reverse_swap", counting)
     for (result, excluded), stem in zip(cascades, ("w3_a", "w3_b")):
         again, _ = cascade_of(stem, 4)
         assert again.nodes.keys() == result.nodes.keys()
         assert again.pruned.keys() == result.pruned.keys()
-    assert len(blow_ups) <= 3500
-    assert len(reverse_swaps) == sum(
+    assert len(calls) == sum(
         0 < n.depth < 4 for result, _ in cascades for n in result.nodes.values()
     )
+
+
+def test_skip_cuts_blow_ups(cascades, monkeypatch):
+    """The depth-4 w3a and w3b cascades blow up at most 3500 graphs, one
+    per child classified and one more per child that ``reverse_swap``
+    builds to expand (4424 without the commuting-swap skip), with the
+    same nodes."""
+    calls = []
+    original = swaps._blow_up_graph
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(swaps, "_blow_up_graph", counting)
+    for (result, excluded), stem in zip(cascades, ("w3_a", "w3_b")):
+        again, _ = cascade_of(stem, 4)
+        assert again.nodes.keys() == result.nodes.keys()
+        assert again.pruned.keys() == result.pruned.keys()
+    assert len(calls) <= 3500
 
 
 @pytest.fixture(scope="module")
