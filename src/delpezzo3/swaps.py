@@ -8,10 +8,11 @@ intersection of A with one of its boundary attachments.
 
 The cascade enumerator closes a vertically primitive root under reverse
 swaps, keeping the children that stay admissible and satisfy the width
-inequality, and deduplicating by canonical form.  What a parent's
-children share, its graph, layout, label blocks and label attachments,
-is computed once per parent (``_Frame``).  A child is classified from
-that frame, with only the component of its new curve walked again, and
+inequality, and deduplicating by canonical form.  A parent's moves are
+read in one pass over its entries; what its children share, its graph,
+layout, label blocks and each label's targets, is built once from the
+parent and its moves (``_Frame``).  A child is classified from that
+frame, with only the component of its new curve walked again, and
 becomes a DecoratedType only if it is expanded.  Reverse swaps on
 different labels commute, so a node skips each move whose child an
 earlier sibling also makes by the node's own move (partial-order
@@ -31,7 +32,6 @@ from delpezzo3.boundary import (
     DecoratedType,
     Entry,
     _block_names,
-    _label_blocks,
     canonical_form,
     comp_entries,
     graph_of,
@@ -55,20 +55,24 @@ def to_graph(d: DecoratedType):
 
 
 def from_graph(entries, adj, width, char_tag, free_labels) -> DecoratedType:
-    return DecoratedType(place_entries(_walk(adj), entries), width, char_tag,
-                         frozenset(free_labels))
-
-
-def _walk(adj) -> list:
-    """``walk_components(adj)``, its error a SwapError."""
+    """The DecoratedType of the graph form ``(entries, adj)``, its parts
+    walked by ``walk_components``.  A graph that is not a union of chains
+    and forks, or a type that fails its checks, raises SwapError."""
     try:
-        return walk_components(adj)
+        return DecoratedType(place_entries(walk_components(adj), entries), width, char_tag,
+                             frozenset(free_labels))
     except ValueError as err:
         raise SwapError(str(err)) from None
 
 
-def _attachments(entries, label):
-    return [(i, e.labels.count(label)) for i, e in enumerate(entries) if label in e.labels]
+def _label_attachments(entries) -> dict:
+    """Each label's attachments over ``entries``, in one pass: its list of
+    (entry index, contact), the contact being how often it meets the entry."""
+    att: dict = {}
+    for i, e in enumerate(entries):
+        for l in dict.fromkeys(e.labels):
+            att.setdefault(l, []).append((i, e.labels.count(l)))
+    return att
 
 
 def _strip_label(e: Entry, label: int) -> Entry:
@@ -89,7 +93,7 @@ def forward_swap(d: DecoratedType, label: int,
     if label in excluded_labels:
         raise SwapError(f"label {label} meets the boundary in a node")
     entries, adj = to_graph(d)
-    att = _attachments(entries, label)
+    att = _label_attachments(entries).get(label)
     if not att:
         raise SwapError(f"label {label} has no boundary attachment")
     if any(k > 1 for _, k in att):
@@ -127,35 +131,30 @@ def forward_swap(d: DecoratedType, label: int,
 
 
 def reverse_swap(d: DecoratedType, label: int, target: int,
-                 excluded_labels: frozenset = frozenset(), graph=None) -> DecoratedType:
+                 excluded_labels: frozenset = frozenset()) -> DecoratedType:
     """Blow up the intersection of the labeled (-1)-curve with the
-    boundary entry at graph index ``target``.  ``graph`` is ``to_graph(d)``,
-    passed by a caller that builds it once for many swaps of ``d``."""
-    new_entries, new_adj = _blow_up_graph(to_graph(d) if graph is None else graph, label, target,
-                                          excluded_labels)
-    return from_graph(new_entries, new_adj, d.width, d.char_tag, d.free_labels)
-
-
-def _blow_up_graph(graph, label: int, target: int, excluded_labels: frozenset = frozenset(),
-                   att=None):
-    """The reverse swap in graph form, with its checks: every entry keeps
-    its index, the target gains one weight, the label moves from its other
-    attachments to the new (-2)-curve, which is appended and meets them.
-    ``att`` is ``_attachments(entries, label)``, passed by a caller that
-    has it.  The lists of ``adj`` that do not change are shared, not
-    copied."""
+    boundary entry at graph index ``target``."""
     if label in excluded_labels:
         raise SwapError(f"label {label} meets the boundary in a node")
-    entries, adj = graph
-    if att is None:
-        att = _attachments(entries, label)
+    graph = to_graph(d)
+    att = _label_attachments(graph[0]).get(label, [])
     if target not in {i for i, _ in att}:
         raise SwapError(f"entry {target} is not an attachment of label {label}")
     if any(k > 1 for _, k in att):
         raise SwapError("the curve meets a boundary component twice")
+    return from_graph(*_blow_up_graph(graph, label, target, [i for i, _ in att]),
+                      d.width, d.char_tag, d.free_labels)
+
+
+def _blow_up_graph(graph, label: int, target: int, attached):
+    """The reverse swap in graph form at a legal move: every entry keeps
+    its index, the target gains one weight, the label moves from its other
+    ``attached`` entries to the new (-2)-curve, which is appended and meets
+    them.  The lists of ``adj`` that do not change are shared, not copied."""
+    entries, adj = graph
     new_entries, new_adj = list(entries), list(adj)
     c = len(entries)
-    others = [i for i, _ in att if i != target]
+    others = [i for i in attached if i != target]
     e = entries[target]
     new_entries[target] = Entry(e.weight + 1, e.horizontal, e.two_section, e.labels)
     for i in others:
@@ -169,34 +168,36 @@ def _blow_up_graph(graph, label: int, target: int, excluded_labels: frozenset = 
 class _Frame:
     """What the reverse-swap children of one parent share, computed once:
     the parent's graph (``to_graph``), its layout in that numbering, each
-    entry's part, the parts' label blocks, and each label's attachments.
+    entry's part, the parts' label blocks, and each label's targets in the
+    parent's ``moves``, which are its attachments: it meets each once.
 
     A blow-up changes one weight and joins the new (-2)-curve to the
     label's other attachments, so ``child`` walks only the component of
     the new curve and keeps every other part and block of the parent."""
 
-    __slots__ = ("parent", "graph", "layout", "part_of", "block_of", "blocks", "attachments")
+    __slots__ = ("parent", "graph", "layout", "part_of", "block_of", "blocks", "targets")
 
-    def __init__(self, parent: DecoratedType):
+    def __init__(self, parent: DecoratedType, moves):
         self.parent = parent
         self.graph = to_graph(parent)
-        entries = self.graph[0]
         _, self.layout = parent.walk()
-        self.part_of = [0] * len(entries)
+        self.part_of = [0] * len(self.graph[0])
         for p, part in enumerate(self.layout):
             for i in comp_entries(part):
                 self.part_of[i] = p
-        self.blocks = _label_blocks(entries, self.layout)
-        names = _block_names(entries, self.layout)
+        names = _block_names(self.graph[0], self.layout)
         index = {name: b for b, name in enumerate(dict.fromkeys(names))}
         self.block_of = [index[name] for name in names]  # each part's block in ``blocks``
-        labels = {l for e in entries for l in e.labels}
-        self.attachments = {l: _attachments(entries, l) for l in labels}
+        self.blocks = [[part for part, b in zip(self.layout, self.block_of) if b == k]
+                       for k in index.values()]
+        self.targets: dict = {}
+        for label, target in moves:
+            self.targets.setdefault(label, []).append(target)
 
-    def child(self, label: int, target: int, excluded_labels: frozenset) -> BoundaryGraph:
+    def child(self, label: int, target: int) -> BoundaryGraph:
         """The walked blow-up of the parent at ``(label, target)``; a
-        SwapError if the move is illegal or the new curve closes a cycle
-        or makes a component that is neither a chain nor a fork.
+        SwapError if it is not a move of the parent or the new curve closes
+        a cycle or makes a component that is neither a chain nor a fork.
 
         The new curve's component, the parts of the label's other
         attachments joined by the new curve, is walked again.  In the
@@ -208,8 +209,10 @@ class _Frame:
         block, and every other block keeps its parts.  A blow-up of a
         DecoratedType passes its checks: weights only grow, the marks do
         not move, and the label meets the boundary twice."""
-        entries, adj = _blow_up_graph(self.graph, label, target, excluded_labels,
-                                      self.attachments.get(label, []))
+        attached = self.targets.get(label, ())
+        if target not in attached:
+            raise SwapError(f"({label}, {target}) is not a reverse move of the parent")
+        entries, adj = _blow_up_graph(self.graph, label, target, attached)
         c = len(entries) - 1
         try:
             merged = walk_component(adj, c, set())
@@ -253,17 +256,14 @@ def is_vertically_primitive(d: DecoratedType,
     return not legal_forward_labels(d, excluded_labels)
 
 
-def reverse_moves(d: DecoratedType, excluded_labels: frozenset = frozenset(),
-                  graph=None) -> list[tuple[int, int]]:
-    """All (label, target index) pairs that admit a reverse swap.
-    ``graph`` is ``to_graph(d)``, passed by a caller that has built it."""
-    entries, _ = to_graph(d) if graph is None else graph
-    moves = []
-    for label in sorted(d.labels() - excluded_labels):
-        att = _attachments(entries, label)
-        if all(k == 1 for _, k in att):
-            moves += [(label, i) for i, _ in att]
-    return moves
+def reverse_moves(d: DecoratedType,
+                  excluded_labels: frozenset = frozenset()) -> list[tuple[int, int]]:
+    """All (label, target index) pairs that admit a reverse swap, read
+    from ``_label_attachments`` of ``d.entries()``: every attachment of a
+    label that is not excluded and meets each of its attachments once."""
+    att = _label_attachments(d.entries())
+    return [(label, i) for label in sorted(att.keys() - excluded_labels)
+            if all(k == 1 for _, k in att[label]) for i, _ in att[label]]
 
 
 # -- cascade -----------------------------------------------------------------
@@ -297,24 +297,25 @@ def _expand_run(parents, excluded, expand, skips):
     """Generate and classify the reverse-swap children of a run of
     parents, yielding one pair (records, skips) per parent.
 
-    Each parent's ``_Frame`` is built once and shared by its move list
-    and every child.  The moves in the parent's entry of ``skips`` are not
-    tried.  A child is built from the frame as a ``BoundaryGraph``, with
-    only the new curve's component walked, which gives its key and, for a
-    key new to the run, its width check and a record (key, move, status,
-    lhs, child).  The child is there only when it is ok and ``expand`` is
-    set, built by ``reverse_swap``; the yielded ``skips`` maps its move to
-    the moves it need not try (``_commuting_skips``, from the child's
-    layout)."""
+    Each parent's ``reverse_moves`` are read once and build its
+    ``_Frame``, shared by every child.  The moves in the parent's entry of
+    ``skips`` are not tried.  A child is built from the frame as a
+    ``BoundaryGraph``, with only the new curve's component walked, which
+    gives its key and, for a key new to the run, its width check and a
+    record (key, move, status, lhs, child).  The child is there only when
+    it is ok and ``expand`` is set, built by ``reverse_swap``; the yielded
+    ``skips`` maps its move to the moves it need not try
+    (``_commuting_skips``, from the child's layout)."""
     seen: dict = {}  # key -> whether it was ok
     for parent, skip in zip(parents, skips):
-        frame = _Frame(parent)
+        moves = reverse_moves(parent, excluded)
+        frame = _Frame(parent, moves)
         records, siblings, expanded = [], {}, {}
-        for move in reverse_moves(parent, excluded, graph=frame.graph):
+        for move in moves:
             if move in skip:
                 continue
             try:
-                walked = frame.child(*move, excluded)
+                walked = frame.child(*move)
             except SwapError:
                 continue
             key = canonical_form(walked)
@@ -325,8 +326,7 @@ def _expand_run(parents, excluded, expand, skips):
                 if res is None:
                     records.append((key, move, "inadmissible", None, None))
                 else:
-                    child = (reverse_swap(parent, *move, graph=frame.graph)
-                             if ok and expand else None)
+                    child = reverse_swap(parent, *move) if ok and expand else None
                     records.append((key, move, "ok" if ok else "inequality", res.lhs, child))
                     if child is not None:
                         expanded[move] = key, walked.layout

@@ -8,6 +8,9 @@ Kept as the oracle for ``swaps.cascade``.
 in graph form: every child is built as a ``DecoratedType`` by
 ``reverse_swap``, and the skips blow the child up and walk it again.
 
+``attachments`` and ``reverse_moves`` read each label's attachments by a
+scan of its own, as ``swaps`` did before one pass read them all.
+
 With ``check_monotone`` it also checks, on every ok (parent, move) edge,
 duplicate children included, that no log discrepancy decreases under
 the forward swap from the child back to the parent: the monotonicity
@@ -34,7 +37,6 @@ from delpezzo3.swaps import (
     SwapError,
     _blow_up_graph,
     process_pool,
-    reverse_moves,
     reverse_swap,
     to_graph,
 )
@@ -48,6 +50,28 @@ class CascadeNode:
     move: tuple[int, int] | None
     status: str  # "ok" | "inadmissible" | "inequality" | "invalid"
     lhs: Fraction | None
+
+
+def attachments(entries, label) -> list:
+    """The (entry index, contact) of each entry that ``label`` meets."""
+    return [(i, e.labels.count(label)) for i, e in enumerate(entries) if label in e.labels]
+
+
+def reverse_moves(d: DecoratedType, excluded_labels: frozenset = frozenset()) -> list:
+    """All (label, target index) pairs that admit a reverse swap."""
+    entries, _ = to_graph(d)
+    moves = []
+    for label in sorted(d.labels() - excluded_labels):
+        att = attachments(entries, label)
+        if all(k == 1 for _, k in att):
+            moves += [(label, i) for i, _ in att]
+    return moves
+
+
+def blow_up(graph, label, target):
+    """``swaps._blow_up_graph`` at a legal move, the label's attachments
+    read by ``attachments``."""
+    return _blow_up_graph(graph, label, target, [i for i, _ in attachments(graph[0], label)])
 
 
 def ok_nodes(result: CascadeResult) -> list:
@@ -80,7 +104,7 @@ def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
     child back to the parent, given the parent's graph and lds.  The
     reverse swap keeps every parent entry at its graph index and appends
     the new (-2)-curve, so indices match."""
-    child_lds = graph_lds(*_blow_up_graph(parent_graph, *move))
+    child_lds = graph_lds(*blow_up(parent_graph, *move))
     for i, parent_ld in enumerate(parent_lds):
         if child_lds[i] > parent_ld:
             raise AssertionError(
@@ -91,15 +115,16 @@ def _check_lds_monotone(parent_graph, parent_lds, move) -> None:
 def _expand_parent(args):
     """Generate and classify all reverse-swap children of one parent.
 
-    The parent's graph and, for the monotonicity check, its lds are
-    built once and shared by the move list and every child."""
+    The moves come from the ``reverse_moves`` oracle.  For the
+    monotonicity check, the parent's graph and lds are built once and
+    shared by every child."""
     parent_key, parent, check_monotone, excluded = args
     graph = to_graph(parent)
     parent_lds = graph_lds(*graph) if check_monotone else None
     out = []
-    for move in reverse_moves(parent, excluded, graph=graph):
+    for move in reverse_moves(parent, excluded):
         try:
-            child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
+            child = reverse_swap(parent, *move, excluded_labels=excluded)
         except SwapError:
             continue
         key = canonical_form(child)
@@ -174,11 +199,11 @@ def expand_run(parents, excluded, expand, skips):
     for parent, skip in zip(parents, skips):
         graph = to_graph(parent)
         records, siblings = [], {}
-        for move in swaps.reverse_moves(parent, excluded, graph=graph):
+        for move in swaps.reverse_moves(parent, excluded):
             if move in skip:
                 continue
             try:
-                child = reverse_swap(parent, *move, excluded_labels=excluded, graph=graph)
+                child = reverse_swap(parent, *move, excluded_labels=excluded)
             except SwapError:
                 continue
             key = canonical_form(child)
@@ -204,7 +229,7 @@ def commuting_skips(graph, move, key, siblings) -> tuple:
     earlier = [(a, t) for (a, t), k in siblings.items() if a != label and k < key]
     if not earlier:
         return ()
-    _, new_adj = _blow_up_graph(graph, label, target)
+    _, new_adj = blow_up(graph, label, target)
     order = []
     for part in walk_components(new_adj):
         order += part[1] if part[0] == "chain" else [part[1], *chain.from_iterable(part[2])]

@@ -110,9 +110,9 @@ def test_monotone_check_on_every_ok_edge(stem, depth, monkeypatch):
         for key in sorted(k for k, n in new.nodes.items() if n.depth == level):
             parent = new.nodes[key].dtype
             graph = swaps.to_graph(parent)
-            for move in swaps.reverse_moves(parent, excluded, graph=graph):
+            for move in swaps.reverse_moves(parent, excluded):
                 try:
-                    child = swaps.reverse_swap(parent, *move, excluded, graph=graph)
+                    child = swaps.reverse_swap(parent, *move, excluded)
                 except swaps.SwapError:
                     continue
                 if canonical_form(child) in new.nodes:
@@ -258,26 +258,35 @@ def cascades():
     return [cascade_of(stem, 4) for stem in ("w3_a", "w3_b")]
 
 
-def every_pair(d, excluded_labels=frozenset(), graph=None):
+def every_pair(d, excluded_labels=frozenset()):
     """Every (label, graph index) pair, legal reverse swap or not."""
-    n = len((graph or swaps.to_graph(d))[0])
+    n = len(d.entries())
     return [(label, i) for label in sorted(d.labels()) for i in range(n)]
 
 
+def try_moves(monkeypatch, moves, excluded):
+    """Make ``_expand_run`` try ``moves`` at each parent, whose ``_Frame``
+    is still built from its ``reverse_moves`` and so rejects every other
+    pair."""
+    frame, legal = swaps._Frame, swaps.reverse_moves
+    monkeypatch.setattr(swaps, "_Frame", lambda parent, _: frame(parent, legal(parent, excluded)))
+    monkeypatch.setattr(swaps, "reverse_moves", moves)
+
+
 def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
-    """For every parent of the depth-4 w3a/w3b cascades and every move,
-    ``reverse_swap`` on the parent's shared graph builds the child it
-    builds alone, or both raise SwapError.  Over the run of all parents,
-    ``_expand_run`` keeps the key, status and lhs of each child whose
-    key the run has not recorded yet, with the child itself only when it
-    is ok, and no record for the others; also with every (label, index)
-    pair as a move.  Without ``expand`` no record carries a child."""
+    """For every parent of the depth-4 w3a/w3b cascades, over the run of
+    all parents, ``_expand_run`` keeps the key, status and lhs of each
+    child that ``reverse_swap`` builds and whose key the run has not
+    recorded yet, with the child itself only when it is ok, and no record
+    for the others; also with every (label, index) pair tried as a move,
+    where each move ``reverse_swap`` rejects makes no record.  Without
+    ``expand`` no record carries a child."""
     children = rejected = duplicates = 0
     for result, excluded in cascades:
         parents = [n.dtype for n in result.nodes.values() if n.depth < 4]
         for moves in (swaps.reverse_moves, every_pair):
             with monkeypatch.context() as m:
-                m.setattr(swaps, "reverse_moves", moves)
+                try_moves(m, moves, excluded)
                 no_skips = [()] * len(parents)
                 batches = [
                     records for records, _ in swaps._expand_run(parents, excluded, True, no_skips)
@@ -290,18 +299,14 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
                         for child_key, move, status, lhs, child in batch
                     }
                     assert len(got) == len(batch)
-                    graph = swaps.to_graph(parent)
                     recorded = []
                     for move in moves(parent, excluded):
                         try:
                             child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
                         except swaps.SwapError:
-                            with pytest.raises(swaps.SwapError):
-                                swaps.reverse_swap(parent, *move, excluded, graph=graph)
                             assert move not in got
                             rejected += 1
                             continue
-                        assert swaps.reverse_swap(parent, *move, excluded, graph=graph) == child
                         if not child.is_admissible():
                             expected = ("inadmissible", None)
                         else:
@@ -333,15 +338,17 @@ def test_expand_run_matches_decorated_type_oracle(moves, monkeypatch):
     w2c, in one run per root, ``_expand_run``, which classifies each child
     in graph form, yields the same (records, skips) as the expansion that
     built every child by ``reverse_swap``; also with every (label, index)
-    pair as a move, where a move ``reverse_swap`` rejects makes no record."""
-    monkeypatch.setattr(swaps, "reverse_moves", moves)
+    pair tried as a move, where a move ``reverse_swap`` rejects makes no
+    record."""
     records = skipped = 0
     for stem in ("w3_a", "w3_b", "w1_b", "w1_c3_notGK", "w2_c"):
         result, excluded = cascade_of(stem, 5)
         parents = [n.dtype for n in result.nodes.values() if n.depth < 5]
         no_skips = [()] * len(parents)
-        new = list(swaps._expand_run(parents, excluded, True, no_skips))
-        assert new == list(cascade_oracle.expand_run(parents, excluded, True, no_skips))
+        with monkeypatch.context() as m:
+            try_moves(m, moves, excluded)
+            new = list(swaps._expand_run(parents, excluded, True, no_skips))
+            assert new == list(cascade_oracle.expand_run(parents, excluded, True, no_skips))
         records += sum(len(batch) for batch, _ in new)
         skipped += sum(map(len, (s for _, skips in new for s in skips.values())))
     assert records > 5000 and skipped > 1000
@@ -537,32 +544,36 @@ def as_lists(part):
 @given(labelled_types(), st.sampled_from([frozenset(), frozenset({1})]))
 def test_graph_form_matches_decorated_type(d, excluded):
     """The layout a type counts from its components is the walk of its
-    graph.  For every (label, index) pair, the child that the parent's
-    ``_Frame`` builds, with only the new curve's component walked, is the
-    one the whole blow-up gives: its layout is ``walk_components`` of the
-    blown-up neighbour lists and its blocks ``_label_blocks`` of that
-    layout, its entries make the DecoratedType that ``from_graph`` builds
-    from the blow-up, with the same canonical form and width check, and
-    that check agrees with the ``Fraction`` oracle.  A move that
-    ``_blow_up_graph`` rejects, or a graph that ``from_graph`` rejects (a
-    cycle, or neither a chain nor a fork), raises the same error class."""
-    frame = swaps._Frame(d)
+    graph, and the parent's ``_Frame``, built from its ``reverse_moves``,
+    has its ``_label_blocks``.  For every (label, index) pair that is a
+    move, the child that the frame builds, with only the new curve's
+    component walked, is the one the whole blow-up gives: its layout is
+    ``walk_components`` of the blown-up neighbour lists and its blocks
+    ``_label_blocks`` of that layout, its entries make the DecoratedType
+    that ``from_graph`` builds from the blow-up, with the same canonical
+    form and width check, and that check agrees with the ``Fraction``
+    oracle.  A graph that ``from_graph`` rejects (a cycle, or neither a
+    chain nor a fork) raises the same error class.  Every other pair
+    raises SwapError, from the frame and from ``reverse_swap``."""
+    moves = swaps.reverse_moves(d, excluded)
+    frame = swaps._Frame(d, moves)
     graph = frame.graph
     entries, layout = d.walk()
     assert entries == graph[0]
     assert list(map(as_lists, layout)) == walk_components(graph[1])
-    for label, target in every_pair(d, graph=graph):
-        try:
-            blown_up = swaps._blow_up_graph(graph, label, target, excluded)
-        except swaps.SwapError:
-            assert error_class(frame.child, label, target, excluded) is swaps.SwapError
+    assert frame.blocks == _label_blocks(entries, layout)
+    for label, target in every_pair(d):
+        if (label, target) not in moves:
+            assert error_class(frame.child, label, target) is swaps.SwapError
+            assert error_class(swaps.reverse_swap, d, label, target, excluded) is swaps.SwapError
             continue
+        blown_up = cascade_oracle.blow_up(graph, label, target)
         args = (*blown_up, d.width, d.char_tag, d.free_labels)
-        error = error_class(frame.child, label, target, excluded)
+        error = error_class(frame.child, label, target)
         assert error == error_class(swaps.from_graph, *args)
         if error is not None:
             continue
-        walked, child = frame.child(label, target, excluded), swaps.from_graph(*args)
+        walked, child = frame.child(label, target), swaps.from_graph(*args)
         whole = walk_components(blown_up[1])
         assert walked.entries == blown_up[0]
         assert list(map(as_lists, walked.layout)) == whole
@@ -574,6 +585,29 @@ def test_graph_form_matches_decorated_type(d, excluded):
         assert width_check(walked) == width_check(child)
         if child.is_admissible():
             assert width_check(child) == oracle.delpezzo_check_width(child)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(labelled_types(), st.sampled_from([frozenset(), frozenset({1})]))
+def test_one_pass_attachments_match_oracle(d, excluded):
+    """The one pass over the entries reads each label's attachments, with
+    their contacts, labels meeting an entry twice included, as the scan
+    per label does, and ``reverse_moves`` reads the moves it read."""
+    entries = d.entries()
+    assert swaps._label_attachments(entries) == {
+        label: cascade_oracle.attachments(entries, label)
+        for label in {l for e in entries for l in e.labels}
+    }
+    assert swaps.reverse_moves(d, excluded) == cascade_oracle.reverse_moves(d, excluded)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(labelled_types())
+def test_legal_forward_labels_raise_nothing(d):
+    """A forward swap that would make no type, a label meeting the
+    boundary four times among them, is a SwapError, so its label is not
+    legal: ``legal_forward_labels`` raises nothing."""
+    swaps.legal_forward_labels(d)
 
 
 def test_ld_chain_matches_oracle():

@@ -39,6 +39,17 @@ def test_primitive_models_admit_no_forward_swap(stem):
     assert swaps.is_vertically_primitive(root, node_excl)
 
 
+def test_forward_swap_to_no_type_is_a_swap_error():
+    """Contracting the (-2)-branch of the fork leaves curve 1 meeting the
+    boundary four times, which no type allows: a SwapError, so label 1 is
+    not legal and the type is vertically primitive."""
+    d = notation.substitute(notation.parse("<2@1;[2],[2],[2]> + [3@1]"), {})
+    with pytest.raises(swaps.SwapError, match="meets the boundary 4 > 3 times"):
+        swaps.forward_swap(d, 1)
+    assert swaps.legal_forward_labels(d) == []
+    assert swaps.is_vertically_primitive(d)
+
+
 def test_free_minus_one_curve_is_primitive():
     from delpezzo3.boundary import DecoratedType
 
@@ -93,8 +104,8 @@ def test_cascade_shuffled_move_order_same_set(monkeypatch):
     baseline = swaps.cascade(root, 3, excluded_labels=excl)
     original = swaps.reverse_moves
 
-    def shuffled(d, excluded_labels=frozenset(), graph=None):
-        moves = original(d, excluded_labels, graph=graph)
+    def shuffled(d, excluded_labels=frozenset()):
+        moves = original(d, excluded_labels)
         rng = random.Random(len(moves))
         rng.shuffle(moves)
         return moves
@@ -233,22 +244,25 @@ def test_swaps_leave_shared_neighbour_lists_unchanged(monkeypatch):
     monkeypatch.setattr(swaps, "from_graph", recording)
     children = forwards = 0
     for parent, excluded in parents:
-        graph = original_to_graph(parent)
-        # forward_swap builds its own graph: hand it the shared one
-        monkeypatch.setattr(swaps, "to_graph", lambda d: graph if d is parent else original_to_graph(d))
-        for move in swaps.reverse_moves(parent, excluded, graph=graph):
+        graph, child, child_graph = original_to_graph(parent), None, None
+        # every swap builds its own graph: hand the parent's and the child's the shared ones
+        monkeypatch.setattr(swaps, "to_graph", lambda d: (
+            graph if d is parent else child_graph if d is child else original_to_graph(d)))
+        for move in swaps.reverse_moves(parent, excluded):
             try:
-                child = swaps.reverse_swap(parent, *move, excluded, graph=graph)
+                child = swaps.reverse_swap(parent, *move, excluded)
             except swaps.SwapError:
                 continue
             child_graph = graphs[-1]
             children += 1
-            # the child's graph numbers its entries as the blow-up left them
-            for child_move in swaps.reverse_moves(child, excluded, graph=child_graph):
-                try:
-                    swaps.reverse_swap(child, *child_move, excluded, graph=child_graph)
-                except swaps.SwapError:
-                    pass
+            # the child's graph numbers its entries as the blow-up left them:
+            # try each label at each entry it meets there
+            for i, e in enumerate(child_graph[0]):
+                for label in e.labels:
+                    try:
+                        swaps.reverse_swap(child, label, i, excluded)
+                    except swaps.SwapError:
+                        pass
         for label in sorted(parent.labels()):
             try:
                 swaps.forward_swap(parent, label, excluded)
