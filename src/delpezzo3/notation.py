@@ -19,17 +19,28 @@ Grammar (one type expression per line; ``#`` starts a comment)::
 ``h`` marks a horizontal component, ``u`` the 2-section (which is always
 also horizontal), ``@j`` the j-th vertical (-1)-curve.  ``(2)_{e}`` is a
 run of (-2)-curves whose length may depend on parameters; length -1 is
-the sentinel of the star-composition conventions.  Characteristic tags:
-any, ne2, eq2, ne23, eq3.
+the sentinel of the star-composition conventions.  A characteristic tag
+(TAG) is one run of letters and digits without spaces: any, ne2, eq2,
+ne23, eq3.
+
+A ``TypeExpr`` is compiled when it is built into an instantiation plan
+(``_Plan``): its sorted parameters and, per component, either the
+component itself, built once when nothing in it names a parameter, or a
+``_Chain`` or ``_Fork`` whose constant runs are tuples of interned
+entries and whose parametric weights and ``(2)_{e}`` runs are the syntax
+nodes themselves.  ``substitute`` evaluates only those, and runs the
+star, sentinel and attach steps only where they can change something,
+with the checks, messages and order of checks of a walk over the whole
+tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from delpezzo3.boundary import DecoratedType, Entry, chain_comp, fork_comp
+from delpezzo3.boundary import Component, DecoratedType, Entry, chain_comp, fork_comp
 
 PARAMS = set("klmabcdst")
 
@@ -43,7 +54,7 @@ class NotationError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IExpr:
     """Integer expression: a constant or parameter +/- constant."""
 
@@ -65,7 +76,7 @@ class IExpr:
         return f"{self.param}{'+' if self.offset > 0 else '-'}{abs(self.offset)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntryExpr:
     value: IExpr
     horizontal: bool = False
@@ -73,7 +84,7 @@ class EntryExpr:
     labels: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepExpr:
     count: IExpr
 
@@ -81,32 +92,32 @@ class RepExpr:
 ChainLit = tuple  # of EntryExpr | RepExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainExprNode:
     parts: tuple[ChainLit, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwigExpr:
     chain: ChainLit
     prefix: tuple[int, ...] = ()
     suffix: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForkExprNode:
     branch: EntryExpr
     twigs: tuple[TwigExpr, TwigExpr, TwigExpr]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentExpr:
     body: ChainExprNode | ForkExprNode
     prefix: tuple[int, ...] = ()
     suffix: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     param: str
     op: str  # ">=", "<=", "=", "in"
@@ -127,32 +138,21 @@ class Constraint:
         return f"{self.param}{self.op}{self.values[0]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeExpr:
+    """A type expression, compiled into its ``_Plan`` when it is built."""
+
     components: tuple[ComponentExpr, ...]
     constraints: tuple[Constraint, ...] = ()
     width: int | None = None
     char_tag: str = "any"
+    _plan: _Plan = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_plan", _Plan(self.components))
 
     def parameters(self) -> list[str]:
-        seen: set[str] = set()
-
-        def walk_lit(lit):
-            for item in lit:
-                e = item.count if isinstance(item, RepExpr) else item.value
-                if e.param is not None:
-                    seen.add(e.param)
-
-        for comp in self.components:
-            if isinstance(comp.body, ChainExprNode):
-                for part in comp.body.parts:
-                    walk_lit(part)
-            else:
-                if comp.body.branch.value.param is not None:
-                    seen.add(comp.body.branch.value.param)
-                for twig in comp.body.twigs:
-                    walk_lit(twig.chain)
-        return sorted(seen)
+        return list(self._plan.params)
 
 
 # ---------------------------------------------------------------------------
@@ -165,85 +165,84 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<word>[A-Za-z]+)
   | (?P<op>>=|<=|[][<>{}(),;@*+=-])
+  | (?P<comment>\#)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as (kind, text, position) tuples, up to a
+    ``#`` and ending in an ``eof`` token at ``len(text)``."""
     out = []
-    i = 0
-    while i < len(text):
-        if text[i] == "#":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "comment":
             break
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise NotationError(f"unexpected character {text[i]!r}", i, text)
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), i))
-        i = m.end()
-    out.append(Token("eof", "", len(text)))
+        if kind == "bad":
+            raise NotationError(f"unexpected character {m.group()!r}", m.start(), text)
+        out.append((kind, m.group(), m.start()))
+    out.append(("eof", "", len(text)))
     return out
 
 
 class _Parser:
+    """Recursive descent over the token tuples; ``self.i`` indexes the next
+    token, and the eof token is never consumed except by an error."""
+
     def __init__(self, text: str, require_declared: bool = True):
         self.text = text
         self.require_declared = require_declared
-        self.tokens = _tokenize(text)
+        self.toks = _tokenize(text)
         self.i = 0
+        self.weights: dict[str, IExpr] = {}  # the constant weights parsed so far
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def error(self, message: str, tok: tuple) -> NotationError:
+        return NotationError(message, tok[2], self.text)
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
+    def expect(self, text: str) -> None:
+        tok = self.toks[self.i]
         self.i += 1
-        return tok
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, found {tok[1]!r}", tok)
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise NotationError(f"expected {text!r}, found {tok.text!r}", tok.pos, self.text)
-        return tok
-
-    def fail(self, message: str):
-        raise NotationError(message, self.peek().pos, self.text)
+    def expect_int(self) -> int:
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok[0] != "int":
+            raise self.error(f"expected integer, found {tok[1]!r}", tok)
+        return int(tok[1])
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> TypeExpr:
+        toks = self.toks
         components = [self.component()]
-        while self.peek().text == "+":
-            self.next()
+        while toks[self.i][1] == "+":
+            self.i += 1
             components.append(self.component())
         constraints: list[Constraint] = []
         width = None
         char_tag = "any"
-        while self.peek().text == ";":
-            self.next()
-            tok = self.peek()
-            if tok.kind == "word" and tok.text == "width":
-                self.next()
+        while toks[self.i][1] == ";":
+            self.i += 1
+            kind, text, _ = toks[self.i]
+            if kind == "word" and text == "width":
+                self.i += 1
                 self.expect("=")
-                width = int(self.expect_int().text)
-            elif tok.kind == "word" and tok.text == "char":
-                self.next()
+                width = self.expect_int()
+            elif kind == "word" and text == "char":
+                self.i += 1
                 self.expect("=")
-                char_tag = self.next().text
-                while self.peek().kind in ("int", "word"):
-                    char_tag += self.next().text
+                char_tag = self.char_tag()
             else:
                 constraints.append(self.constraint())
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input {self.peek().text!r}")
+        tok = toks[self.i]
+        if tok[0] != "eof":
+            raise self.error(f"trailing input {tok[1]!r}", tok)
         expr = TypeExpr(tuple(components), tuple(constraints), width, char_tag)
         if self.require_declared:
             declared = {c.param for c in expr.constraints}
@@ -254,81 +253,90 @@ class _Parser:
                 )
         return expr
 
-    def expect_int(self) -> Token:
-        tok = self.next()
-        if tok.kind != "int":
-            raise NotationError(f"expected integer, found {tok.text!r}", tok.pos, self.text)
-        return tok
+    def char_tag(self) -> str:
+        """One contiguous run of word and integer tokens, such as ``ne23``."""
+        toks = self.toks
+        tok = toks[self.i]
+        if tok[0] not in ("int", "word"):
+            raise self.error(f"expected a characteristic tag, found {tok[1]!r}", tok)
+        tag, end = "", tok[2]
+        while toks[self.i][0] in ("int", "word") and toks[self.i][2] == end:
+            tag += toks[self.i][1]
+            end += len(toks[self.i][1])
+            self.i += 1
+        return tag
 
     def constraint(self) -> Constraint:
-        tok = self.next()
-        if tok.kind != "word" or len(tok.text) != 1 or tok.text not in PARAMS:
-            raise NotationError(f"expected parameter, found {tok.text!r}", tok.pos, self.text)
-        param = tok.text
-        op = self.next()
-        if op.text in (">=", "<=", "="):
-            value = int(self.expect_int().text)
-            return Constraint(param, op.text, (value,))
-        if op.text == "in":
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok[0] != "word" or len(tok[1]) != 1 or tok[1] not in PARAMS:
+            raise self.error(f"expected parameter, found {tok[1]!r}", tok)
+        op = self.toks[self.i]
+        self.i += 1
+        if op[1] in (">=", "<=", "="):
+            return Constraint(tok[1], op[1], (self.expect_int(),))
+        if op[1] == "in":
             self.expect("{")
-            values = [int(self.expect_int().text)]
-            while self.peek().text == ",":
-                self.next()
-                values.append(int(self.expect_int().text))
+            values = [self.expect_int()]
+            while self.toks[self.i][1] == ",":
+                self.i += 1
+                values.append(self.expect_int())
             self.expect("}")
-            return Constraint(param, "in", tuple(values))
-        raise NotationError(f"bad constraint operator {op.text!r}", op.pos, self.text)
+            return Constraint(tok[1], "in", tuple(values))
+        raise self.error(f"bad constraint operator {op[1]!r}", op)
 
-    def label(self) -> int:
-        self.expect("@")
-        return int(self.expect_int().text)
-
-    def labels_star(self) -> tuple[int, ...]:
+    def labels(self) -> tuple[int, ...]:
+        """``("@" INT)*``"""
+        toks, i = self.toks, self.i
+        if toks[i][1] != "@":
+            return ()
         out = []
-        while self.peek().text == "@":
-            out.append(self.label())
+        while toks[i][1] == "@":
+            kind, text, pos = toks[i + 1]
+            if kind != "int":
+                raise NotationError(f"expected integer, found {text!r}", pos, self.text)
+            out.append(int(text))
+            i += 2
+        self.i = i
         return tuple(out)
 
     def component(self) -> ComponentExpr:
-        prefix = self.labels_star()
-        tok = self.peek()
-        if tok.text == "[" or tok.kind == "rep":
-            body: ChainExprNode | ForkExprNode = self.chainexpr()
-        elif tok.text == "<":
+        prefix = self.labels()
+        tok = self.toks[self.i]
+        if tok[1] == "[" or tok[0] == "rep":
+            parts = [self.chain_lit()]
+            while self.toks[self.i][1] == "*":
+                self.i += 1
+                parts.append(self.chain_lit())
+            body: ChainExprNode | ForkExprNode = ChainExprNode(tuple(parts))
+        elif tok[1] == "<":
             body = self.fork()
         else:
-            self.fail(f"expected a chain or fork, found {tok.text!r}")
-        suffix = self.labels_star()
-        return ComponentExpr(body, prefix, suffix)
-
-    def chainexpr(self) -> ChainExprNode:
-        parts = [self.chain_lit()]
-        while self.peek().text == "*":
-            self.next()
-            parts.append(self.chain_lit())
-        return ChainExprNode(tuple(parts))
+            raise self.error(f"expected a chain or fork, found {tok[1]!r}", tok)
+        return ComponentExpr(body, prefix, self.labels())
 
     def chain_lit(self) -> ChainLit:
-        if self.peek().kind == "rep":
+        toks = self.toks
+        if toks[self.i][0] == "rep":
             # a bare repetition like (2)_{k-2} outside brackets
             return (self.rep(),)
         self.expect("[")
         entries = [self.entry()]
-        while self.peek().text == ",":
-            self.next()
+        while toks[self.i][1] == ",":
+            self.i += 1
             entries.append(self.entry())
         self.expect("]")
         return tuple(entries)
 
     def fork(self) -> ForkExprNode:
-        self.expect("<")
+        self.i += 1  # "<"
         branch = self.entry()
         if not isinstance(branch, EntryExpr):
-            self.fail("fork branch must be a single weight")
+            raise self.error("fork branch must be a single weight", self.toks[self.i])
         self.expect(";")
         twigs = [self.twig()]
-        while self.peek().text == ",":
-            self.next()
+        while self.toks[self.i][1] == ",":
+            self.i += 1
             twigs.append(self.twig())
         self.expect(">")
         if len(twigs) != 3:
@@ -336,70 +344,71 @@ class _Parser:
         return ForkExprNode(branch, tuple(twigs))
 
     def twig(self) -> TwigExpr:
-        prefix = self.labels_star()
+        prefix = self.labels()
         chain = self.chain_lit()
-        suffix = self.labels_star()
-        return TwigExpr(chain, prefix, suffix)
+        return TwigExpr(chain, prefix, self.labels())
 
     def rep(self) -> RepExpr:
-        self.expect("(2)_{")
-        count = self.iexpr(allow_negative=True)
+        self.i += 1  # "(2)_{"
+        count = self.iexpr()
         self.expect("}")
         return RepExpr(count)
 
-    def iexpr(self, allow_negative: bool = False) -> IExpr:
-        tok = self.next()
-        if tok.kind == "int":
-            return IExpr(None, int(tok.text))
-        if tok.text == "-" and allow_negative:
-            value = self.expect_int()
-            return IExpr(None, -int(value.text))
-        if tok.kind == "word" and len(tok.text) == 1 and tok.text in PARAMS:
-            param = tok.text
-            if self.peek().text in ("+", "-"):
-                sign = 1 if self.next().text == "+" else -1
-                value = int(self.expect_int().text)
-                return IExpr(param, sign * value)
-            return IExpr(param, 0)
-        raise NotationError(f"expected integer expression, found {tok.text!r}", tok.pos, self.text)
+    def iexpr(self) -> IExpr:
+        """A repetition count: INT, "-" INT or PARAM (("+"|"-") INT)?."""
+        kind, text, pos = self.toks[self.i]
+        self.i += 1
+        if kind == "int":
+            return IExpr(None, int(text))
+        if text == "-":
+            return IExpr(None, -self.expect_int())
+        if kind == "word" and len(text) == 1 and text in PARAMS:
+            sign = self.toks[self.i][1]
+            if sign in ("+", "-"):
+                self.i += 1
+                value = self.expect_int()
+                return IExpr(text, value if sign == "+" else -value)
+            return IExpr(text, 0)
+        raise NotationError(f"expected integer expression, found {text!r}", pos, self.text)
 
-    def entry(self):
-        tok = self.peek()
-        if tok.kind == "rep":
-            return self.rep()
-        flags_text = ""
-        if tok.kind == "int":
-            self.next()
-            value = IExpr(None, int(tok.text))
-            if self.peek().kind == "word":
-                flags_text = self.next().text
-        elif tok.kind == "word":
-            word = self.next().text
-            if word[0] not in PARAMS:
-                raise NotationError(
-                    f"unknown parameter {word[0]!r}", tok.pos, self.text
-                )
-            param = word[0]
-            flags_text = word[1:]
+    def entry(self) -> EntryExpr | RepExpr:
+        toks, i = self.toks, self.i
+        tok = kind, text, _ = toks[i]
+        if kind == "int":
+            value = self.weights.get(text)
+            if value is None:
+                value = self.weights[text] = IExpr(None, int(text))
+            i += 1
+            flags = ""
+            if toks[i][0] == "word":
+                flags = toks[i][1]
+                i += 1
+        elif kind == "word":
+            i += 1
+            if text[0] not in PARAMS:
+                raise self.error(f"unknown parameter {text[0]!r}", tok)
+            flags = text[1:]
             offset = 0
-            if not flags_text and self.peek().text in ("+", "-"):
-                sign = 1 if self.next().text == "+" else -1
-                offset = sign * int(self.expect_int().text)
-                if self.peek().kind == "word":
-                    flags_text = self.next().text
-            value = IExpr(param, offset)
+            sign = toks[i][1]
+            if not flags and sign in ("+", "-"):
+                self.i = i + 1
+                offset = self.expect_int() if sign == "+" else -self.expect_int()
+                i = self.i
+                if toks[i][0] == "word":
+                    flags = toks[i][1]
+                    i += 1
+            value = IExpr(text[0], offset)
+        elif kind == "rep":
+            return self.rep()
         else:
-            self.fail(f"expected an entry, found {tok.text!r}")
-        horizontal = "h" in flags_text
-        two_section = "u" in flags_text
-        if set(flags_text) - {"h", "u"}:
-            raise NotationError(
-                f"unknown flags {flags_text!r}", tok.pos, self.text
-            )
-        labels = []
-        while self.peek().text == "@":
-            labels.append(self.label())
-        return EntryExpr(value, horizontal or two_section, two_section, tuple(labels))
+            raise self.error(f"expected an entry, found {text!r}", tok)
+        self.i = i
+        if not flags:
+            return EntryExpr(value, False, False, self.labels())
+        two_section = "u" in flags
+        if flags.strip("hu"):  # a letter other than h and u
+            raise self.error(f"unknown flags {flags!r}", tok)
+        return EntryExpr(value, two_section or "h" in flags, two_section, self.labels())
 
 
 def parse(text: str, require_declared: bool = True) -> TypeExpr:
@@ -466,23 +475,30 @@ def render(expr: TypeExpr) -> str:
 # ---------------------------------------------------------------------------
 # Substitution.
 
-_MARKER = object()  # the (2)_{-1} sentinel inside an evaluated chain
+# the (2)_{-1} sentinel inside an evaluated chain (None, so that it keeps
+# its identity when a compiled expression is copied or pickled)
+_MARKER = None
 
 
-def _eval_lit(lit: ChainLit, assignment: dict[str, int]) -> list:
+def _eval(pieces, assignment: dict[str, int]) -> list:
+    """Evaluate chain items (``EntryExpr`` and ``RepExpr``) and constant
+    runs (tuples of Entry and sentinels, see ``_pieces``) in order."""
     out: list = []
-    for item in lit:
-        if isinstance(item, RepExpr):
+    for item in pieces:
+        kind = type(item)
+        if kind is EntryExpr:
+            w = item.value.evaluate(assignment)
+            out.append(Entry(w, item.horizontal, item.two_section, item.labels))
+        elif kind is tuple:
+            out += item
+        else:
             n = item.count.evaluate(assignment)
             if n < -1:
                 raise NotationError(f"repetition count {n} below the (2)_{{-1}} sentinel")
             if n == -1:
                 out.append(_MARKER)
             else:
-                out.extend([Entry(2)] * n)
-        else:
-            w = item.value.evaluate(assignment)
-            out.append(Entry(w, item.horizontal, item.two_section, item.labels))
+                out += [Entry(2)] * n
     return out
 
 
@@ -555,6 +571,142 @@ def _check_weights(entries) -> None:
             raise NotationError(f"weight {e.weight} < 2 in a boundary position")
 
 
+def _pieces(lit: ChainLit, params: set[str]) -> tuple:
+    """A chain literal as ``_eval`` pieces: each item that names a
+    parameter (added to ``params``) as it is, and each run of items
+    between them as ``_const_run`` gives it."""
+    pieces, start = [], 0
+    for i, item in enumerate(lit):
+        param = (item.value if type(item) is EntryExpr else item.count).param
+        if param is not None:
+            params.add(param)
+            pieces += _const_run(lit[start:i])
+            pieces.append(item)
+            start = i + 1
+    pieces += _const_run(lit[start:])
+    return tuple(pieces)
+
+
+def _const_run(items: tuple) -> list:
+    """Items without parameters as pieces: one tuple of their values, or,
+    if evaluating them fails, the items themselves, so that they fail where
+    ``substitute`` reaches them."""
+    if not items:
+        return []
+    try:
+        return [tuple(_eval(items, {}))]
+    except ValueError:
+        return list(items)
+
+
+class _Run:
+    """A chain literal, or literals joined by ``*``, with the labels that
+    attach to its ends: a fork's twig, or as a ``_Chain`` a chain
+    component.  Its ``parts`` are ``_eval`` pieces: at first the literals
+    themselves, after ``compile_pieces`` their ``_pieces``."""
+
+    __slots__ = ("parts", "prefix", "suffix")
+
+    def __init__(self, parts: tuple, prefix: tuple[int, ...], suffix: tuple[int, ...]):
+        self.parts, self.prefix, self.suffix = parts, prefix, suffix
+
+    def compile_pieces(self, params: set[str]) -> None:
+        self.parts = tuple([_pieces(lit, params) for lit in self.parts])
+
+    def build(self, assignment: dict[str, int]) -> list:
+        """The entries after the star, sentinel and attach steps, each run
+        only where it can change something."""
+        if len(self.parts) == 1:
+            merged = _eval(self.parts[0], assignment)
+        else:  # every part is evaluated before the first star
+            merged, *rest = [_eval(part, assignment) for part in self.parts]
+            for part in rest:
+                merged = _star_merge(merged, part)
+        if _MARKER in merged:
+            merged = _resolve_markers(merged)
+        if self.prefix or self.suffix:
+            merged = _attach(merged, self.prefix, self.suffix)
+        return merged
+
+
+class _Chain(_Run):
+    __slots__ = ()
+
+    def build(self, assignment: dict[str, int]) -> Component:
+        """The chain component, or ``()`` when it vanishes."""
+        entries = _Run.build(self, assignment)
+        _check_weights(entries)
+        return chain_comp(entries) if entries else ()
+
+
+class _Fork:
+    """A fork component: its branch (an Entry once compiled, if it names no
+    parameter) and three twigs (``_Run``, or their entries once compiled)."""
+
+    __slots__ = ("branch", "twigs", "labelled")
+
+    def __init__(self, comp: ComponentExpr):
+        self.branch = comp.body.branch
+        self.twigs = tuple([_Run((t.chain,), t.prefix, t.suffix) for t in comp.body.twigs])
+        self.labelled = bool(comp.prefix or comp.suffix)
+
+    def compile_pieces(self, params: set[str]) -> None:
+        value = self.branch.value
+        if value.param is not None:
+            params.add(value.param)
+        else:
+            try:
+                self.branch = Entry(value.offset, self.branch.horizontal,
+                                    self.branch.two_section, self.branch.labels)
+            except ValueError:
+                pass
+        self.twigs = tuple([_compile(t, params) for t in self.twigs])
+
+    def build(self, assignment: dict[str, int]) -> Component:
+        branch = self.branch
+        if type(branch) is not Entry:
+            branch = Entry(branch.value.evaluate(assignment), branch.horizontal,
+                           branch.two_section, branch.labels)
+        twigs = [t if type(t) is tuple else tuple(t.build(assignment)) for t in self.twigs]
+        if not all(twigs):
+            raise NotationError("fork twig vanished under substitution")
+        fork = fork_comp(branch, twigs)
+        _check_weights((branch,) + twigs[0] + twigs[1] + twigs[2])
+        if self.labelled:
+            raise NotationError("component labels on forks are not supported;"
+                                " put them on twig entries")
+        return fork
+
+
+def _compile(plan, params: set[str]):
+    """``plan.build({})`` as a tuple when that succeeds, which it does only
+    when nothing in the plan names a parameter; otherwise the plan, with
+    its pieces compiled and its parameters added to ``params``, to build
+    at each assignment (where a broken piece fails in its turn)."""
+    try:
+        return tuple(plan.build({}))
+    except ValueError:
+        plan.compile_pieces(params)
+        return plan
+
+
+class _Plan:
+    """How ``substitute`` instantiates a TypeExpr: its sorted parameters,
+    and per component the component itself when it names no parameter,
+    else its ``_Chain`` or ``_Fork``."""
+
+    __slots__ = ("params", "steps")
+
+    def __init__(self, components: tuple[ComponentExpr, ...]):
+        params: set[str] = set()
+        self.steps = tuple([
+            _compile(_Chain(comp.body.parts, comp.prefix, comp.suffix)
+                     if isinstance(comp.body, ChainExprNode) else _Fork(comp), params)
+            for comp in components
+        ])
+        self.params = tuple(sorted(params))
+
+
 def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
     """Instantiate the expression at a parameter assignment satisfying all
     constraints; empty chains vanish."""
@@ -563,45 +715,16 @@ def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
             raise NotationError(
                 f"assignment {c.param}={assignment[c.param]} violates {c.render()}"
             )
-    for p in expr.parameters():
+    plan = expr._plan
+    for p in plan.params:
         if p not in assignment:
             raise NotationError(f"no value for parameter {p!r}")
     components = []
-    for comp in expr.components:
-        if isinstance(comp.body, ChainExprNode):
-            parts = [_eval_lit(p, assignment) for p in comp.body.parts]
-            merged = parts[0]
-            for part in parts[1:]:
-                merged = _star_merge(merged, part)
-            entries = _resolve_markers(merged)
-            entries = _attach(entries, comp.prefix, comp.suffix)
-            _check_weights(entries)
-            if entries:
-                components.append(chain_comp(entries))
-        else:
-            branch_e = comp.body.branch
-            branch = Entry(
-                branch_e.value.evaluate(assignment),
-                branch_e.horizontal,
-                branch_e.two_section,
-                branch_e.labels,
-            )
-            twigs = []
-            for twig in comp.body.twigs:
-                entries = _resolve_markers(_eval_lit(twig.chain, assignment))
-                entries = _attach(entries, twig.prefix, twig.suffix)
-                twigs.append(tuple(entries))
-            if any(not t for t in twigs):
-                raise NotationError("fork twig vanished under substitution")
-            fork = fork_comp(branch, twigs)
-            _check_weights([branch] + [e for t in twigs for e in t])
-            if comp.prefix or comp.suffix:
-                raise NotationError("component labels on forks are not supported;"
-                                    " put them on twig entries")
-            components.append(fork)
-    return DecoratedType(
-        tuple(components), width=expr.width, char_tag=expr.char_tag
-    )
+    for step in plan.steps:
+        comp = step if type(step) is tuple else step.build(assignment)
+        if comp:
+            components.append(comp)
+    return DecoratedType(tuple(components), expr.width, expr.char_tag)
 
 
 def assignments(expr: TypeExpr, cutoff: int):

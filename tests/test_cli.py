@@ -166,6 +166,12 @@ def test_negative_counts_are_usage_errors():
     assert run("cascade", "--root", "w1b", "--depth", "0").exit_code == 0
 
 
+def test_empty_char_tag_is_a_parse_error():
+    # the tag loop used to peek past the end of the input: an IndexError
+    assert_one_line_error(run("check", "[2h] ; width=1 ; char="), 2, "parse error:")
+    assert_one_line_error(run("parse", "[2h] ; char= ; width=1"), 2, "parse error:")
+
+
 def test_check_on_a_directory_is_a_parse_error(tmp_path):
     # "" names the current directory
     for source in (str(tmp_path), ""):
