@@ -252,6 +252,8 @@ class DecoratedType:
         for label, total in mults.items():
             if total > 3:
                 raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
+            if total and label in self.free_labels:
+                raise ValueError(f"free (-1)-curve {label} meets the boundary")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -381,61 +383,54 @@ def render_singularity_type(sing: tuple) -> str:
 # Canonical forms and graph automorphisms.
 
 
-def _component_key(entries, part, first: int):
-    """The label-free key and readings of least key of the layout ``part``.
-
-    The entries get the block-local ids ``first, first + 1, ...`` in
-    ``comp_entries`` order, and a reading lists them in the order the key
-    reads them: a chain from its end of smaller key, or from both ends if
-    it is a palindrome; a fork's branch, then its twigs sorted by key, each
-    tip first, in every order of the twigs of equal key.  The readings are
-    the component's label-free automorphisms, one each."""
+def _component_key(entries, part):
+    """The label-free key of the layout ``part`` and its readings of least
+    key, each a sequence of the part's own indices into ``entries`` in the
+    order the key reads them: a chain from its end of smaller key, or from
+    both ends if it is a palindrome; a fork's branch, then its twigs sorted
+    by key, each tip first, in every order of the twigs of equal key.  The
+    readings are the component's label-free automorphisms, one each."""
     if part[0] == "chain":
-        ids = list(range(first, first + len(part[1])))
-        skeletons = tuple([entries[i]._skeleton for i in part[1]])
+        ids = part[1]
+        skeletons = tuple([entries[i]._skeleton for i in ids])
         back = skeletons[::-1]
         if skeletons < back:
             return ("chain", skeletons), [ids]
         if back < skeletons:
             return ("chain", back), [ids[::-1]]
         return ("chain", skeletons), [ids, ids[::-1]] if len(ids) > 1 else [ids]
-    arms = []
-    start = first + 1
-    for twig in part[2]:
-        skeletons = tuple([entries[i]._skeleton for i in twig])
-        arms.append((skeletons, list(range(start, start + len(twig)))))
-        start += len(twig)
-    arms.sort(key=lambda arm: arm[0])
-    key = ("fork", entries[part[1]]._skeleton, (arms[0][0], arms[1][0], arms[2][0]))
-    if key[2][0] != key[2][1] != key[2][2]:
-        return key, [[first, *arms[0][1], *arms[1][1], *arms[2][1]]]
-    readings = [[first]]
-    for _, group in itertools.groupby(arms, key=lambda arm: arm[0]):
-        ids = [arm[1] for arm in group]
-        readings = [
-            r + [i for arm in order for i in arm]
-            for r in readings
-            for order in itertools.permutations(ids)
-        ]
+    (k0, t0), (k1, t1), (k2, t2) = sorted(
+        [(tuple([entries[i]._skeleton for i in twig]), twig) for twig in part[2]],
+        key=lambda arm: arm[0])
+    b = part[1]
+    key = ("fork", entries[b]._skeleton, (k0, k1, k2))
+    if k0 == k1 == k2:
+        return key, [[b, *x, *y, *z] for x, y, z in itertools.permutations((t0, t1, t2))]
+    readings = [[b, *t0, *t1, *t2]]
+    if k0 == k1 or k1 == k2:
+        readings.append([b, *t1, *t0, *t2] if k0 == k1 else [b, *t0, *t2, *t1])
     return key, readings
 
 
-def _placement_code(keys: tuple, order, labels) -> tuple:
+def _placement_code(keys: tuple, placement, entries) -> tuple:
     """The code of one placement: the key sequence, then each label's
     sorted list of (position, contact), the lists sorted.  A pair is
     written as the one number 2 * position + contact - 1, which keeps its
-    order and takes a third of the space in the form.  ``order`` lists the
-    block-local entry ids by position, ``labels[i]`` is entry i's sorted
-    labels, where a label met twice is listed twice."""
+    order and takes a third of the space in the form.  ``placement`` holds
+    one reading per component; together they list the indices into
+    ``entries`` by position."""
     met: dict = {}
-    for pos, i in enumerate(order):
-        for l in labels[i]:
-            if l not in met:
-                met[l] = [2 * pos]
-            elif met[l][-1] == 2 * pos:
-                met[l][-1] += 1
-            else:
-                met[l].append(2 * pos)
+    pos = 0
+    for reading in placement:
+        for i in reading:
+            for l in entries[i].labels:
+                if l not in met:
+                    met[l] = [pos]
+                elif met[l][-1] == pos:
+                    met[l][-1] += 1
+                else:
+                    met[l].append(pos)
+            pos += 2
     return keys, tuple(sorted(map(tuple, met.values())))
 
 
@@ -444,38 +439,41 @@ def _block_search(entries, block: list) -> tuple[tuple, int]:
     ``entries``, and |Aut(block)|.
 
     A placement puts the components in order of key, each in one of its
-    readings, and numbers the entries by position.  If the keys are
-    distinct, every placement is tried.  Otherwise ``_refined_placements``
-    gives the placements to try.  Either way the set tried is closed
-    under the block's automorphisms, which act on it freely, and two
-    placements have one code exactly when an automorphism maps one to the
-    other; so the least code is an invariant and the placements that reach
-    it number |Aut(block)|.  A block with repeated keys has a repeated key
-    in its code and one without has none, so the codes of the two kinds
-    never meet."""
-    parts = []
-    labels: list = []
-    for part in block:
-        key, readings = _component_key(entries, part, len(labels))
-        parts.append((key, readings))
-        labels += [entries[i].labels for i in comp_entries(part)]
-    parts.sort(key=lambda part: part[0])
+    readings, and numbers the entries by position.  With distinct keys
+    every placement is tried in the entries' own indices, except that a
+    component no label meets takes its first reading only and multiplies
+    the count by its number of readings, which all give one code.
+    Otherwise ``_refined_placements`` gives the placements, over
+    block-local ids.  Either way the set tried is closed under the block's
+    automorphisms, which act on it freely, and two placements have one
+    code exactly when an automorphism maps one to the other; so the least
+    code is an invariant and the placements that reach it number
+    |Aut(block)|.  A block with repeated keys has a repeated key in its
+    code and one without has none, so their codes never meet."""
+    parts = sorted([_component_key(entries, part) for part in block], key=lambda part: part[0])
     keys = tuple([key for key, _ in parts])
+    best, reached, count = None, 0, 1
     if len(set(keys)) < len(keys):
-        orders = _refined_placements(parts, labels, graph_of(block)[1])
-    elif all(len(readings) == 1 for _, readings in parts):
-        return _placement_code(keys, [i for _, (r,) in parts for i in r], labels), 1
+        ids, adjacent = graph_of(block)
+        local = {i: k for k, i in enumerate(ids)}
+        parts = [(key, [[local[i] for i in r] for r in readings]) for key, readings in parts]
+        orders = _refined_placements(parts, [entries[i].labels for i in ids], adjacent)
+        placements = (([ids[k] for k in order],) for order in orders)
     else:
-        placements = itertools.product(*(readings for _, readings in parts))
-        orders = ([i for r in choice for i in r] for choice in placements)
-    best, count = None, 0
-    for order in orders:
-        code = _placement_code(keys, order, labels)
+        choices = []
+        for _, readings in parts:
+            if len(readings) > 1 and not any([entries[i].labels for i in readings[0]]):
+                count *= len(readings)
+                readings = readings[:1]
+            choices.append(readings)
+        placements = itertools.product(*choices)
+    for placement in placements:
+        code = _placement_code(keys, placement, entries)
         if best is None or code < best:
-            best, count = code, 1
+            best, reached = code, 1
         elif code == best:
-            count += 1
-    return best, count
+            reached += 1
+    return best, reached * count
 
 
 def _refined_placements(parts, labels, adjacent):
@@ -581,15 +579,14 @@ def canonical_form(d: DecoratedType | BoundaryGraph) -> bytes:
 
     An isomorphism maps label-connected blocks (components joined by
     shared labels) onto blocks, so the form is the sorted list of block
-    codes plus the number of free labels.  A block's code is its key
-    sequence, each component's label-free key in sorted order, and then
-    each label's sorted list of (position, contact), the least such over
-    the placements ``_block_search`` tries.  When the keys are distinct
-    these are the few readings of least key, usually one, and the cost is
-    linear in the block.  Only identical components that labels link into
-    one block run colour refinement, whose leaves number about |Aut(block)|
-    times the ties left after refinement; identical components in separate
-    blocks cost nothing extra.
+    codes plus the number of free labels.  A block's code is its sorted
+    key sequence and then each label's sorted list of (position, contact),
+    the least such over the placements ``_block_search`` tries in the
+    entries' own indices: with distinct keys, the few readings of least
+    key of the labelled components, usually one, at a cost linear in the
+    block.  Only identical components that labels link into one block get
+    block-local ids, for colour refinement, whose leaves number about
+    |Aut(block)| times the ties left after refinement.
     """
     entries, blocks = d.label_blocks()
     codes = sorted(_block_search(entries, b)[0] for b in blocks)
@@ -613,9 +610,11 @@ def graph_automorphisms(d: DecoratedType | BoundaryGraph) -> AutGroup:
     |Aut(block)|^m * m!.  The search that gives a block's code gives
     |Aut(block)| too: a placement fixes every entry, so the placements
     that reach the code are one orbit of the block's automorphisms of
-    entries, each reached once.  Labels that meet the same entries the
-    same number of times have equal incidence lists, so renaming them
-    counts nothing.  The cost is that of ``canonical_form``.
+    entries, each reached once, and a component that no label meets,
+    searched in one reading, adds its number of readings as a factor.
+    Labels that meet the same entries the same number of times have equal
+    incidence lists, so renaming them counts nothing.  The cost is that of
+    ``canonical_form``.
     """
     classes: dict[tuple, list[int]] = {}
     entries, blocks = d.label_blocks()

@@ -233,6 +233,9 @@ INVALID_TYPES = [
      "(-1)-curve 9 meets the boundary 4 > 3 times"),
     ((*four_times(5, 2), *four_times(7, 2)), None, (7,), "any",
      "(-1)-curve 7 meets the boundary 4 > 3 times"),
+    # a free label that also meets the boundary
+    ((chain(2, labels={1: (7,)}),), None, (7,), "any",
+     "free (-1)-curve 7 meets the boundary"),
 ]
 
 

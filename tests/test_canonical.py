@@ -1,17 +1,25 @@
 """The block-split canonical form and automorphism count against the
-exhaustive search they replaced (``canonical_oracle``), and against the
+exhaustive search they replaced (``canonical_oracle``), against the
 per-block arrangement search that component keys and label incidence
-lists replaced (``block_search_oracle``)."""
+lists replaced (``block_search_oracle``), and against the block search in
+block-local ids that reading placements in the type's own entry numbering
+replaced (``block_code_oracle``)."""
 
 import dataclasses
+import hashlib
 import itertools
+import math
 import random
 import time
+from collections import Counter
 
+import block_code_oracle as code_oracle
 import block_search_oracle as block_oracle
 import canonical_oracle as oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from delpezzo3 import fixtures, notation, swaps
+from delpezzo3 import boundary, fixtures, notation, swaps
 from delpezzo3.boundary import (
     DecoratedType,
     Entry,
@@ -333,3 +341,123 @@ def test_symmetric_orders_without_factorial_search():
     assert time.perf_counter() - t0 < 0.1
     eight = notation.substitute(notation.parse("+".join(f"[2@{i}]" for i in range(1, 9))), {})
     assert graph_automorphisms(eight).order == 40320
+
+
+def assert_block_codes_match(types):
+    """Each block's (code, |Aut(block)|), the form's bytes and |Aut| are
+    those of the search in block-local ids (``block_code_oracle``)."""
+    for d in types:
+        entries, blocks = d.label_blocks()
+        for block in blocks:
+            assert boundary._block_search(entries, block) == code_oracle._block_search(entries, block), d
+        assert canonical_form(d) == code_oracle.canonical_form(d), d
+        assert graph_automorphisms(d).order == code_oracle.graph_automorphisms_order(d), d
+
+
+def test_block_codes_match_oracle_on_fixtures_and_cascade_nodes():
+    types = fixture_instances(6) + cascade_types("w3_a", 4) + cascade_types("w3_b", 4)
+    assert len(types) > 2700
+    assert_block_codes_match(types)
+
+
+_entry = st.tuples(st.integers(2, 4), st.sampled_from([False, False, False, True]))
+_twig = st.lists(_entry, min_size=1, max_size=2)
+
+
+@st.composite
+def _shape(draw):
+    """A chain, a palindromic chain, or a fork with distinct twigs or with
+    two or three equal twigs: ("chain", entries) or ("fork", branch,
+    twigs), an entry being a pair (weight, horizontal)."""
+    kind = draw(st.sampled_from(["chain", "palindrome", "palindrome", "fork", "fork2", "fork3"]))
+    if kind == "chain":
+        return ("chain", draw(st.lists(_entry, min_size=1, max_size=4)))
+    if kind == "palindrome":
+        half = draw(st.lists(_entry, min_size=1, max_size=2))
+        return ("chain", half + draw(st.lists(_entry, max_size=1)) + half[::-1])
+    twig = draw(_twig)
+    twigs = {"fork": [twig, draw(_twig), draw(_twig)], "fork2": [twig, twig, draw(_twig)],
+             "fork3": [twig, twig, twig]}[kind]
+    return ("fork", (draw(_entry)[0], False), draw(st.permutations(twigs)))
+
+
+@st.composite
+def symmetric_types(draw):
+    """One to five components of up to three shapes, so shapes repeat.
+    Each component is unlabelled or meets one or two of the labels 1-4,
+    which link components into blocks; a label meets at most three
+    entries and an entry at most twice.  Up to two free labels."""
+    shapes = draw(st.lists(_shape(), min_size=1, max_size=3))
+    comps = [shapes[i] for i in draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=5))]
+    usage: Counter = Counter()
+    met: dict = {}
+    for k, comp in enumerate(comps):
+        size = len(comp[1]) if comp[0] == "chain" else 1 + sum(map(len, comp[2]))
+        for _ in range(draw(st.integers(0, 2))):
+            label = draw(st.sampled_from([l for l in range(1, 5) if usage[l] < 3] or [None]))
+            port = met.setdefault((k, draw(st.integers(0, size - 1))), [])
+            if label is not None and port.count(label) < 2:
+                port.append(label)
+                usage[label] += 1
+    out = []
+    for k, comp in enumerate(comps):
+        at = itertools.count()
+
+        def entry(w, h):
+            return Entry(w, h, False, tuple(met.get((k, next(at)), ())))
+
+        if comp[0] == "chain":
+            out.append(chain_comp([entry(*e) for e in comp[1]]))
+        else:
+            branch = entry(*comp[1])
+            out.append(fork_comp(branch, [[entry(*e) for e in t] for t in comp[2]]))
+    free = frozenset(range(100, 100 + draw(st.integers(0, 2))))
+    return DecoratedType(tuple(out), free_labels=free)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(symmetric_types())
+@example(parsed("<3;[2],[2],[2]>+<3;[2],[2],[2]>+[2,2]+[3@1,3@1]"))
+@example(parsed("<2;[2@1],[2],[2]>+<2;[2],[2@1],[3]>+[4@2,4@2]", {100}))
+def test_block_codes_match_oracle_on_symmetric_types(d):
+    """Palindromic chains and forks with equal twigs, labelled and not,
+    repeated and not, with free labels."""
+    assert_block_codes_match([d])
+
+
+def test_linked_family_takes_refinement_and_matches_oracle(monkeypatch):
+    """``[3h@1@...@k]+[2@1]+...+[2@k]``: k identical chains that labels
+    link into one block, which the refinement search reads."""
+    refined, search = [], boundary._refined_placements
+
+    def counted(*args):
+        refined.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(boundary, "_refined_placements", counted)
+    for k in range(1, 6):
+        d = parsed("[3h" + "".join(f"@{i}" for i in range(1, k + 1)) + "]"
+                   + "".join(f"+[2@{i}]" for i in range(1, k + 1)))
+        refined.clear()
+        assert_block_codes_match([d])
+        assert bool(refined) == (k > 1)
+        assert graph_automorphisms(d).order == oracle.graph_automorphisms(d).order == math.factorial(k)
+
+
+# SHA-256 of the sorted canonical forms of every fixture instance at cutoff
+# 6 and every node key of the w3a and w3b cascades to depth 4, each form
+# preceded by its length in 4 bytes.  Reports print a digest of the form
+# and sort their rows by it, so any change to the encoding fails here first.
+PINNED_FORMS = (2755, "7a61313d67aad88d5c93dcaea9f3a216363840b00051e71e0cf0d42b4bf3b239")
+
+
+def test_canonical_form_bytes_pinned():
+    forms = [canonical_form(d) for d in fixture_instances(6)]
+    for stem in ("w3_a", "w3_b"):
+        row = fixtures.parse_fixture_file(fixtures.data_dir() / "primitive" / f"{stem}.types")[0]
+        result = swaps.cascade(notation.substitute(row.expr, {}), 4, excluded_labels=row.node_labels)
+        forms += [*result.nodes, *result.pruned]
+    digest = hashlib.sha256()
+    for form in sorted(forms):
+        digest.update(len(form).to_bytes(4, "big") + form)
+    assert (len(forms), digest.hexdigest()) == PINNED_FORMS
