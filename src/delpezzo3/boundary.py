@@ -19,7 +19,7 @@ from fractions import Fraction
 from delpezzo3.chains import (
     Fork,
     chain_ld_terms,
-    fork_ld_terms,
+    fork_terms,
     is_admissible,
     is_log_canonical_fork,
 )
@@ -316,6 +316,11 @@ class CheckResult:
     rhs: Fraction
 
 
+# the rhs of the width forms of the criterion: width 1, and widths 2 and 3
+RHS_WIDTH_1 = Fraction(1, 3)
+RHS_WIDTH_2_3 = Fraction(1)
+
+
 def width_check(d: DecoratedType | BoundaryGraph) -> CheckResult | None:
     """The width form of the ampleness criterion, or None if a component
     is not admissible, so the result also decides admissibility.
@@ -323,34 +328,39 @@ def width_check(d: DecoratedType | BoundaryGraph) -> CheckResult | None:
     Width 3: ld(H1)+ld(H2)+ld(H3) > 1; width 2: ld(H1)+2 ld(H2) > 1 with
     H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
     these normalizations.  Only an admissible type with a width outside
-    1-3 raises ValueError.  One pass over the components of ``d.walk()``:
-    the lhs is summed as one integer fraction from each marked chain's
-    continuants and each fork's discriminants, and reduced once.  Chains
-    are always admissible: every weight is at least 2."""
+    1-3 raises ValueError.  One pass over the parts of ``d.walk()``: the
+    lhs is summed as one integer fraction from one pass of continuants
+    per marked chain and per fork (``chains.fork_terms``, which also
+    gives the fork's excess), and reduced once.  Every weight of ``d`` is
+    at least 2 (a DecoratedType checks its weights, and a BoundaryGraph is
+    a blow-up of one), so chains are always admissible and no weight is
+    checked again."""
     entries, layout = d.walk()
     num, den = 0, 1
     for part in layout:
         if part[0] == "chain":
-            marked = [(j, i) for j, i in enumerate(part[1], start=1) if entries[i].horizontal]
+            marked = [(j, entries[i]) for j, i in enumerate(part[1], start=1) if entries[i].horizontal]
             if not marked:
                 continue
-            weights = tuple([entries[i].weight for i in part[1]])
-            terms = chain_ld_terms(weights, [j for j, _ in marked])
+            terms = chain_ld_terms([entries[i].weight for i in part[1]], [j for j, _ in marked])
         else:
-            marked = [("branch", part[1])] if entries[part[1]].horizontal else []
+            branch = entries[part[1]]
+            marked = [("branch", branch)] if branch.horizontal else []
+            twigs = []
             for ti, twig in enumerate(part[2], start=1):
-                marked += [((ti, j), i) for j, i in enumerate(twig, start=1) if entries[i].horizontal]
-            twigs = tuple([tuple([entries[i].weight for i in t]) for t in part[2]])
-            terms = fork_ld_terms(Fork(entries[part[1]].weight, twigs), [pos for pos, _ in marked])
+                twigs.append([entries[i].weight for i in twig])
+                marked += [((ti, j), entries[i]) for j, i in enumerate(twig, start=1) if entries[i].horizontal]
+            terms = fork_terms(branch.weight, twigs, [pos for pos, _ in marked])[2]
             if terms is None:
                 return None
-        for (x, y), (_, i) in zip(terms, marked):
-            num, den = num * y + (2 * x if entries[i].two_section else x) * den, den * y
+        for (x, y), (_, e) in zip(terms, marked):
+            num, den = num * y + (2 * x if e.two_section else x) * den, den * y
     if d.width not in (1, 2, 3):
         raise ValueError("decorated type carries no usable width")
-    lhs = Fraction(num, den)
-    rhs = Fraction(1, 3) if d.width == 1 else Fraction(1)
-    return CheckResult(lhs > rhs, lhs, rhs)
+    rhs = RHS_WIDTH_1 if d.width == 1 else RHS_WIDTH_2_3
+    # den > 0: every term's denominator is a positive discriminant
+    satisfied = 3 * num > den if d.width == 1 else num > den
+    return CheckResult(satisfied, Fraction(num, den), rhs)
 
 
 def singularity_type_of(d: DecoratedType) -> tuple:

@@ -43,7 +43,7 @@ def discriminant(t: Chain | Fork | list) -> int:
     where the discriminant is the product over components).
     """
     if isinstance(t, Fork):
-        return _disc_fork(t)
+        return fork_terms(t.branch, t.twigs)[1]
     if isinstance(t, list):
         out = 1
         for comp in t:
@@ -59,20 +59,6 @@ def _disc_chain(weights: Chain) -> int:
     for a in weights:
         prev2, prev1 = prev1, a * prev1 - prev2
     return prev1
-
-
-def _disc_fork(f: Fork) -> int:
-    # Peel the fork at the branch: d = b * prod(d_i) - sum over twigs of
-    # d(twig minus its branch-adjacent entry) * prod of the others.
-    ds = [_disc_chain(t) for t in f.twigs]
-    total = f.branch * ds[0] * ds[1] * ds[2]
-    for i, t in enumerate(f.twigs):
-        rest = 1
-        for j, d in enumerate(ds):
-            if j != i:
-                rest *= d
-        total -= _disc_chain(t[:-1]) * rest
-    return total
 
 
 def det(m) -> int:
@@ -104,30 +90,22 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _fork_excess(f: Fork) -> int | None:
-    """D (sum of 1/d(T_i) - 1) with D = d(T_1) d(T_2) d(T_3), an integer
-    of the sign of sum 1/d(T_i) - 1; None if the branch is below 2 or a
-    twig is not admissible."""
-    if f.branch < 2 or not all(is_admissible(t) for t in f.twigs):
-        return None
-    ds = [_disc_chain(t) for t in f.twigs]
-    big_d = ds[0] * ds[1] * ds[2]
-    return sum(big_d // d for d in ds) - big_d
+def _fork_weights_ok(f: Fork) -> bool:
+    """Branch and every twig weight at least 2."""
+    return f.branch >= 2 and all(a >= 2 for t in f.twigs for a in t)
 
 
 def is_admissible(t: Chain | Fork) -> bool:
     """Chains: all weights >= 2. Forks: branch >= 2, admissible twigs and
     sum of reciprocal twig discriminants > 1."""
     if isinstance(t, Fork):
-        excess = _fork_excess(t)
-        return excess is not None and excess > 0
+        return _fork_weights_ok(t) and fork_terms(t.branch, t.twigs)[0] > 0
     return all(a >= 2 for a in t)
 
 
 def is_log_canonical_fork(f: Fork) -> bool:
     """Branch >= 2, admissible twigs, sum of 1/d(T_i) >= 1 (allows = 1)."""
-    excess = _fork_excess(f)
-    return excess is not None and excess >= 0
+    return _fork_weights_ok(f) and fork_terms(f.branch, f.twigs)[0] >= 0
 
 
 def fork_triples(max_k: int) -> list[tuple[int, int, int]]:
@@ -182,17 +160,21 @@ def dual_chain(t: Chain) -> Chain:
 
 
 def continuants(t: Chain) -> tuple[list[int], list[int]]:
-    """The prefix and suffix discriminants of a chain, in one pass:
-    ``prefix[k] = d(t[:k])`` and ``suffix[k] = d(t[k:])`` for
+    """The prefix and suffix discriminants of a chain, in one pass each
+    way: ``prefix[k] = d(t[:k])`` and ``suffix[k] = d(t[k:])`` for
     ``k = 0..len(t)``, so ``d(t) = prefix[-1] = suffix[0]``."""
-    n = len(t)
-    prefix = [1] * (n + 1)
-    suffix = [1] * (n + 1)
-    for k in range(n):
-        # the recursion of _disc_chain, from the left and from the right
-        prefix[k + 1] = t[k] * prefix[k] - (prefix[k - 1] if k else 0)
-        i = n - 1 - k
-        suffix[i] = t[i] * suffix[i + 1] - (suffix[i + 2] if k else 0)
+    # the recursion of _disc_chain, from the left and from the right
+    prefix = [1]
+    prev2, prev1 = 0, 1
+    for a in t:
+        prev2, prev1 = prev1, a * prev1 - prev2
+        prefix.append(prev1)
+    suffix = [1]
+    prev2, prev1 = 0, 1
+    for a in reversed(t):
+        prev2, prev1 = prev1, a * prev1 - prev2
+        suffix.append(prev1)
+    suffix.reverse()
     return prefix, suffix
 
 
@@ -204,33 +186,39 @@ def chain_ld_terms(t: Chain, js) -> list[tuple[int, int]]:
     return [(suffix[j] + prefix[j - 1], prefix[-1]) for j in js]
 
 
-def fork_ld_terms(f: Fork, positions) -> list[tuple[int, int]] | None:
-    """``ld_fork`` at each of ``positions`` as a pair (numerator,
-    denominator) of integers, reading each twig's continuants once;
-    None if the fork is not admissible.
+def fork_terms(branch: int, twigs, positions=()) -> tuple[int, int, list[tuple[int, int]] | None]:
+    """One pass of continuants over the twigs of ``<branch; twigs>``,
+    whose weights it does not check: the excess D (sum of 1/d(T_i) - 1)
+    with D = d(T_1) d(T_2) d(T_3), an integer of the sign of
+    sum 1/d(T_i) - 1; the discriminant d(fork); and, if the excess is
+    positive, the log discrepancy at each of ``positions`` (``"branch"``
+    or an in-range pair ``(twig_index, j)``, both 1-based) as a pair
+    (numerator, denominator) of integers, else None.
 
-    With D = d(T_1) d(T_2) d(T_3), delta - 1 = (sum of D/d(T_i) - D) / D
-    and branch - e = d(fork) / D, so ld(branch) = (sum D/d(T_i) - D) / d(fork).
+    A twig T is stored from its far tip, so d(T) = prefix[-1] and
+    d(T minus its branch-adjacent entry) = prefix[-2].  Peeling the fork
+    at the branch gives d(fork) = b D - sum of d(T_i minus that entry)
+    D/d(T_i); as delta - 1 = excess / D and branch - e = d(fork) / D,
+    ld(branch) = excess / d(fork), and the j-th entry of T_i has
+    ld = (ld(branch) d(T_i^{<j}) + d(T_i^{>j})) / d(T_i).
     """
-    num = _fork_excess(f)
-    if num is None or num <= 0:  # delta <= 1
-        return None
-    den = _disc_fork(f)
-    twigs: dict = {}
-    out = []
+    conts = [continuants(t) for t in twigs]
+    (p1, _), (p2, _), (p3, _) = conts
+    d1, d2, d3 = p1[-1], p2[-1], p3[-1]
+    q1, q2, q3 = d2 * d3, d1 * d3, d1 * d2  # D / d(T_i)
+    excess = q1 + q2 + q3 - d1 * q1
+    disc = branch * d1 * q1 - p1[-2] * q1 - p2[-2] * q2 - p3[-2] * q3
+    if excess <= 0:
+        return excess, disc, None
+    terms = []
     for position in positions:
         if position == "branch":
-            out.append((num, den))
+            terms.append((excess, disc))
             continue
         i, j = position
-        t = f.twigs[i - 1]
-        if not 1 <= j <= len(t):
-            raise IndexError(f"position {j} out of range for twig of length {len(t)}")
-        if i not in twigs:
-            twigs[i] = continuants(t)
-        prefix, suffix = twigs[i]
-        out.append((num * prefix[j - 1] + den * suffix[j], den * prefix[-1]))
-    return out
+        prefix, suffix = conts[i - 1]
+        terms.append((excess * prefix[j - 1] + disc * suffix[j], disc * prefix[-1]))
+    return excess, disc, terms
 
 
 def ld_chain(t: Chain, j: int) -> Fraction:
@@ -260,6 +248,22 @@ def ld_fork(f: Fork, position: str | tuple[int, int]) -> Fraction:
 
 def fork_lds(f: Fork, positions) -> list[Fraction] | None:
     """``ld_fork`` at each of ``positions``; None if the fork is not
-    admissible."""
-    terms = fork_ld_terms(f, positions)
+    admissible.  A twig index outside 1..3 or an entry index outside its
+    twig raises IndexError; a position that is neither ``"branch"`` nor
+    a pair raises ValueError."""
+    positions = list(positions)
+    for position in positions:
+        if position == "branch":
+            continue
+        if not isinstance(position, (tuple, list)) or len(position) != 2:
+            raise ValueError(f"fork position {position!r} is neither 'branch' nor a pair (twig, j)")
+        i, j = position
+        if not 1 <= i <= 3:
+            raise IndexError(f"twig {i} out of range for a fork of three twigs")
+        t = f.twigs[i - 1]
+        if not 1 <= j <= len(t):
+            raise IndexError(f"position {j} out of range for twig of length {len(t)}")
+    if not _fork_weights_ok(f):
+        return None
+    terms = fork_terms(f.branch, f.twigs, positions)[2]
     return None if terms is None else [Fraction(num, den) for num, den in terms]

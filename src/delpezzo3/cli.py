@@ -310,7 +310,10 @@ def ld(chain_text, position):
     weights = _read(_chain_weights, chain_text)
     try:
         value = ld_chain(weights, position)
-    except (ValueError, IndexError) as err:
+    except IndexError as err:  # a position outside the chain is a usage error
+        click.echo(str(err), err=True)
+        sys.exit(2)
+    except ValueError as err:
         click.echo(str(err), err=True)
         sys.exit(1)
     click.echo(f"{value.numerator}/{value.denominator}")

@@ -194,6 +194,9 @@ def test_ld_chain_examples():
         ld_chain((2, 1, 2), 1)
 
 
+FORK_234 = Fork(2, ((2,), (3,), (4,)))
+
+
 def test_ld_fork_examples():
     d4 = Fork(2, ((2,), (2,), (2,)))
     assert ld_fork(d4, "branch") == 1
@@ -206,6 +209,27 @@ def test_ld_fork_examples():
     assert ld_fork(tip_first, (3, 2)) == F(5, 23)
     with pytest.raises(ValueError):
         ld_fork(Fork(2, ((3,), (3,), (3,))), "branch")
+    # (i, j) reads twig i: twig 2 of <2;[2],[3],[4]> is [3]
+    assert [ld_fork(FORK_234, (i, 1)) for i in (1, 2, 3)] == [F(6, 11), F(4, 11), F(3, 11)]
+    assert fork_lds(FORK_234, [(2, 1), "branch"]) == [F(4, 11), F(1, 11)]
+
+
+@pytest.mark.parametrize("ld", [ld_fork, width_oracle.ld_fork])
+@pytest.mark.parametrize("position, error", [
+    ((0, 1), IndexError), ((-1, 1), IndexError), ((4, 1), IndexError), ((2, 0), IndexError),
+    ((2, 2), IndexError), ("twig", ValueError), ((1,), ValueError), ((1, 1, 1), ValueError),
+    (3, ValueError),
+])
+def test_ld_fork_rejects_bad_positions(ld, position, error):
+    """A twig index outside 1..3 or an entry index outside its twig is an
+    IndexError; a position that is neither "branch" nor a pair is a
+    ValueError naming the position."""
+    with pytest.raises(error) as info:
+        ld(FORK_234, position)
+    if error is ValueError:
+        assert repr(position) in str(info.value)
+    with pytest.raises(error):
+        fork_lds(FORK_234, ["branch", position])
 
 
 def test_ld_range_and_canonical_configurations():

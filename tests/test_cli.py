@@ -16,6 +16,16 @@ def run(*args):
     return CliRunner().invoke(main, list(args))
 
 
+def run_apart(*args):
+    """``run`` with stdout and stderr kept apart, as click 8.2 and later
+    always keep them."""
+    try:
+        runner = CliRunner(mix_stderr=False)
+    except TypeError:
+        runner = CliRunner()
+    return runner.invoke(main, list(args))
+
+
 def test_dual_and_ld():
     assert run("dual", "[3]").output.strip() == "[2,2]"
     assert run("dual", "[2,3]").output.strip() == "[2,3]"
@@ -36,6 +46,11 @@ def test_exit_codes():
     assert run("check", str(neg)).exit_code == 0
     assert run("check", str(neg), "--strict").exit_code == 1
     assert run("parse", "[2@").exit_code == 2
+    for position in ("0", "3"):
+        res = run_apart("ld", "[2,2]", position)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"position {position} out of range for chain of length 2\n"
 
 
 def test_check_single_expression():

@@ -11,6 +11,7 @@ import concurrent.futures
 import os
 import random
 from collections import Counter, defaultdict
+from fractions import Fraction as F
 
 import cascade_oracle
 import pytest
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from test_canonical import fixture_instances, random_type, relabelled_copy
 from test_swaps import load_primitive
 
-from delpezzo3 import notation, swaps
+from delpezzo3 import notation, swaps, verify
 from delpezzo3.boundary import (
     DecoratedType,
     Entry,
@@ -438,29 +439,62 @@ def test_linear_encoding_matches_search_on_random_types():
 
 
 def assert_width_verdicts_match(types):
+    """``width_check`` gives the lhs, rhs and verdict of the integer
+    check that one pass of twig continuants replaced
+    (``oracle.width_check``), and None exactly where it gave None; on
+    admissible types, those of the ``Fraction`` oracle too.  Returns the
+    number of admissible types."""
     admissible = 0
     for d in types:
         if d.width not in (1, 2, 3):
             continue
-        if not d.is_admissible():
-            assert width_check(d) is None
+        got = width_check(d)
+        assert got == oracle.width_check(d)
+        assert (got is not None) == oracle.admissible(d) == d.is_admissible()
+        if got is None:
             continue
-        assert width_check(d) == oracle.delpezzo_check_width(d)
+        assert got == oracle.delpezzo_check_width(d)
         admissible += 1
     return admissible
 
 
+# Boundary rows of the width criterion, with their lhs: log-canonical
+# forks that are not admissible (excess 0, so no lhs), the 2-section on a
+# fork's branch and on a twig entry, width-1 forks, an lhs equal to the
+# rhs at each width, and multi-digit weights.
+WIDTH_BOUNDARY_ROWS = [
+    ("<2h;[2],[3h],[6h]> ; width=3", None),
+    ("<2;[2h],[4hu],[4]> ; width=2", None),
+    ("<2;[3h],[3],[3]> ; width=1", None),
+    ("<2hu;[2],[2],[3]> + [2h] ; width=2", F(2)),
+    ("<2h;[2],[2],[3hu,2]> ; width=2", F(3, 2)),
+    ("<2hu;[2],[2],[2,3,2,2,2,2]> + [6h] ; width=2", F(1)),
+    ("<2;[2],[2],[2h]> ; width=1", F(1)),
+    ("<2;[2],[2],[2,3h,2,2,2,2]> ; width=1", F(1, 3)),
+    ("<2h;[2],[3],[4]> ; width=1", F(1, 11)),
+    ("<2h;[2],[2],[2,3h,2,2,2,2]> + [6h] ; width=3", F(1)),
+    ("[12h,2,17] + <11;[2],[2h],[13h,25]> ; width=3", F(815795, 1223033)),
+    ("<10hu;[2],[2],[11]> + [2,13h] ; width=2", F(172, 1225)),
+]
+
+
 def test_width_verdict_matches_oracle_on_fixtures():
+    boundary = [notation.substitute(notation.parse(text), {}) for text, _ in WIDTH_BOUNDARY_ROWS]
+    assert [None if res is None else res.lhs for res in map(width_check, boundary)] == [
+        lhs for _, lhs in WIDTH_BOUNDARY_ROWS]
+    assert assert_width_verdicts_match(boundary) == 9
     assert assert_width_verdicts_match(fixture_instances(12)) > 1200
 
 
 def test_width_verdict_matches_oracle_on_cascade_nodes():
+    """Every node of every primitive root's cascade to depth 5, and of
+    the width-1 roots' cascades to depth 6."""
     types = []
-    for stem, depth in (("w3_a", 5), ("w3_b", 5), ("w1_a", 6), ("w1_b", 6), ("w1_c3_notGK", 6)):
-        result, _ = cascade_of(stem, depth)
+    for stem in verify.ROOTS.values():
+        result, _ = cascade_of(stem, 6 if stem.startswith("w1") else 5)
         types += [n.dtype for n in (*result.nodes.values(), *result.pruned.values())]
-    assert len(types) > 5000
-    assert assert_width_verdicts_match(types) > 2400
+    assert len(types) > 10000
+    assert assert_width_verdicts_match(types) > 5500
 
 
 _weights = st.lists(st.integers(2, 5), min_size=1, max_size=5)
@@ -501,6 +535,7 @@ def test_width_check_matches_fraction_oracle(d):
     """The integer lhs equals the oracle's sum of ``Fraction`` log
     discrepancies, and width_check is None exactly when a component is
     not admissible."""
+    assert width_check(d) == oracle.width_check(d)
     if d.is_admissible():
         assert width_check(d) == oracle.delpezzo_check_width(d)
     else:

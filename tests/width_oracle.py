@@ -1,16 +1,23 @@
-"""The width criterion as it was computed before the one-pass
-``boundary.width_check``: admissibility, component shape and every fork's
-delta/e recomputed for each horizontal entry, and each log discrepancy a
-``Fraction`` of discriminants looked up slice by slice.  Kept as the
-oracle for the one-pass verdict with its integer lhs and for the
-continuant formulas of ``chains.ld_chain`` and ``chains.fork_lds``,
-together with the general ampleness criterion, of which the width forms
-are special cases."""
+"""Two earlier forms of the width criterion, kept as oracles for
+``boundary.width_check`` and the fork functions of ``chains``.
+
+The first computes it entry by entry: admissibility, component shape and
+every fork's delta/e recomputed for each horizontal entry, and each log
+discrepancy a ``Fraction`` of discriminants looked up slice by slice
+(``delpezzo_check_width``, ``ld_chain``, ``ld_fork``), together with the
+general ampleness criterion, of which the width forms are special cases.
+
+The second is the integer width check that one pass of twig continuants
+replaced (``width_check``): each fork built as a ``chains.Fork``, its
+twigs checked again and its discriminants looked up per twig and per
+twig minus its branch-adjacent entry (``_fork_excess``, ``_disc_fork``),
+and its marked entries' terms read in ``fork_ld_terms``.
+"""
 
 from fractions import Fraction
 
-from delpezzo3.boundary import CheckResult, DecoratedType, Entry, comp_weights
-from delpezzo3.chains import Fork, _disc_chain, is_admissible
+from delpezzo3.boundary import BoundaryGraph, CheckResult, DecoratedType, Entry, comp_weights
+from delpezzo3.chains import Fork, _disc_chain, chain_ld_terms, continuants, is_admissible
 
 
 def fork_delta_e(f: Fork) -> tuple[Fraction, Fraction]:
@@ -26,17 +33,37 @@ def ld_chain(t, j: int) -> Fraction:
     return Fraction(_disc_chain(t[j:]) + _disc_chain(t[: j - 1]), _disc_chain(t))
 
 
+def fork_admissible(f: Fork) -> bool:
+    """Branch >= 2, admissible twigs and sum 1/d(T_i) > 1, by the moved
+    ``_fork_excess``."""
+    excess = _fork_excess(f)
+    return excess is not None and excess > 0
+
+
+def admissible(d: DecoratedType) -> bool:
+    """Every component of ``d`` admissible, forks by ``fork_admissible``."""
+    return all(
+        fork_admissible(shape) if isinstance(shape, Fork) else is_admissible(shape)
+        for shape in map(comp_weights, d.components)
+    )
+
+
 def ld_fork(f: Fork, position) -> Fraction:
-    if not is_admissible(f):
+    if position != "branch":
+        if not isinstance(position, (tuple, list)) or len(position) != 2:
+            raise ValueError(f"fork position {position!r} is neither 'branch' nor a pair (twig, j)")
+        i, j = position
+        if not 1 <= i <= 3:
+            raise IndexError(f"twig {i} out of range for a fork of three twigs")
+        t = f.twigs[i - 1]
+        if not 1 <= j <= len(t):
+            raise IndexError(f"position {j} out of range for twig of length {len(t)}")
+    if not fork_admissible(f):
         raise ValueError("log discrepancies need an admissible fork")
     delta, e = fork_delta_e(f)
     ld_branch = (delta - 1) / (f.branch - e)
     if position == "branch":
         return ld_branch
-    i, j = position
-    t = f.twigs[i - 1]
-    if not 1 <= j <= len(t):
-        raise IndexError(f"position {j} out of range for twig of length {len(t)}")
     return (ld_branch * _disc_chain(t[: j - 1]) + _disc_chain(t[j:])) / _disc_chain(t)
 
 
@@ -82,7 +109,7 @@ def delpezzo_check_width(d: DecoratedType) -> CheckResult:
     if d.width not in (1, 2, 3):
         raise ValueError("decorated type carries no usable width")
     positions = horizontal_positions(d)
-    if not d.is_admissible():
+    if not admissible(d):
         raise ValueError("log discrepancies undefined: non-admissible component")
     if d.width == 3:
         lhs = sum((ld(d, ci, pos) for ci, pos in positions), Fraction(0))
@@ -115,10 +142,104 @@ def delpezzo_check_general(
         raise ValueError(
             f"{len(positions)} horizontal components but {len(fiber_degrees)} degrees"
         )
-    if not d.is_admissible():
+    if not admissible(d):
         raise ValueError("log discrepancies undefined: non-admissible component")
     lhs = Fraction(0)
     for degree, (ci, pos) in zip(fiber_degrees, positions):
         lhs += ld(d, ci, pos) * degree
     rhs = Fraction(fiber_dot_boundary - 2)
+    return CheckResult(lhs > rhs, lhs, rhs)
+
+
+# -- the integer width check that the one pass of twig continuants replaced ------
+
+
+def _disc_fork(f: Fork) -> int:
+    # Peel the fork at the branch: d = b * prod(d_i) - sum over twigs of
+    # d(twig minus its branch-adjacent entry) * prod of the others.
+    ds = [_disc_chain(t) for t in f.twigs]
+    total = f.branch * ds[0] * ds[1] * ds[2]
+    for i, t in enumerate(f.twigs):
+        rest = 1
+        for j, d in enumerate(ds):
+            if j != i:
+                rest *= d
+        total -= _disc_chain(t[:-1]) * rest
+    return total
+
+
+def _fork_excess(f: Fork) -> int | None:
+    """D (sum of 1/d(T_i) - 1) with D = d(T_1) d(T_2) d(T_3), an integer
+    of the sign of sum 1/d(T_i) - 1; None if the branch is below 2 or a
+    twig is not admissible."""
+    if f.branch < 2 or not all(is_admissible(t) for t in f.twigs):
+        return None
+    ds = [_disc_chain(t) for t in f.twigs]
+    big_d = ds[0] * ds[1] * ds[2]
+    return sum(big_d // d for d in ds) - big_d
+
+
+def fork_ld_terms(f: Fork, positions) -> list[tuple[int, int]] | None:
+    """``ld_fork`` at each of ``positions`` as a pair (numerator,
+    denominator) of integers, reading each twig's continuants once;
+    None if the fork is not admissible.
+
+    With D = d(T_1) d(T_2) d(T_3), delta - 1 = (sum of D/d(T_i) - D) / D
+    and branch - e = d(fork) / D, so ld(branch) = (sum D/d(T_i) - D) / d(fork).
+    """
+    num = _fork_excess(f)
+    if num is None or num <= 0:  # delta <= 1
+        return None
+    den = _disc_fork(f)
+    twigs: dict = {}
+    out = []
+    for position in positions:
+        if position == "branch":
+            out.append((num, den))
+            continue
+        i, j = position
+        t = f.twigs[i - 1]
+        if not 1 <= j <= len(t):
+            raise IndexError(f"position {j} out of range for twig of length {len(t)}")
+        if i not in twigs:
+            twigs[i] = continuants(t)
+        prefix, suffix = twigs[i]
+        out.append((num * prefix[j - 1] + den * suffix[j], den * prefix[-1]))
+    return out
+
+
+def width_check(d: DecoratedType | BoundaryGraph) -> CheckResult | None:
+    """The width form of the ampleness criterion, or None if a component
+    is not admissible, so the result also decides admissibility.
+
+    Width 3: ld(H1)+ld(H2)+ld(H3) > 1; width 2: ld(H1)+2 ld(H2) > 1 with
+    H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
+    these normalizations.  Only an admissible type with a width outside
+    1-3 raises ValueError.  One pass over the components of ``d.walk()``:
+    the lhs is summed as one integer fraction from each marked chain's
+    continuants and each fork's discriminants, and reduced once.  Chains
+    are always admissible: every weight is at least 2."""
+    entries, layout = d.walk()
+    num, den = 0, 1
+    for part in layout:
+        if part[0] == "chain":
+            marked = [(j, i) for j, i in enumerate(part[1], start=1) if entries[i].horizontal]
+            if not marked:
+                continue
+            weights = tuple([entries[i].weight for i in part[1]])
+            terms = chain_ld_terms(weights, [j for j, _ in marked])
+        else:
+            marked = [("branch", part[1])] if entries[part[1]].horizontal else []
+            for ti, twig in enumerate(part[2], start=1):
+                marked += [((ti, j), i) for j, i in enumerate(twig, start=1) if entries[i].horizontal]
+            twigs = tuple([tuple([entries[i].weight for i in t]) for t in part[2]])
+            terms = fork_ld_terms(Fork(entries[part[1]].weight, twigs), [pos for pos, _ in marked])
+            if terms is None:
+                return None
+        for (x, y), (_, i) in zip(terms, marked):
+            num, den = num * y + (2 * x if entries[i].two_section else x) * den, den * y
+    if d.width not in (1, 2, 3):
+        raise ValueError("decorated type carries no usable width")
+    lhs = Fraction(num, den)
+    rhs = Fraction(1, 3) if d.width == 1 else Fraction(1)
     return CheckResult(lhs > rhs, lhs, rhs)
