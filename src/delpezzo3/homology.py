@@ -54,7 +54,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     pivot row, to leave a remainder at the next clearing), the pivot is
     chosen again; a remainder is smaller than the pivot, so the loop ends.
     It moves on to t + 1 only when the pivot divides the whole block, so
-    the chain d_1 | d_2 | ... and the zeros last hold as it goes.
+    the chain d_1 | d_2 | ... and the zeros last hold as it goes.  The
+    result is checked, |det U| = |det V| = 1 and U M V = D, and a failed
+    check raises ArithmeticError.
     """
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
@@ -100,14 +102,15 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             u[t] = [-x for x in u[t]]
         t += 1
     diag = tuple(a[i][i] for i in range(min(rows, cols)))
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
+        raise ArithmeticError("Smith form transform is not unimodular")
     # exact product identity U M V = D
     prod = _mat_mul(_mat_mul(u, [list(r) for r in m.entries]), v)
     for i in range(rows):
         for j in range(cols):
             want = diag[i] if i == j and i < len(diag) else 0
-            assert prod[i][j] == want, "Smith form product identity failed"
+            if prod[i][j] != want:
+                raise ArithmeticError("Smith form product identity failed")
     return SmithForm(diag, tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 

@@ -23,15 +23,17 @@ the sentinel of the star-composition conventions.  A characteristic tag
 (TAG) is one run of letters and digits without spaces: any, ne2, eq2,
 ne23, eq3.
 
-A ``TypeExpr`` is compiled when it is built into an instantiation plan
-(``_Plan``): its sorted parameters and, per component, either the
-component itself, built once when nothing in it names a parameter, or a
-``_Chain`` or ``_Fork`` whose constant runs are tuples of interned
-entries and whose parametric weights and ``(2)_{e}`` runs are the syntax
-nodes themselves.  ``substitute`` evaluates only those, and runs the
-star, sentinel and attach steps only where they can change something,
-with the checks, messages and order of checks of a walk over the whole
-tree.
+A ``TypeExpr`` is compiled in one step when it is built, into an
+instantiation plan (``_Plan``) that never changes afterwards: its sorted
+parameters and, per component, a ``_Chain`` or ``_Fork`` built with its
+constant runs as tuples of interned entries and its parametric weights
+and ``(2)_{e}`` runs as the syntax nodes themselves; a fork's constant
+branch and twigs, and a component that names no parameter, are replaced
+by what they build.  ``substitute`` evaluates only the parametric nodes,
+and runs the star, sentinel and attach steps only where they can change
+something, with the checks, messages and order of checks of a walk over
+the whole tree.  ``assignments`` reads each parameter's domain from its
+constraints alone.
 """
 
 from __future__ import annotations
@@ -572,46 +574,33 @@ def _check_weights(entries) -> None:
 
 
 def _pieces(lit: ChainLit, params: set[str]) -> tuple:
-    """A chain literal as ``_eval`` pieces: each item that names a
-    parameter (added to ``params``) as it is, and each run of items
-    between them as ``_const_run`` gives it."""
-    pieces, start = [], 0
+    """A chain literal as ``_eval`` pieces.  Its first item that names a
+    parameter (added to ``params``) splits it: the pieces of the items
+    before it, the item, and the pieces of the items after it.  Without
+    one, one tuple of its values, or, if evaluating it fails, its items,
+    so that they fail where ``substitute`` reaches them."""
     for i, item in enumerate(lit):
         param = (item.value if type(item) is EntryExpr else item.count).param
         if param is not None:
             params.add(param)
-            pieces += _const_run(lit[start:i])
-            pieces.append(item)
-            start = i + 1
-    pieces += _const_run(lit[start:])
-    return tuple(pieces)
-
-
-def _const_run(items: tuple) -> list:
-    """Items without parameters as pieces: one tuple of their values, or,
-    if evaluating them fails, the items themselves, so that they fail where
-    ``substitute`` reaches them."""
-    if not items:
-        return []
+            return _pieces(lit[:i], params) + (item,) + _pieces(lit[i + 1:], params)
     try:
-        return [tuple(_eval(items, {}))]
+        return (tuple(_eval(lit, {})),) if lit else ()
     except ValueError:
-        return list(items)
+        return lit
 
 
 class _Run:
     """A chain literal, or literals joined by ``*``, with the labels that
     attach to its ends: a fork's twig, or as a ``_Chain`` a chain
-    component.  Its ``parts`` are ``_eval`` pieces: at first the literals
-    themselves, after ``compile_pieces`` their ``_pieces``."""
+    component.  Its ``parts`` are the literals' ``_pieces``."""
 
     __slots__ = ("parts", "prefix", "suffix")
 
-    def __init__(self, parts: tuple, prefix: tuple[int, ...], suffix: tuple[int, ...]):
-        self.parts, self.prefix, self.suffix = parts, prefix, suffix
-
-    def compile_pieces(self, params: set[str]) -> None:
-        self.parts = tuple([_pieces(lit, params) for lit in self.parts])
+    def __init__(self, lits: tuple, prefix: tuple[int, ...], suffix: tuple[int, ...],
+                 params: set[str]):
+        self.parts = tuple([_pieces(lit, params) for lit in lits])
+        self.prefix, self.suffix = prefix, suffix
 
     def build(self, assignment: dict[str, int]) -> list:
         """The entries after the star, sentinel and attach steps, each run
@@ -640,27 +629,25 @@ class _Chain(_Run):
 
 
 class _Fork:
-    """A fork component: its branch (an Entry once compiled, if it names no
-    parameter) and three twigs (``_Run``, or their entries once compiled)."""
+    """A fork component: its branch, an Entry if it names no parameter
+    and evaluates, and three twigs, each its entries if it names no
+    parameter and builds, else its ``_Run``."""
 
     __slots__ = ("branch", "twigs", "labelled")
 
-    def __init__(self, comp: ComponentExpr):
-        self.branch = comp.body.branch
-        self.twigs = tuple([_Run((t.chain,), t.prefix, t.suffix) for t in comp.body.twigs])
-        self.labelled = bool(comp.prefix or comp.suffix)
-
-    def compile_pieces(self, params: set[str]) -> None:
-        value = self.branch.value
-        if value.param is not None:
-            params.add(value.param)
+    def __init__(self, comp: ComponentExpr, params: set[str]):
+        self.branch = branch = comp.body.branch
+        if branch.value.param is not None:
+            params.add(branch.value.param)
         else:
             try:
-                self.branch = Entry(value.offset, self.branch.horizontal,
-                                    self.branch.two_section, self.branch.labels)
+                self.branch = Entry(branch.value.offset, branch.horizontal,
+                                    branch.two_section, branch.labels)
             except ValueError:
                 pass
-        self.twigs = tuple([_compile(t, params) for t in self.twigs])
+        self.twigs = tuple([_constant(_Run((t.chain,), t.prefix, t.suffix, params))
+                            for t in comp.body.twigs])
+        self.labelled = bool(comp.prefix or comp.suffix)
 
     def build(self, assignment: dict[str, int]) -> Component:
         branch = self.branch
@@ -678,15 +665,13 @@ class _Fork:
         return fork
 
 
-def _compile(plan, params: set[str]):
+def _constant(plan):
     """``plan.build({})`` as a tuple when that succeeds, which it does only
-    when nothing in the plan names a parameter; otherwise the plan, with
-    its pieces compiled and its parameters added to ``params``, to build
-    at each assignment (where a broken piece fails in its turn)."""
+    when nothing in the plan names a parameter; otherwise the plan, to
+    build at each assignment (where a broken piece fails in its turn)."""
     try:
         return tuple(plan.build({}))
     except ValueError:
-        plan.compile_pieces(params)
         return plan
 
 
@@ -700,8 +685,8 @@ class _Plan:
     def __init__(self, components: tuple[ComponentExpr, ...]):
         params: set[str] = set()
         self.steps = tuple([
-            _compile(_Chain(comp.body.parts, comp.prefix, comp.suffix)
-                     if isinstance(comp.body, ChainExprNode) else _Fork(comp), params)
+            _constant(_Chain(comp.body.parts, comp.prefix, comp.suffix, params)
+                      if isinstance(comp.body, ChainExprNode) else _Fork(comp, params))
             for comp in components
         ])
         self.params = tuple(sorted(params))
@@ -729,28 +714,18 @@ def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
 
 def assignments(expr: TypeExpr, cutoff: int):
     """All satisfying assignments with every parameter <= cutoff, in
-    lexicographic order of the sorted parameter names."""
+    lexicographic order of the sorted parameter names.  A parameter's
+    candidates are the values of its first ``=`` or ``in`` constraint,
+    else ``range(max(>= bounds, default 2), cutoff + 1)``; it takes those
+    <= cutoff that every constraint on it admits."""
     params = expr.parameters()
     domains = []
     for p in params:
-        lows = [c.values[0] for c in expr.constraints if c.param == p and c.op == ">="]
-        highs = [c.values[0] for c in expr.constraints if c.param == p and c.op == "<="]
-        eqs = [c.values[0] for c in expr.constraints if c.param == p and c.op == "="]
-        ins = [c.values for c in expr.constraints if c.param == p and c.op == "in"]
-        if eqs:
-            domain = [eqs[0]]
-        elif ins:
-            domain = sorted(set(ins[0]))
-        else:
-            lo = max(lows) if lows else 2
-            hi = min(highs) if highs else cutoff
-            domain = list(range(lo, min(hi, cutoff) + 1))
-        domain = [v for v in domain if v <= cutoff]
-        domain = [
-            v
-            for v in domain
-            if all(c.admits(v) for c in expr.constraints if c.param == p)
-        ]
-        domains.append(domain)
+        own = [c for c in expr.constraints if c.param == p]
+        values = next((c.values for c in own if c.op in ("=", "in")), None)
+        if values is None:
+            values = range(max([c.values[0] for c in own if c.op == ">="], default=2), cutoff + 1)
+        domains.append([v for v in sorted(set(values))
+                        if v <= cutoff and all(c.admits(v) for c in own)])
     for combo in itertools.product(*domains):
         yield dict(zip(params, combo))

@@ -441,8 +441,7 @@ class FiberData:
     components: dict  # curve -> multiplicity
     sigma: int
     shape: tuple  # weights of the reduced fiber as a chain, if a chain
-    l_curve: str | None  # the unique (-1)-curve when sigma == 1
-    mu: int | None  # multiplicity of l_curve in the fiber
+    mu: int | None  # multiplicity of the unique (-1)-curve when sigma == 1
 
 
 def analyze_fiber(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str) -> FiberData:
@@ -451,10 +450,9 @@ def analyze_fiber(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str) -> 
         raise SimulationError(f"fiber over {base_fiber} has nonzero square")
     minus_ones = [c for c in vec if cfg.curves[c].self_int == -1]
     sigma = len(minus_ones)
-    l_curve = minus_ones[0] if sigma == 1 else None
-    mu = vec[l_curve] if l_curve else None
+    mu = vec[minus_ones[0]] if sigma == 1 else None
     shape = _chain_shape({c: cfg.curves[c].self_int for c in vec}, cfg.intersection)
-    return FiberData(base_fiber, vec, sigma, shape, l_curve, mu)
+    return FiberData(base_fiber, vec, sigma, shape, mu)
 
 
 def _chain_shape(self_ints: dict, intersection) -> tuple:

@@ -167,7 +167,8 @@ def _blow_up_graph(graph, label: int, target: int, attached):
 
 class _Frame:
     """What the reverse-swap children of one parent share, computed once:
-    the parent's graph (``to_graph``), its layout in that numbering, each
+    the parent's entries and layout from one ``walk``, its graph form (the
+    entries, and ``graph_of`` the layout for the neighbour lists), each
     entry's part, the parts' label blocks, and each label's targets in the
     parent's ``moves``, which are its attachments: it meets each once.
 
@@ -179,13 +180,13 @@ class _Frame:
 
     def __init__(self, parent: DecoratedType, moves):
         self.parent = parent
-        self.graph = to_graph(parent)
-        _, self.layout = parent.walk()
-        self.part_of = [0] * len(self.graph[0])
+        entries, self.layout = parent.walk()
+        self.graph = entries, graph_of(self.layout)[1]
+        self.part_of = [0] * len(entries)
         for p, part in enumerate(self.layout):
             for i in comp_entries(part):
                 self.part_of[i] = p
-        names = _block_names(self.graph[0], self.layout)
+        names = _block_names(entries, self.layout)
         index = {name: b for b, name in enumerate(dict.fromkeys(names))}
         self.block_of = [index[name] for name in names]  # each part's block in ``blocks``
         self.blocks = [[part for part, b in zip(self.layout, self.block_of) if b == k]

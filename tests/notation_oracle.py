@@ -9,6 +9,12 @@ star, sentinel and attach steps on every component.  Both build the
 package's syntax tree, ``NotationError`` and ``DecoratedType``, so their
 results compare with ``==`` against the package's.
 
+``assignments`` is the enumeration that read each parameter's domain
+from separate bounds (the first ``=``, else the first ``in``, else the
+largest ``>=`` and the least ``<=``) before filtering it by every
+constraint; the package takes one candidate list from the constraints
+and filters that.
+
 One rule differs from the code as it was: a ``char=`` tag is one
 contiguous run of word and integer tokens.  The old loop joined such
 tokens across whitespace (``char=ne2 3`` read as ``ne23``), took any
@@ -18,6 +24,7 @@ token as the tag's first, and peeked past the end of the input after
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -449,3 +456,32 @@ def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
     return DecoratedType(
         tuple(components), width=expr.width, char_tag=expr.char_tag
     )
+
+
+def assignments(expr: TypeExpr, cutoff: int):
+    """All satisfying assignments with every parameter <= cutoff, in
+    lexicographic order of the sorted parameter names."""
+    params = expr.parameters()
+    domains = []
+    for p in params:
+        lows = [c.values[0] for c in expr.constraints if c.param == p and c.op == ">="]
+        highs = [c.values[0] for c in expr.constraints if c.param == p and c.op == "<="]
+        eqs = [c.values[0] for c in expr.constraints if c.param == p and c.op == "="]
+        ins = [c.values for c in expr.constraints if c.param == p and c.op == "in"]
+        if eqs:
+            domain = [eqs[0]]
+        elif ins:
+            domain = sorted(set(ins[0]))
+        else:
+            lo = max(lows) if lows else 2
+            hi = min(highs) if highs else cutoff
+            domain = list(range(lo, min(hi, cutoff) + 1))
+        domain = [v for v in domain if v <= cutoff]
+        domain = [
+            v
+            for v in domain
+            if all(c.admits(v) for c in expr.constraints if c.param == p)
+        ]
+        domains.append(domain)
+    for combo in itertools.product(*domains):
+        yield dict(zip(params, combo))

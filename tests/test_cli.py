@@ -303,6 +303,31 @@ def test_cascade_beyond_counts_targets_past_the_depth():
     assert "cascade-beyond" not in run("verify-tables", "--table", "char0").output
 
 
+def summary_counts(output: str) -> dict:
+    """The ``# name: n`` summary lines of a CSV report, as integers."""
+    return {key: int(n) for key, _, n in
+            (line[2:].partition(": ") for line in output.splitlines() if line.startswith("# "))
+            if n.isdigit()}
+
+
+def test_cascade_extra_leaves_out_the_root():
+    """``cascade-extra[<root>]`` counts the cascade nodes other than the
+    root that match no table instance.  ``cascade`` counts the root among
+    its EXTRA nodes only when it matches none: w1b's root is no instance,
+    and w1c3's is the row w1c3.w=1_0_id."""
+    res = run("verify-tables", "--table", "char3", "--cutoff", "6", "--cascade-depth", "2")
+    assert res.exit_code == 0, res.output
+    counts = summary_counts(res.output)
+    assert (counts["cascade-extra[w1b]"], counts["cascade-extra[w1c3]"]) == (5, 3)
+    for root, root_match in (("w1b", "EXTRA"), ("w1c3", "w1c3.w=1_0_id")):
+        res = run("cascade", "--root", root, "--depth", "2", "--cutoff", "6")
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in res.output.splitlines() if not line.startswith("#")]
+        assert [row[-1] for row in rows[1:] if row[1] == "0"] == [root_match]
+        extra = summary_counts(res.output)["EXTRA"]
+        assert counts[f"cascade-extra[{root}]"] == extra - (root_match == "EXTRA")
+
+
 # -- distinctness on a copy of the corpus ---------------------------------------
 
 

@@ -498,9 +498,11 @@ def test_width_verdict_matches_oracle_on_cascade_nodes():
 
 
 _weights = st.lists(st.integers(2, 5), min_size=1, max_size=5)
+# twigs mostly [2] or short runs of 2s, so that most forks are admissible
+_twig = st.one_of(st.just([2]), st.lists(st.just(2), min_size=2, max_size=3), _weights)
 _shapes = st.one_of(
     _weights.map(lambda ws: (ws,)),
-    st.tuples(st.integers(2, 4), _weights, _weights, _weights),
+    st.tuples(st.integers(2, 4), _twig, _twig, _twig),
 )
 
 

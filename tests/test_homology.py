@@ -118,3 +118,16 @@ def test_bad_matrix_shapes():
         homology.IntMatrix(((),))
     with pytest.raises(ValueError):
         M([[], []])
+
+
+def test_snf_checks_raise_without_assert(monkeypatch):
+    # the transform and product checks are explicit, so python -O keeps them
+    mat_mul = homology._mat_mul
+    monkeypatch.setattr(homology, "det", lambda rows: 2)
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        homology.smith_normal_form(M([[2, 0], [0, 3]]))
+    monkeypatch.undo()
+    monkeypatch.setattr(homology, "_mat_mul",
+                        lambda a, b: [[x + 1 for x in row] for row in mat_mul(a, b)])
+    with pytest.raises(ArithmeticError, match="product identity"):
+        homology.smith_normal_form(M([[2, 0], [0, 3]]))

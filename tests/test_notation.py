@@ -263,6 +263,19 @@ def test_substitute_matches_oracle_on_the_corpus():
     assert pairs > 2000
 
 
+def test_assignments_match_oracle_on_the_corpus():
+    exprs = 0
+    for path in DATA_FILES:
+        for row in fixtures.parse_fixture_file(path):
+            for expr in (row.expr, row.sing):
+                if expr is not None and expr.parameters():
+                    exprs += 1
+                    for cutoff in range(13):
+                        assert (list(assignments(expr, cutoff))
+                                == list(notation_oracle.assignments(expr, cutoff))), render(expr)
+    assert exprs > 100
+
+
 def test_substitute_matches_oracle_on_abcd_expression():
     expr = parse(fixtures._ABCD_EXPR)
     count = 0
@@ -419,3 +432,31 @@ def test_substitute_generated_matches_oracle(expr, values):
     if expr.parameters():  # one value missing
         del assignment[expr.parameters()[-1]]
         assert_substitutes_like_oracle(expr, assignment)
+
+
+_bound = st.integers(-2, 15)  # below 2 and above every cutoff drawn
+_constraints = st.lists(st.one_of(
+    st.builds(lambda p, op, v: Constraint(p, op, (v,)), st.sampled_from("kmab"),
+              st.sampled_from([">=", "<=", "="]), _bound),
+    st.builds(lambda p, vs: Constraint(p, "in", tuple(vs)), st.sampled_from("kmab"),
+              st.lists(_bound, min_size=1, max_size=4)),
+), max_size=6)
+
+
+def constraint_set(text):
+    return tuple(parse(f"[2] ; {text}", False).constraints)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@example(params={"k"}, constraints=constraint_set("k=3 ; k=3"), cutoff=5)
+@example(params={"k"}, constraints=constraint_set("k in {4,3,4} ; k=3"), cutoff=5)
+@example(params={"k"}, constraints=constraint_set("k=3 ; k in {4,5}"), cutoff=5)
+@example(params={"k"}, constraints=constraint_set("k>=5 ; k<=3"), cutoff=12)
+@example(params={"k", "m"}, constraints=constraint_set("k>=0 ; m in {0,1,2,20}"), cutoff=4)
+@example(params={"k"}, constraints=constraint_set("k=20 ; k>=2"), cutoff=12)
+@given(params=st.sets(st.sampled_from("kma"), min_size=1), constraints=_constraints,
+       cutoff=st.integers(0, 12))
+def test_assignments_match_oracle_on_generated_constraints(params, constraints, cutoff):
+    components = parse("+".join(f"[{p}]" for p in sorted(params)), False).components
+    expr = TypeExpr(components, tuple(constraints))
+    assert list(assignments(expr, cutoff)) == list(notation_oracle.assignments(expr, cutoff))
