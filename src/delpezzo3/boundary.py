@@ -13,7 +13,7 @@ import itertools
 import marshal
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from delpezzo3.chains import (
@@ -179,31 +179,35 @@ def comp_entries(comp):
     return comp[1] if comp[0] == "chain" else [comp[1], *comp[2][0], *comp[2][1], *comp[2][2]]
 
 
-def graph_of(components) -> tuple[list[Entry], list[list[int]]]:
-    """The graph form of a boundary: its entries in ``comp_entries``
-    order, and ``adj``, where ``adj[i]`` lists the neighbours of entry i.
-    A chain is a path; a fork's branch meets each twig's LAST entry.  Of
-    ``walk_components`` parts, the nodes in that order and their graph."""
-    entries, layout = layout_of(components)
-    adj: list[list[int]] = [[] for _ in entries]
+def neighbours(layout, n: int) -> list[list[int]]:
+    """``adj``, where ``adj[i]`` lists the neighbours of node i of the
+    ``walk_components`` parts ``layout`` over the nodes ``0..n-1``.  A
+    chain is a path; a fork's branch meets each twig's LAST entry."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for part in layout:
         for path in [part[1]] if part[0] == "chain" else [[*t, part[1]] for t in part[2]]:
             for i, j in zip(path, path[1:]):
                 adj[i].append(j)
                 adj[j].append(i)
-    return entries, adj
+    return adj
 
 
 def layout_of(components) -> tuple[list[Entry], list]:
     """The components' entries in ``comp_entries`` order and, counted without
-    a walk, their ``walk_components`` layout, in index ranges for lists."""
+    a walk, their ``walk_components`` layout, in index ranges for lists.
+    A chain or twig without entries raises ValueError: a walk has no empty
+    parts."""
     entries, layout = [], []
     for comp in components:
         first = len(entries)
         if comp[0] == "chain":
+            if not comp[1]:
+                raise ValueError("a chain component needs at least one entry")
             entries += comp[1]
             layout.append(("chain", range(first, len(entries))))
             continue
+        if len(comp[2]) != 3 or not all(comp[2]):
+            raise ValueError("a fork needs three nonempty twigs")
         entries.append(comp[1])
         twigs = []
         for twig in comp[2]:
@@ -213,35 +217,81 @@ def layout_of(components) -> tuple[list[Entry], list]:
     return entries, layout
 
 
-def comp_weights(comp: Component):
-    """Undecorated shape: a weight tuple or a chains.Fork."""
-    if comp[0] == "chain":
-        return tuple(e.weight for e in comp[1])
-    return Fork(
-        comp[1].weight, tuple(tuple(e.weight for e in t) for t in comp[2])
-    )
+def part_weights(entries, part):
+    """Undecorated shape of the layout ``part`` over ``entries``: a weight
+    tuple or a chains.Fork."""
+    if part[0] == "chain":
+        return tuple([entries[i].weight for i in part[1]])
+    return Fork(entries[part[1]].weight,
+                tuple(tuple([entries[i].weight for i in t]) for t in part[2]))
 
 
-@dataclass(frozen=True)
+# one object per distinct layout, tuple of label blocks and label set, which
+# every DecoratedType that has it shares, as equal entries are one Entry
+_SHARED: dict = {}
+
+
+def _shared(value):
+    return _SHARED.setdefault(value, value)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class DecoratedType:
-    components: tuple[Component, ...]
-    width: int | None = None
-    char_tag: str = "any"
-    free_labels: frozenset[int] = field(default_factory=frozenset)
+    """A disjoint union of decorated chains and forks, held as its walk:
+    its entries, a tuple in the order ``walk_components`` reads them, and
+    their layout, the walk's parts as index ranges (``layout_of``).  The
+    constructor builds the walk once, from ``components`` (``from_walk``
+    from walked parts), and checks it and the labels it stores in one
+    pass over the entries; the label blocks are found on the first read
+    and kept.  Layouts, blocks and label sets are shared between the
+    types that have equal ones.
 
-    def __post_init__(self) -> None:
-        if self.char_tag not in CHAR_TAGS:
-            raise ValueError(f"unknown characteristic tag {self.char_tag!r}")
+    ``components`` is a view, built from the walk on each read, for
+    notation, rendering and the oracles.  A component without entries is
+    rejected: a walk has no empty parts.  The constructor, equality,
+    hashing, ``repr`` and ``dataclasses.replace`` read the same fields
+    as ever, so types with equal components and decorations are equal;
+    a copied or unpickled type keeps the walk and blocks it was built
+    with."""
+
+    __slots__ = ("_entries", "_layout", "_blocks", "_labels", "width", "char_tag", "free_labels")
+
+    # the fields that the constructor, repr and dataclasses.replace read;
+    # components is the property below
+    components: tuple[Component, ...]
+    width: int | None
+    char_tag: str
+    free_labels: frozenset[int]
+
+    def __init__(self, components, width: int | None = None, char_tag: str = "any",
+                 free_labels: frozenset[int] = frozenset()) -> None:
+        entries, layout = layout_of(components)
+        self._build(tuple(entries), layout, width, char_tag, free_labels)
+
+    @classmethod
+    def from_walk(cls, parts, nodes, width: int | None = None, char_tag: str = "any",
+                  free_labels: frozenset[int] = frozenset()) -> DecoratedType:
+        """The type whose components are the ``walk_components`` ``parts``,
+        with ``nodes[i]`` the entry at node i, built with no components."""
+        ids, layout = layout_of(parts)
+        self = object.__new__(cls)
+        self._build(tuple([nodes[i] for i in ids]), layout, width, char_tag, free_labels)
+        return self
+
+    def _build(self, entries: tuple, layout: list, width, char_tag, free_labels) -> None:
+        """Check the walk in one pass over its entries, and store it."""
+        if char_tag not in CHAR_TAGS:
+            raise ValueError(f"unknown characteristic tag {char_tag!r}")
+        free_labels = frozenset(free_labels)
         horizontals = two_sections = 0
-        mults = dict.fromkeys(self.free_labels, 0)
-        for e in self.entries():
+        mults = dict.fromkeys(free_labels, 0)
+        for e in entries:
             if e.weight < 2:
                 raise ValueError("boundary weights must be >= 2")
             horizontals += e.horizontal
             two_sections += e.two_section
             for l in e.labels:
                 mults[l] = mults.get(l, 0) + 1
-        width = self.width
         if width is not None:
             if horizontals != width:
                 raise ValueError(f"width {width} needs {width} horizontal marks, found {horizontals}")
@@ -252,34 +302,70 @@ class DecoratedType:
         for label, total in mults.items():
             if total > 3:
                 raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
-            if total and label in self.free_labels:
+            if total and label in free_labels:
                 raise ValueError(f"free (-1)-curve {label} meets the boundary")
+        # the label blocks are found on the first read of label_blocks
+        self.__setstate__((entries, tuple(layout), None, frozenset(mults), width, char_tag,
+                           free_labels))
+
+    @property
+    def components(self) -> tuple[Component, ...]:
+        return place_entries(self._layout, self._entries)
+
+    def _key(self) -> tuple:
+        return self._entries, self._layout, self.width, self.char_tag, self.free_labels
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __getstate__(self) -> tuple:
+        return (self._entries, self._layout, self._blocks, self._labels, self.width,
+                self.char_tag, self.free_labels)
+
+    def __setstate__(self, state: tuple) -> None:
+        # a copy or an unpickled type is the walk it was built and checked
+        # as; its layout, blocks and labels are shared in this process
+        entries, layout, blocks, labels, width, char_tag, free_labels = state
+        init = object.__setattr__
+        init(self, "_entries", entries)
+        init(self, "_layout", _shared(layout))
+        init(self, "_blocks", None if blocks is None else _shared(blocks))
+        init(self, "_labels", _shared(labels))
+        init(self, "width", width)
+        init(self, "char_tag", char_tag)
+        init(self, "free_labels", free_labels)
 
     # -- basic accessors ---------------------------------------------------
 
-    def entries(self) -> list[Entry]:
-        return [e for c in self.components for e in comp_entries(c)]
+    def entries(self) -> tuple[Entry, ...]:
+        return self._entries
 
-    def walk(self) -> tuple[list[Entry], list]:
-        return layout_of(self.components)
+    def walk(self) -> tuple[tuple[Entry, ...], tuple]:
+        return self._entries, self._layout
 
-    def label_blocks(self) -> tuple[list[Entry], list[list]]:
-        """The entries and their ``_label_blocks``."""
-        entries, layout = layout_of(self.components)
-        return entries, _label_blocks(entries, layout)
+    def label_blocks(self) -> tuple[tuple[Entry, ...], tuple[tuple, ...]]:
+        """The entries and their ``_label_blocks``, as tuples, found on the
+        first call and kept: a type that is never keyed does not pay for
+        them."""
+        if self._blocks is None:
+            blocks = tuple(map(tuple, _label_blocks(self._entries, self._layout)))
+            object.__setattr__(self, "_blocks", _shared(blocks))
+        return self._entries, self._blocks
 
     def labels(self) -> frozenset[int]:
-        out = set(self.free_labels)
-        for e in self.entries():
-            out.update(e.labels)
-        return frozenset(out)
+        return self._labels
 
     def is_admissible(self) -> bool:
-        return all(is_admissible(comp_weights(c)) for c in self.components)
+        return all(is_admissible(part_weights(self._entries, p)) for p in self._layout)
 
     def is_log_canonical(self) -> bool:
-        for c in self.components:
-            shape = comp_weights(c)
+        for part in self._layout:
+            shape = part_weights(self._entries, part)
             if isinstance(shape, Fork):
                 if not is_log_canonical_fork(shape):
                     return False
@@ -367,8 +453,9 @@ def singularity_type_of(d: DecoratedType) -> tuple:
     """The undecorated type: chains up to reversal, forks up to twig
     permutation, components sorted canonically."""
     out = []
-    for comp in d.components:
-        shape = comp_weights(comp)
+    entries, layout = d.walk()
+    for part in layout:
+        shape = part_weights(entries, part)
         if isinstance(shape, Fork):
             out.append(("fork", shape.branch, shape.sorted_twigs()))
         else:
@@ -464,8 +551,10 @@ def _block_search(entries, block: list) -> tuple[tuple, int]:
     keys = tuple([key for key, _ in parts])
     best, reached, count = None, 0, 1
     if len(set(keys)) < len(keys):
-        ids, adjacent = graph_of(block)
+        ids = [i for part in block for i in comp_entries(part)]
         local = {i: k for k, i in enumerate(ids)}
+        adj = neighbours(block, len(entries))
+        adjacent = [[local[j] for j in adj[i]] for i in ids]
         parts = [(key, [[local[i] for i in r] for r in readings]) for key, readings in parts]
         orders = _refined_placements(parts, [entries[i].labels for i in ids], adjacent)
         placements = (([ids[k] for k in order],) for order in orders)
@@ -500,8 +589,8 @@ def _refined_placements(parts, labels, adjacent):
     entries and places the components in order of key and least ranks,
     each in its reading of least ranks.  Every choice reads colours only,
     so the placements given are closed under the block's automorphisms.
-    ``adjacent`` is the block's ``graph_of`` neighbour lists, whose ids
-    are the block-local ones of ``labels``.
+    ``adjacent`` is the block's neighbour lists, whose ids are the
+    block-local ones of ``labels``.
     """
     n = len(labels)
     contacts = [tuple(Counter(ls).items()) for ls in labels]
@@ -554,11 +643,12 @@ def _refined_placements(parts, labels, adjacent):
             yield order
 
 
-def _block_names(entries, layout) -> list[int]:
-    """Each part of ``layout`` its label-connected block's name, one of
-    the block's parts: the blocks are maximal sets of parts joined by
-    shared (-1)-curve labels over ``entries``."""
-    block = list(range(len(layout)))
+def _label_blocks(entries, layout) -> list[list]:
+    """The label-connected blocks of the boundary ``entries`` laid out by
+    ``layout``, the maximal sets of parts joined by shared (-1)-curve
+    labels, each a list of its parts in layout order, in order of its
+    first part."""
+    block = list(range(len(layout)))  # each part's block, named by one of its parts
     owner: dict[int, int] = {}  # label -> the first part it meets
     for ci, part in enumerate(layout):
         for i in comp_entries(part):
@@ -567,15 +657,8 @@ def _block_names(entries, layout) -> list[int]:
                 if block[cj] != block[ci]:
                     old, new = block[ci], block[cj]
                     block = [new if b == old else b for b in block]
-    return block
-
-
-def _label_blocks(entries, layout) -> list[list]:
-    """The label-connected blocks of the boundary ``entries`` laid out by
-    ``layout`` (``_block_names``), each a list of its parts in layout
-    order, in order of its first part."""
     blocks: dict[int, list] = {}
-    for part, name in zip(layout, _block_names(entries, layout)):
+    for part, name in zip(layout, block):
         blocks.setdefault(name, []).append(part)
     return list(blocks.values())
 

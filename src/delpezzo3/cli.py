@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed assertion (with --strict where noted),
 from __future__ import annotations
 
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -25,10 +26,13 @@ from delpezzo3.verify import fmt_assignment
 
 
 def _emit(report: Report, fmt: str) -> None:
-    if fmt in ("csv", "both"):
-        click.echo(report.render_csv(), nl=False)
-    if fmt in ("markdown", "both"):
-        click.echo(report.render_markdown(), nl=False)
+    """Print the report in chunks of lines, never rendered whole."""
+    lines = itertools.chain(
+        report.csv_lines() if fmt in ("csv", "both") else (),
+        report.markdown_lines() if fmt in ("markdown", "both") else (),
+    )
+    while chunk := "".join(itertools.islice(lines, 4096)):
+        click.echo(chunk, nl=False)
 
 
 def _load_root(name: str) -> verify.Root:
@@ -284,10 +288,10 @@ def simulate(planfile, fmt):
 
 
 def _chain_weights(text: str) -> tuple[int, ...]:
-    d = notation.substitute(notation.parse(text), {})
-    if len(d.components) != 1 or d.components[0][0] != "chain":
+    entries, layout = notation.substitute(notation.parse(text), {}).walk()
+    if len(layout) != 1 or layout[0][0] != "chain":
         raise notation.NotationError("expected exactly one chain")
-    return tuple(e.weight for e in d.components[0][1])
+    return tuple(e.weight for e in entries)
 
 
 @main.command()

@@ -6,7 +6,6 @@ printed exactly as p/q.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,28 +35,29 @@ class Report:
     def count(self, key: str, n: int = 1) -> None:
         self.summary[key] = self.summary.get(key, 0) + n
 
-    def render_csv(self) -> str:
-        out = io.StringIO()
-        out.write("# command: " + self.command + "\n")
-        out.write(",".join(self.columns) + "\n")
+    def csv_lines(self):
+        """The CSV rendering, one line at a time."""
+        yield "# command: " + self.command + "\n"
+        yield ",".join(self.columns) + "\n"
         for item in self.items:
-            out.write(",".join(_csv_quote(v) for v in item) + "\n")
+            yield ",".join(_csv_quote(v) for v in item) + "\n"
         for key in sorted(self.summary):
-            out.write(f"# {key}: {self.summary[key]}\n")
-        return out.getvalue()
+            yield f"# {key}: {self.summary[key]}\n"
 
-    def render_markdown(self) -> str:
-        out = io.StringIO()
-        out.write(f"### `{self.command}`\n\n")
-        out.write("| " + " | ".join(self.columns) + " |\n")
-        out.write("|" + "|".join("---" for _ in self.columns) + "|\n")
+    def markdown_lines(self):
+        """The Markdown rendering, one line at a time."""
+        yield f"### `{self.command}`\n\n"
+        yield "| " + " | ".join(self.columns) + " |\n"
+        yield "|" + "|".join("---" for _ in self.columns) + "|\n"
         for item in self.items:
-            out.write("| " + " | ".join(v.replace("|", "\\|") for v in item) + " |\n")
+            yield "| " + " | ".join(v.replace("|", "\\|") for v in item) + " |\n"
         if self.summary:
-            out.write("\n")
+            yield "\n"
             for key in sorted(self.summary):
-                out.write(f"- {key}: {self.summary[key]}\n")
-        return out.getvalue()
+                yield f"- {key}: {self.summary[key]}\n"
+
+    def render_csv(self) -> str:
+        return "".join(self.csv_lines())
 
     def failures(self) -> int:
         return self.summary.get("FAIL", 0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from delpezzo3.boundary import DecoratedType, Entry, place_entries, walk_components
+from delpezzo3.boundary import DecoratedType, Entry, walk_components
 
 
 class SimulationError(ValueError):
@@ -703,8 +703,8 @@ def extract_decorated_type(cfg: SurfaceConfig, fibration: Fibration) -> Decorate
         for v, label in labels.items()
         if not any(cfg.intersection(v, c) for c in boundary)
     )
-    components = place_entries(layout, [entry_for[c] for c in boundary])
-    return DecoratedType(components, width=fibration.width, free_labels=free)
+    return DecoratedType.from_walk(layout, [entry_for[c] for c in boundary],
+                                   width=fibration.width, free_labels=free)
 
 
 def node_labels(cfg: SurfaceConfig, fibration: Fibration) -> frozenset:

@@ -31,11 +31,9 @@ from delpezzo3.boundary import (
     BoundaryGraph,
     DecoratedType,
     Entry,
-    _block_names,
     canonical_form,
     comp_entries,
-    graph_of,
-    place_entries,
+    neighbours,
     walk_component,
     walk_components,
     width_check,
@@ -50,17 +48,18 @@ class SwapError(ValueError):
 
 
 def to_graph(d: DecoratedType):
-    """The graph form ``(entries, adj)`` of ``d``: ``graph_of`` its components."""
-    return graph_of(d.components)
+    """The graph form ``(entries, adj)`` of ``d``: its walk's entries and
+    their ``neighbours`` in its stored layout."""
+    entries, layout = d.walk()
+    return entries, neighbours(layout, len(entries))
 
 
 def from_graph(entries, adj, width, char_tag, free_labels) -> DecoratedType:
-    """The DecoratedType of the graph form ``(entries, adj)``, its parts
-    walked by ``walk_components``.  A graph that is not a union of chains
+    """The DecoratedType of the graph form ``(entries, adj)``, built from
+    its ``walk_components`` parts.  A graph that is not a union of chains
     and forks, or a type that fails its checks, raises SwapError."""
     try:
-        return DecoratedType(place_entries(walk_components(adj), entries), width, char_tag,
-                             frozenset(free_labels))
+        return DecoratedType.from_walk(walk_components(adj), entries, width, char_tag, free_labels)
     except ValueError as err:
         raise SwapError(str(err)) from None
 
@@ -167,9 +166,9 @@ def _blow_up_graph(graph, label: int, target: int, attached):
 
 class _Frame:
     """What the reverse-swap children of one parent share, computed once:
-    the parent's entries and layout from one ``walk``, its graph form (the
-    entries, and ``graph_of`` the layout for the neighbour lists), each
-    entry's part, the parts' label blocks, and each label's targets in the
+    the parent's entries, layout and label blocks, which it stores, its
+    graph form (the entries and their ``neighbours`` in the layout), each
+    entry's part, each part's block, and each label's targets in the
     parent's ``moves``, which are its attachments: it meets each once.
 
     A blow-up changes one weight and joins the new (-2)-curve to the
@@ -181,16 +180,15 @@ class _Frame:
     def __init__(self, parent: DecoratedType, moves):
         self.parent = parent
         entries, self.layout = parent.walk()
-        self.graph = entries, graph_of(self.layout)[1]
+        self.graph = entries, neighbours(self.layout, len(entries))
         self.part_of = [0] * len(entries)
         for p, part in enumerate(self.layout):
             for i in comp_entries(part):
                 self.part_of[i] = p
-        names = _block_names(entries, self.layout)
-        index = {name: b for b, name in enumerate(dict.fromkeys(names))}
-        self.block_of = [index[name] for name in names]  # each part's block in ``blocks``
-        self.blocks = [[part for part, b in zip(self.layout, self.block_of) if b == k]
-                       for k in index.values()]
+        blocks = parent.label_blocks()[1]
+        self.blocks = list(map(list, blocks))
+        index = {part: b for b, block in enumerate(blocks) for part in block}
+        self.block_of = [index[part] for part in self.layout]  # each part's block in ``blocks``
         self.targets: dict = {}
         for label, target in moves:
             self.targets.setdefault(label, []).append(target)
@@ -260,7 +258,7 @@ def is_vertically_primitive(d: DecoratedType,
 def reverse_moves(d: DecoratedType,
                   excluded_labels: frozenset = frozenset()) -> list[tuple[int, int]]:
     """All (label, target index) pairs that admit a reverse swap, read
-    from ``_label_attachments`` of ``d.entries()``: every attachment of a
+    from ``_label_attachments`` of the walk's entries: every attachment of a
     label that is not excluded and meets each of its attachments once."""
     att = _label_attachments(d.entries())
     return [(label, i) for label in sorted(att.keys() - excluded_labels)

@@ -20,7 +20,8 @@ from delpezzo3.boundary import (
     DecoratedType,
     _refined_placements,
     comp_entries,
-    graph_of,
+    layout_of,
+    neighbours,
 )
 
 
@@ -105,7 +106,8 @@ def _block_search(entries, block: list) -> tuple[tuple, int]:
     parts.sort(key=lambda part: part[0])
     keys = tuple([key for key, _ in parts])
     if len(set(keys)) < len(keys):
-        orders = _refined_placements(parts, labels, graph_of(block)[1])
+        local = layout_of(block)[1]  # the parts over the block-local ids
+        orders = _refined_placements(parts, labels, neighbours(local, len(labels)))
     elif all(len(readings) == 1 for _, readings in parts):
         return _placement_code(keys, [i for _, (r,) in parts for i in r], labels), 1
     else:

@@ -26,8 +26,7 @@ from delpezzo3 import swaps
 from delpezzo3.boundary import (
     DecoratedType,
     canonical_form,
-    comp_weights,
-    place_entries,
+    part_weights,
     walk_components,
     width_check,
 )
@@ -86,8 +85,8 @@ def graph_lds(entries, adj) -> list[Fraction]:
     """Log discrepancy of every graph node, indexed like ``entries``."""
     lds: list = [None] * len(entries)
     layout = walk_components(adj)
-    for part, comp in zip(layout, place_entries(layout, entries)):
-        shape = comp_weights(comp)
+    for part in layout:
+        shape = part_weights(entries, part)
         if part[0] == "chain":
             for j, i in enumerate(part[1], start=1):
                 lds[i] = ld_chain(shape, j)

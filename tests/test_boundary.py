@@ -9,6 +9,7 @@ import width_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delpezzo3 import boundary, notation, swaps
 from delpezzo3.boundary import (
     DecoratedType,
     Entry,
@@ -236,6 +237,11 @@ INVALID_TYPES = [
     # a free label that also meets the boundary
     ((chain(2, labels={1: (7,)}),), None, (7,), "any",
      "free (-1)-curve 7 meets the boundary"),
+    # a walk has no empty parts
+    ((chain(2), chain_comp([])), None, (), "any",
+     "a chain component needs at least one entry"),
+    ((("fork", E(2), ((E(2),), (), (E(3),))),), None, (), "any",
+     "a fork needs three nonempty twigs"),
 ]
 
 
@@ -244,6 +250,72 @@ def test_validation_messages(components, width, free, char_tag, message):
     with pytest.raises(ValueError) as err:
         DecoratedType(components, width, char_tag, frozenset(free))
     assert str(err.value) == message
+
+
+def test_vanishing_chain_is_dropped_before_the_type_is_built():
+    d = notation.substitute(notation.parse("[2]+[(2)_{k-2}] ; k>=2"), {"k": 2})
+    assert d == DecoratedType((chain(2),))
+    assert swaps.from_graph(*swaps.to_graph(d), d.width, d.char_tag, d.free_labels) == d
+
+
+def test_list_built_type_equals_tuple_built():
+    c = chain(2, 3, labels={1: (1,)})
+    listed = DecoratedType([c], None, "any", [4])
+    tupled = DecoratedType((c,), None, "any", frozenset({4}))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert {listed, tupled} == {tupled}
+
+
+def test_types_rebuild_from_components_and_pickle():
+    """A type is its walk: built again from its components, unpickled,
+    copied or replaced field by field, it is equal, hashes equal and has
+    the same walk, label blocks and labels."""
+    from test_canonical import fixture_instances
+
+    free = DecoratedType((chain(2),), None, "ne2", frozenset({8, 9}))
+    types = fixture_instances(6) + [xbar1(), free]
+    assert len(types) > 300
+    for d in types:
+        rebuilt = DecoratedType(d.components, d.width, d.char_tag, d.free_labels)
+        for again in (rebuilt, pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d),
+                      dataclasses.replace(d, free_labels=d.free_labels)):
+            assert again == d and hash(again) == hash(d)
+            assert again.walk() == d.walk() and again.label_blocks() == d.label_blocks()
+            assert again.labels() == d.labels() and again.components == d.components
+    assert repr(rebuilt).startswith("DecoratedType(components=(")
+
+
+def test_built_types_do_not_count_their_layout_again(monkeypatch):
+    """A type counts its layout at most once while it is built, and never
+    when it is read: canonical forms (the refinement search included),
+    automorphisms, width checks, label blocks, its graph form and its
+    reverse moves all read the stored walk."""
+    from test_canonical import PINNED_ORDERS, fixture_instances, label_cycle
+
+    calls, refined = [], []
+    layout_of, refined_placements = boundary.layout_of, boundary._refined_placements
+    monkeypatch.setattr(boundary, "layout_of", lambda comps: calls.append(1) or layout_of(comps))
+    monkeypatch.setattr(boundary, "_refined_placements",
+                        lambda *args: refined.append(1) or refined_placements(*args))
+    types = fixture_instances(4) + [d for d, _ in PINNED_ORDERS] + [label_cycle(6)]
+    for d in types:
+        calls.clear()
+        again = DecoratedType(d.components, d.width, d.char_tag, d.free_labels)
+        assert len(calls) <= 1
+        calls.clear()
+        graph = swaps.to_graph(d)
+        assert calls == []
+        walked = swaps.from_graph(*graph, d.width, d.char_tag, d.free_labels)
+        assert len(calls) <= 1 and walked == again == d
+        calls.clear()
+        canonical_form(d)
+        graph_automorphisms(d)
+        if d.width in (1, 2, 3):
+            width_check(d)
+        d.label_blocks()
+        swaps.reverse_moves(d)
+        assert calls == []
+    assert refined
 
 
 def test_singularity_type():

@@ -35,9 +35,7 @@ from delpezzo3.boundary import (
     _label_blocks,
     canonical_form,
     chain_comp,
-    comp_weights,
     fork_comp,
-    graph_of,
     place_entries,
     walk_components,
     width_check,
@@ -551,7 +549,7 @@ def labelled_types(draw):
     """A ``marked_types`` type whose entries one to three labels meet, each
     label one to three entries, an entry possibly twice."""
     d = draw(marked_types())
-    entries, adj = graph_of(d.components)
+    entries, adj = swaps.to_graph(d)
     met: list = [[] for _ in entries]
     for label in range(1, draw(st.integers(1, 3)) + 1):
         met_by = st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=3)
@@ -580,11 +578,11 @@ def as_lists(part):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(labelled_types(), st.sampled_from([frozenset(), frozenset({1})]))
 def test_graph_form_matches_decorated_type(d, excluded):
-    """The layout a type counts from its components is the walk of its
-    graph, and the parent's ``_Frame``, built from its ``reverse_moves``,
-    has its ``_label_blocks``.  For every (label, index) pair that is a
-    move, the child that the frame builds, with only the new curve's
-    component walked, is the one the whole blow-up gives: its layout is
+    """The layout a type stores is the walk of its graph, and the
+    parent's ``_Frame``, built from its ``reverse_moves``, has its
+    ``_label_blocks``.  For every (label, index) pair that is a move, the
+    child that the frame builds, with only the new curve's component
+    walked, is the one the whole blow-up gives: its layout is
     ``walk_components`` of the blown-up neighbour lists and its blocks
     ``_label_blocks`` of that layout, its entries make the DecoratedType
     that ``from_graph`` builds from the blow-up, with the same canonical
@@ -664,7 +662,7 @@ def test_fork_lds_match_oracle():
     random forks, admissible or not."""
     rng = random.Random(77)
     forks = {
-        comp_weights(c) for d in fixture_instances(6) for c in d.components if c[0] == "fork"
+        oracle.comp_weights(c) for d in fixture_instances(6) for c in d.components if c[0] == "fork"
     }
     for _ in range(500):
         forks.add(Fork(rng.randint(1, 4), tuple(

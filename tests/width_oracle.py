@@ -16,8 +16,15 @@ and its marked entries' terms read in ``fork_ld_terms``.
 
 from fractions import Fraction
 
-from delpezzo3.boundary import BoundaryGraph, CheckResult, DecoratedType, Entry, comp_weights
+from delpezzo3.boundary import BoundaryGraph, CheckResult, DecoratedType, Entry
 from delpezzo3.chains import Fork, _disc_chain, chain_ld_terms, continuants, is_admissible
+
+
+def comp_weights(comp) -> tuple | Fork:
+    """Undecorated shape of a component: a weight tuple or a chains.Fork."""
+    if comp[0] == "chain":
+        return tuple(e.weight for e in comp[1])
+    return Fork(comp[1].weight, tuple(tuple(e.weight for e in t) for t in comp[2]))
 
 
 def fork_delta_e(f: Fork) -> tuple[Fraction, Fraction]:
