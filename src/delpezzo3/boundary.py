@@ -16,13 +16,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from delpezzo3.chains import (
-    Fork,
-    chain_ld_terms,
-    fork_terms,
-    is_admissible,
-    is_log_canonical_fork,
-)
+from delpezzo3.chains import chain_ld_terms, fork_terms, twig_key
 
 CHAR_TAGS = ("any", "ne2", "eq2", "ne23", "eq3")
 
@@ -217,15 +211,6 @@ def layout_of(components) -> tuple[list[Entry], list]:
     return entries, layout
 
 
-def part_weights(entries, part):
-    """Undecorated shape of the layout ``part`` over ``entries``: a weight
-    tuple or a chains.Fork."""
-    if part[0] == "chain":
-        return tuple([entries[i].weight for i in part[1]])
-    return Fork(entries[part[1]].weight,
-                tuple(tuple([entries[i].weight for i in t]) for t in part[2]))
-
-
 # one object per distinct layout, tuple of label blocks and label set, which
 # every DecoratedType that has it shares, as equal entries are one Entry
 _SHARED: dict = {}
@@ -360,18 +345,20 @@ class DecoratedType:
     def labels(self) -> frozenset[int]:
         return self._labels
 
+    def _fork_excesses(self):
+        """Each fork's ``fork_terms`` excess, of the sign of sum 1/d(T_i) - 1;
+        every weight is at least 2, so chains and twigs are admissible."""
+        entries = self._entries
+        for part in self._layout:
+            if part[0] == "fork":
+                twigs = [[entries[i].weight for i in t] for t in part[2]]
+                yield fork_terms(entries[part[1]].weight, twigs)[0]
+
     def is_admissible(self) -> bool:
-        return all(is_admissible(part_weights(self._entries, p)) for p in self._layout)
+        return all(x > 0 for x in self._fork_excesses())
 
     def is_log_canonical(self) -> bool:
-        for part in self._layout:
-            shape = part_weights(self._entries, part)
-            if isinstance(shape, Fork):
-                if not is_log_canonical_fork(shape):
-                    return False
-            elif not is_admissible(shape):
-                return False
-        return True
+        return all(x >= 0 for x in self._fork_excesses())
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,11 +442,12 @@ def singularity_type_of(d: DecoratedType) -> tuple:
     out = []
     entries, layout = d.walk()
     for part in layout:
-        shape = part_weights(entries, part)
-        if isinstance(shape, Fork):
-            out.append(("fork", shape.branch, shape.sorted_twigs()))
+        if part[0] == "chain":
+            weights = tuple([entries[i].weight for i in part[1]])
+            out.append(("chain", min(weights, weights[::-1])))
         else:
-            out.append(("chain", min(shape, tuple(reversed(shape)))))
+            twigs = [tuple([entries[i].weight for i in t]) for t in part[2]]
+            out.append(("fork", entries[part[1]].weight, tuple(sorted(twigs, key=twig_key))))
     return tuple(sorted(out))
 
 

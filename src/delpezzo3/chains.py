@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 Chain = tuple[int, ...]
 
@@ -32,8 +31,13 @@ class Fork:
             raise ValueError("a fork needs exactly three nonempty twigs")
 
     def sorted_twigs(self) -> tuple[Chain, Chain, Chain]:
-        """Twigs in a canonical order (by discriminant, then weights)."""
-        return tuple(sorted(self.twigs, key=lambda t: (discriminant(t), t)))  # type: ignore[return-value]
+        """Twigs in a canonical order (``twig_key``)."""
+        return tuple(sorted(self.twigs, key=twig_key))  # type: ignore[return-value]
+
+
+def twig_key(t: Chain) -> tuple:
+    """The canonical order of a fork's twigs: by discriminant, then weights."""
+    return discriminant(t), t
 
 
 def discriminant(t: Chain | Fork | list) -> int:
@@ -45,20 +49,18 @@ def discriminant(t: Chain | Fork | list) -> int:
     if isinstance(t, Fork):
         return fork_terms(t.branch, t.twigs)[1]
     if isinstance(t, list):
-        out = 1
-        for comp in t:
-            out *= discriminant(comp)
-        return out
-    return _disc_chain(tuple(t))
+        return prod(map(discriminant, t))
+    return _prefixes(t)[-1]
 
 
-@lru_cache(maxsize=None)
-def _disc_chain(weights: Chain) -> int:
-    # d([a_1..a_n]) = a_n * d([a_1..a_{n-1}]) - d([a_1..a_{n-2}])
-    prev2, prev1 = 0, 1
-    for a in weights:
+def _prefixes(t) -> list[int]:
+    """``[d(t[:k]) for k = 0..len(t)]``, by the continuant recurrence
+    d([a_1..a_k]) = a_k d([a_1..a_{k-1}]) - d([a_1..a_{k-2}])."""
+    out, prev2, prev1 = [1], 0, 1
+    for a in t:
         prev2, prev1 = prev1, a * prev1 - prev2
-    return prev1
+        out.append(prev1)
+    return out
 
 
 def det(m) -> int:
@@ -101,11 +103,6 @@ def is_admissible(t: Chain | Fork) -> bool:
     if isinstance(t, Fork):
         return _fork_weights_ok(t) and fork_terms(t.branch, t.twigs)[0] > 0
     return all(a >= 2 for a in t)
-
-
-def is_log_canonical_fork(f: Fork) -> bool:
-    """Branch >= 2, admissible twigs, sum of 1/d(T_i) >= 1 (allows = 1)."""
-    return _fork_weights_ok(f) and fork_terms(f.branch, f.twigs)[0] >= 0
 
 
 def fork_triples(max_k: int) -> list[tuple[int, int, int]]:
@@ -155,27 +152,17 @@ def dual_chain(t: Chain) -> Chain:
         return ()
     if not t or not is_admissible(t):
         raise ValueError(f"dual chain undefined for {list(t)}")
-    d = _disc_chain(t)
-    return hirzebruch_jung(d, d - _disc_chain(t[:-1]))
+    *_, d_head, d = _prefixes(t)
+    return hirzebruch_jung(d, d - d_head)
 
 
 def continuants(t: Chain) -> tuple[list[int], list[int]]:
     """The prefix and suffix discriminants of a chain, in one pass each
     way: ``prefix[k] = d(t[:k])`` and ``suffix[k] = d(t[k:])`` for
     ``k = 0..len(t)``, so ``d(t) = prefix[-1] = suffix[0]``."""
-    # the recursion of _disc_chain, from the left and from the right
-    prefix = [1]
-    prev2, prev1 = 0, 1
-    for a in t:
-        prev2, prev1 = prev1, a * prev1 - prev2
-        prefix.append(prev1)
-    suffix = [1]
-    prev2, prev1 = 0, 1
-    for a in reversed(t):
-        prev2, prev1 = prev1, a * prev1 - prev2
-        suffix.append(prev1)
+    suffix = _prefixes(reversed(t))
     suffix.reverse()
-    return prefix, suffix
+    return _prefixes(t), suffix
 
 
 def chain_ld_terms(t: Chain, js) -> list[tuple[int, int]]:

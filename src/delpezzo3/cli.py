@@ -216,14 +216,11 @@ def verify_tables(table_name, cutoff, jobs, cascade_depth, fmt):
                 report.count(f"cascade-beyond[{root_name}]", beyond)
             if not targets:
                 continue
-            result, missing = verify.coverage(root, targets, cascade_depth, jobs)
+            missing, extra = verify.coverage(root, targets, cascade_depth, jobs)
             for t in missing:
                 report.add(t.name, fmt_assignment(t.assignment), "", "FAIL",
                            f"not reached from {root_name}")
                 report.count("FAIL")
-            keys = {t.key for t in targets}
-            # the nodes other than the root, the one node at depth 0, that match no target
-            extra = sum(node.depth > 0 and key not in keys for key, node in result.nodes.items())
             report.count(f"cascade-extra[{root_name}]", extra)
     _emit(report, fmt)
     if report.failures():

@@ -179,8 +179,8 @@ class _Frame:
 
     def __init__(self, parent: DecoratedType, moves):
         self.parent = parent
+        self.graph = to_graph(parent)
         entries, self.layout = parent.walk()
-        self.graph = entries, neighbours(self.layout, len(entries))
         self.part_of = [0] * len(entries)
         for p, part in enumerate(self.layout):
             for i in comp_entries(part):

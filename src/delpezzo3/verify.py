@@ -199,7 +199,11 @@ def cascade_targets(tables: dict, root: Root, cutoff: int,
     return targets, beyond
 
 
-def coverage(root: Root, targets, depth: int, jobs: int = 1):
-    """The cascade of ``root`` to ``depth``, and the targets it misses."""
-    result = root.cascade(depth, jobs)
-    return result, [t for t in targets if t.key not in result.nodes]
+def coverage(root: Root, targets, depth: int, jobs: int = 1) -> tuple[list[Target], int]:
+    """The targets that the cascade of ``root`` to ``depth`` misses, and
+    the number of its nodes other than the root, the one node at depth 0,
+    that match no target."""
+    nodes = root.cascade(depth, jobs).nodes
+    keys = {t.key for t in targets}
+    extra = sum(node.depth > 0 and key not in keys for key, node in nodes.items())
+    return [t for t in targets if t.key not in nodes], extra

@@ -14,7 +14,11 @@ scan of its own, as ``swaps`` did before one pass read them all.
 With ``check_monotone`` it also checks, on every ok (parent, move) edge,
 duplicate children included, that no log discrepancy decreases under
 the forward swap from the child back to the parent: the monotonicity
-that makes the cascade's pruning sound."""
+that makes the cascade's pruning sound.
+
+``singularity_type``, ``is_admissible_type`` and ``is_log_canonical_type``
+read a type's parts as a ``chains.Fork`` per fork (``part_weights``), the
+oracle for the readers of ``boundary`` that read weights from the walk."""
 
 from __future__ import annotations
 
@@ -22,15 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+import width_oracle
+
 from delpezzo3 import swaps
-from delpezzo3.boundary import (
-    DecoratedType,
-    canonical_form,
-    part_weights,
-    walk_components,
-    width_check,
-)
-from delpezzo3.chains import ld_chain, ld_fork
+from delpezzo3.boundary import DecoratedType, canonical_form, walk_components, width_check
+from delpezzo3.chains import Fork, is_admissible, ld_chain, ld_fork
 from delpezzo3.swaps import (
     CascadeResult,
     SwapError,
@@ -79,6 +79,53 @@ def ok_nodes(result: CascadeResult) -> list:
 
 def pruned_nodes(result: CascadeResult) -> list:
     return [result.pruned[k] for k in sorted(result.pruned)]
+
+
+def part_weights(entries, part):
+    """Undecorated shape of the layout ``part`` over ``entries``: a weight
+    tuple or a chains.Fork."""
+    if part[0] == "chain":
+        return tuple([entries[i].weight for i in part[1]])
+    return Fork(entries[part[1]].weight,
+                tuple(tuple([entries[i].weight for i in t]) for t in part[2]))
+
+
+# -- the type readers that built a Fork per fork ------------------------------------
+# ``boundary.singularity_type_of``, ``DecoratedType.is_admissible`` and
+# ``DecoratedType.is_log_canonical`` as they were before they read weights
+# from the walk: each part's shape by ``part_weights``, every weight of a
+# fork checked again, and a fork's rule by ``width_oracle._fork_excess``.
+
+
+def singularity_type(d) -> tuple:
+    out = []
+    entries, layout = d.walk()
+    for part in layout:
+        shape = part_weights(entries, part)
+        if isinstance(shape, Fork):
+            out.append(("fork", shape.branch, shape.sorted_twigs()))
+        else:
+            out.append(("chain", min(shape, tuple(reversed(shape)))))
+    return tuple(sorted(out))
+
+
+def _fork_rule(d, holds) -> bool:
+    """Every chain of ``d`` admissible, and ``holds`` of the excess of
+    every fork, None for a fork with a weight below 2."""
+    entries, layout = d.walk()
+    for shape in (part_weights(entries, part) for part in layout):
+        if not (holds(width_oracle._fork_excess(shape)) if isinstance(shape, Fork)
+                else is_admissible(shape)):
+            return False
+    return True
+
+
+def is_admissible_type(d) -> bool:
+    return _fork_rule(d, lambda excess: excess is not None and excess > 0)
+
+
+def is_log_canonical_type(d) -> bool:
+    return _fork_rule(d, lambda excess: excess is not None and excess >= 0)
 
 
 def graph_lds(entries, adj) -> list[Fraction]:

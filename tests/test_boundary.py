@@ -4,12 +4,13 @@ import pickle
 import random
 from fractions import Fraction
 
+import cascade_oracle
 import pytest
 import width_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delpezzo3 import boundary, notation, swaps
+from delpezzo3 import boundary, fixtures, notation, swaps, verify
 from delpezzo3.boundary import (
     DecoratedType,
     Entry,
@@ -556,3 +557,26 @@ def test_canonical_form_collision_sweep():
         for m in members:
             assert singularity_type_of(m) == base
             assert sorted(e.skeleton() for e in m.entries()) == skeletons
+
+
+def test_walk_readers_match_the_fork_readers():
+    """``singularity_type_of``, ``is_admissible`` and ``is_log_canonical``,
+    which read weights from the walk, agree with the readers that built a
+    ``chains.Fork`` per fork (``cascade_oracle``) on every table instance at
+    cutoff 6, the ``nonlt_char2`` rows among them, and on every node of the
+    depth-4 cascades of w3a and w3b, pruned ones included."""
+    types = [notation.substitute(row.expr, assignment)
+             for stem in fixtures.TABLE_STEMS for row in fixtures.load_table(stem)
+             for assignment in fixtures.row_assignments(row, 6)]
+    for name in ("w3a", "w3b"):
+        result = verify.load_root(name).cascade(4)
+        types += [node.dtype for node in (*result.nodes.values(), *result.pruned.values())]
+    kinds = set()
+    for d in types:
+        assert singularity_type_of(d) == cascade_oracle.singularity_type(d), d
+        admissible, lc = d.is_admissible(), d.is_log_canonical()
+        assert (admissible, lc) == (cascade_oracle.is_admissible_type(d),
+                                    cascade_oracle.is_log_canonical_type(d)), d
+        kinds.add((admissible, lc))
+    # admissible types, lc-only ones (the nonlt_char2 rows) and non-lc ones all occur
+    assert kinds == {(True, True), (False, True), (False, False)}

@@ -13,14 +13,15 @@ from delpezzo3 import notation, star_compose
 from delpezzo3.chains import (
     Fork,
     chains_with_discriminant,
+    continuants,
     det,
     discriminant,
     dual_chain,
     fork_lds,
+    fork_terms,
     fork_triples,
     hirzebruch_jung,
     is_admissible,
-    is_log_canonical_fork,
     ld_chain,
     ld_fork,
 )
@@ -116,6 +117,19 @@ def all_admissible_chains(max_len, max_weight):
         for w in range(2, max_weight + 1)
     ]
     return shorter + longest
+
+
+def test_continuants_match_the_oracle_recurrence():
+    """``discriminant``, ``continuants`` and ``dual_chain``, all from one
+    prefix recurrence, agree with ``width_oracle``'s own recurrence on
+    every admissible chain of length <= 6 and weights <= 5."""
+    chains = [t for t in all_admissible_chains(6, 5) if t]
+    assert len(chains) == sum(4 ** n for n in range(1, 7))
+    for t in chains:
+        assert discriminant(t) == width_oracle.disc_chain(t)
+        assert continuants(t) == ([width_oracle.disc_chain(t[:k]) for k in range(len(t) + 1)],
+                                  [width_oracle.disc_chain(t[k:]) for k in range(len(t) + 1)])
+        assert dual_chain(t) == width_oracle.dual_chain(t)
 
 
 def test_dual_chain_blowdown_oracle():
@@ -273,10 +287,10 @@ def test_is_admissible_examples():
 
 
 def test_fork_rule_matches_the_fraction_definitions():
-    """``is_admissible``, ``is_log_canonical_fork`` and ``fork_lds`` read
-    the sum of 1/d(T_i) as one integer; each agrees with the sum taken in
-    Fractions, on seeded random forks and on forks whose sum is exactly 1
-    (log canonical, not admissible)."""
+    """``is_admissible``, ``fork_lds`` and the sign of ``fork_terms``'
+    excess read the sum of 1/d(T_i) as one integer; each agrees with the
+    sum taken in Fractions, on seeded random forks and on forks whose sum
+    is exactly 1 (log canonical, not admissible)."""
     boundary = [Fork(2, ((2,), (3,), (6,))), Fork(2, ((3,), (3,), (3,))),
                 Fork(2, ((2,), (4,), (4,)))]
     rng = random.Random(12)
@@ -291,7 +305,7 @@ def test_fork_rule_matches_the_fraction_definitions():
         valid = f.branch >= 2 and all(a >= 2 for t in f.twigs for a in t)
         total = sum(F(1, discriminant(t)) for t in f.twigs) if valid else None
         assert is_admissible(f) == (valid and total > 1), f
-        assert is_log_canonical_fork(f) == (valid and total >= 1), f
+        assert not valid or (fork_terms(f.branch, f.twigs)[0] >= 0) == (total >= 1), f
         positions = ["branch"] + [(i, j) for i, t in enumerate(f.twigs, start=1)
                                   for j in range(1, len(t) + 1)]
         if valid and total > 1:

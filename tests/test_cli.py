@@ -328,6 +328,46 @@ def test_cascade_extra_leaves_out_the_root():
         assert counts[f"cascade-extra[{root}]"] == extra - (root_match == "EXTRA")
 
 
+def report_rows(output: str) -> dict:
+    """The data rows of a CSV report, keyed by (name, assignment)."""
+    rows = list(csv.reader(io.StringIO(output)))
+    return {tuple(row[:2]): row for row in rows[2:] if not row[0].startswith("#")}
+
+
+def test_check_file_differs_from_verify_tables_only_as_documented(tmp_path, monkeypatch):
+    """``check FILE`` runs the width criterion on every instance of a
+    table; ``verify-tables`` also compares each row's ``sing:`` annotation
+    and passes the ``nonlt_char2`` rows when log canonical and not
+    admissible.  At cutoff 6 the two agree row for row, status and lhs, on
+    the other four tables, and disagree on every ``nonlt_char2`` instance."""
+    sizes = {"char0": 174, "char3": 45, "char2_moduli": 23, "char2": 383, "nonlt_char2": 30}
+    for stem, size in sizes.items():
+        path = fixtures.data_dir() / "tables" / f"{stem}.types"
+        checked = report_rows(run("check", str(path), "--cutoff", "6").output)
+        verified = report_rows(run("verify-tables", "--table", stem, "--cutoff", "6").output)
+        assert checked.keys() == verified.keys() and len(checked) == size, stem
+        for key, (_, _, admissible, lhs, satisfied, status) in checked.items():
+            if stem == verify.LC_ONLY_STEM:
+                assert (admissible, lhs, status) == ("no", "", "FAIL"), key
+                assert verified[key][2:4] == ["", "PASS"], key
+            else:
+                assert verified[key][2:4] == [lhs, status] == [lhs, "PASS"], key
+
+    # a wrong ``sing:`` annotation fails verify-tables, and check passes its row
+    data = tmp_path / "data"
+    shutil.copytree(fixtures.DATA_DIR, data)
+    monkeypatch.setenv("DP_FIXTURES", str(data))
+    table = data / "tables" / "char3.types"
+    text = table.read_text()
+    annotation = "# sing: [2,2]+[2,2]+[2,2]+[3]+[3]+[3]+[3]\n"  # of w1c3.w=1_0_id
+    assert text.count(annotation) == 1
+    table.write_text(text.replace(annotation, "# sing: [2]\n"))
+    res = run("verify-tables", "--table", "char3", "--cutoff", "6")
+    assert res.exit_code == 1 and "singularity type mismatch" in res.output
+    res = run("check", str(table), "--cutoff", "6", "--strict")
+    assert res.exit_code == 0 and "FAIL" not in res.output
+
+
 # -- distinctness on a copy of the corpus ---------------------------------------
 
 

@@ -94,3 +94,12 @@ def test_root_filter_keeps_the_numbering_of_unnamed_rows(tmp_path):
     for root in ("w3a", "w3b"):
         assert fixtures.parse_fixture_file(path, root) == [r for r in rows if r.root == root]
     assert [r.name for r in fixtures.parse_fixture_file(path, "w3a")] == ["mixed:1", "named", "mixed:8"]
+
+
+def test_abcd_family_is_the_abcd_table_row():
+    """``enum-abcd`` reads the (a,b,c,d) family from ``fixtures._ABCD_EXPR``
+    and ``verify-tables`` from the one ``abcd-table: 1`` row of char0,
+    ``w3.chains``; both parse to one type expression."""
+    rows = [r for r in fixtures.load_table("char0") if r.abcd_table]
+    assert [r.name for r in rows] == ["w3.chains"]
+    assert rows[0].expr == notation.parse(fixtures._ABCD_EXPR)

@@ -12,12 +12,32 @@ replaced (``width_check``): each fork built as a ``chains.Fork``, its
 twigs checked again and its discriminants looked up per twig and per
 twig minus its branch-adjacent entry (``_fork_excess``, ``_disc_fork``),
 and its marked entries' terms read in ``fork_ld_terms``.
+
+Every discriminant here comes from ``disc_chain``, a continuant
+recurrence of this module's own, which with ``dual_chain`` is also the
+oracle for ``chains.discriminant``, ``continuants`` and ``dual_chain``.
 """
 
 from fractions import Fraction
 
 from delpezzo3.boundary import BoundaryGraph, CheckResult, DecoratedType, Entry
-from delpezzo3.chains import Fork, _disc_chain, chain_ld_terms, continuants, is_admissible
+from delpezzo3.chains import Fork, chain_ld_terms, continuants, hirzebruch_jung, is_admissible
+
+
+def disc_chain(t) -> int:
+    """d(t), by the recurrence d([a_1..a_n]) = a_n d([a_1..a_{n-1}]) -
+    d([a_1..a_{n-2}]) of its own: the oracle for ``chains.discriminant``."""
+    prev2, prev1 = 0, 1
+    for a in t:
+        prev2, prev1 = prev1, a * prev1 - prev2
+    return prev1
+
+
+def dual_chain(t) -> tuple[int, ...]:
+    """``chains.dual_chain`` of a nonempty admissible chain, as it was
+    computed from d(T) and d(T minus its last entry), each by ``disc_chain``."""
+    d = disc_chain(t)
+    return hirzebruch_jung(d, d - disc_chain(t[:-1]))
 
 
 def comp_weights(comp) -> tuple | Fork:
@@ -29,15 +49,15 @@ def comp_weights(comp) -> tuple | Fork:
 
 def fork_delta_e(f: Fork) -> tuple[Fraction, Fraction]:
     """delta = sum 1/d(T_i), e = sum d(T_i minus last tip)/d(T_i)."""
-    delta = sum(Fraction(1, _disc_chain(t)) for t in f.twigs)
-    e = sum(Fraction(_disc_chain(t[:-1]), _disc_chain(t)) for t in f.twigs)
+    delta = sum(Fraction(1, disc_chain(t)) for t in f.twigs)
+    e = sum(Fraction(disc_chain(t[:-1]), disc_chain(t)) for t in f.twigs)
     return delta, e
 
 
 def ld_chain(t, j: int) -> Fraction:
     """(d(T^{>j}) + d(T^{<j})) / d(T), each slice's discriminant looked
     up on its own."""
-    return Fraction(_disc_chain(t[j:]) + _disc_chain(t[: j - 1]), _disc_chain(t))
+    return Fraction(disc_chain(t[j:]) + disc_chain(t[: j - 1]), disc_chain(t))
 
 
 def fork_admissible(f: Fork) -> bool:
@@ -71,7 +91,7 @@ def ld_fork(f: Fork, position) -> Fraction:
     ld_branch = (delta - 1) / (f.branch - e)
     if position == "branch":
         return ld_branch
-    return (ld_branch * _disc_chain(t[: j - 1]) + _disc_chain(t[j:])) / _disc_chain(t)
+    return (ld_branch * disc_chain(t[: j - 1]) + disc_chain(t[j:])) / disc_chain(t)
 
 
 def horizontal_positions(d: DecoratedType) -> list[tuple[int, object]]:
@@ -164,14 +184,14 @@ def delpezzo_check_general(
 def _disc_fork(f: Fork) -> int:
     # Peel the fork at the branch: d = b * prod(d_i) - sum over twigs of
     # d(twig minus its branch-adjacent entry) * prod of the others.
-    ds = [_disc_chain(t) for t in f.twigs]
+    ds = [disc_chain(t) for t in f.twigs]
     total = f.branch * ds[0] * ds[1] * ds[2]
     for i, t in enumerate(f.twigs):
         rest = 1
         for j, d in enumerate(ds):
             if j != i:
                 rest *= d
-        total -= _disc_chain(t[:-1]) * rest
+        total -= disc_chain(t[:-1]) * rest
     return total
 
 
@@ -181,7 +201,7 @@ def _fork_excess(f: Fork) -> int | None:
     twig is not admissible."""
     if f.branch < 2 or not all(is_admissible(t) for t in f.twigs):
         return None
-    ds = [_disc_chain(t) for t in f.twigs]
+    ds = [disc_chain(t) for t in f.twigs]
     big_d = ds[0] * ds[1] * ds[2]
     return sum(big_d // d for d in ds) - big_d
 
