@@ -57,7 +57,7 @@ class Entry:
             init(self, "horizontal", fields[1])
             init(self, "two_section", fields[2])
             init(self, "labels", labels)
-            init(self, "_skeleton", fields[:3] + (mults,))
+            init(self, "_skeleton", fields[:3] + (mults,))  # what canonical forms compare
             init(self, "_hash", hash(fields))
             _ENTRIES[fields] = self
         _ENTRIES[key] = self
@@ -79,10 +79,6 @@ class Entry:
     def __reduce__(self):
         # unpickling and copying call Entry again, which interns
         return Entry, (self.weight, self.horizontal, self.two_section, self.labels)
-
-    def skeleton(self) -> tuple:
-        """Label-name-free data used by canonical forms."""
-        return self._skeleton
 
 
 # every Entry made so far, under its field tuple and under each other

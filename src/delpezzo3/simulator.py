@@ -240,17 +240,11 @@ def point_near(cfg: SurfaceConfig, step_name: str, along: str) -> str:
     return candidates[0]
 
 
-def blow_up_free_on(cfg: SurfaceConfig, curve: str) -> SurfaceConfig:
-    name = f"free:{curve}:{len(cfg.history)}"
+def blow_up_free(cfg: SurfaceConfig, on: tuple = ()) -> SurfaceConfig:
+    """Blow up a general point, of the curve in ``on`` if it names one."""
+    name = ":".join(("free", *on, str(len(cfg.history))))
     points = dict(cfg.points)
-    points[name] = Point(name, (curve,), {}, {curve: 1})
-    return blow_up(replace(cfg, points=points), name)
-
-
-def blow_up_free(cfg: SurfaceConfig) -> SurfaceConfig:
-    name = f"free:{len(cfg.history)}"
-    points = dict(cfg.points)
-    points[name] = Point(name, (), {}, {})
+    points[name] = Point(name, tuple(on), {}, dict.fromkeys(on, 1))
     return blow_up(replace(cfg, points=points), name)
 
 
@@ -352,20 +346,17 @@ def load_plan(path: Path) -> Plan:
     return parse_plan(path.read_text(), name=path.stem)
 
 
-def replay(plan: Plan, n_steps: int | None = None) -> SurfaceConfig:
+def replay(plan: Plan) -> SurfaceConfig:
     cfg = base_config(plan.base, plan.curves, plan.points)
     cfg = assign_base_classes(cfg, list(plan.fibration.base_fibers))
     validate_plane_intersections(cfg)
-    steps = plan.steps if n_steps is None else plan.steps[:n_steps]
-    for step in steps:
+    for step in plan.steps:
         if step[0] == "point":
             cfg = blow_up(cfg, step[1])
         elif step[0] == "near":
             cfg = blow_up(cfg, point_near(cfg, step[1], step[2]))
-        elif step[0] == "free-on":
-            cfg = blow_up_free_on(cfg, step[1])
         else:
-            cfg = blow_up_free(cfg)
+            cfg = blow_up_free(cfg, step[1:])
     return cfg
 
 

@@ -86,11 +86,8 @@ def _add_label(e: Entry, label: int) -> Entry:
 # -- the swaps ---------------------------------------------------------------
 
 
-def forward_swap(d: DecoratedType, label: int,
-                 excluded_labels: frozenset = frozenset()) -> DecoratedType:
+def forward_swap(d: DecoratedType, label: int) -> DecoratedType:
     """Contract the vertical (-1)-curve with the given label."""
-    if label in excluded_labels:
-        raise SwapError(f"label {label} meets the boundary in a node")
     entries, adj = to_graph(d)
     att = _label_attachments(entries).get(label)
     if not att:
@@ -129,18 +126,14 @@ def forward_swap(d: DecoratedType, label: int,
     return from_graph(new_entries, new_adj, d.width, d.char_tag, free)
 
 
-def reverse_swap(d: DecoratedType, label: int, target: int,
-                 excluded_labels: frozenset = frozenset()) -> DecoratedType:
+def reverse_swap(d: DecoratedType, label: int, target: int) -> DecoratedType:
     """Blow up the intersection of the labeled (-1)-curve with the
-    boundary entry at graph index ``target``."""
-    if label in excluded_labels:
-        raise SwapError(f"label {label} meets the boundary in a node")
+    boundary entry at graph index ``target``: a move when the label meets
+    each of its attachments once, the target among them."""
     graph = to_graph(d)
     att = _label_attachments(graph[0]).get(label, [])
-    if target not in {i for i, _ in att}:
-        raise SwapError(f"entry {target} is not an attachment of label {label}")
-    if any(k > 1 for _, k in att):
-        raise SwapError("the curve meets a boundary component twice")
+    if (target, 1) not in att or any(k > 1 for _, k in att):
+        raise SwapError(f"({label}, {target}) is not a reverse move")
     return from_graph(*_blow_up_graph(graph, label, target, [i for i, _ in att]),
                       d.width, d.char_tag, d.free_labels)
 
@@ -240,10 +233,11 @@ class _Frame:
 
 def legal_forward_labels(d: DecoratedType,
                          excluded_labels: frozenset = frozenset()) -> list[int]:
+    """The labels outside ``excluded_labels`` that ``forward_swap`` contracts."""
     out = []
-    for label in sorted(d.labels()):
+    for label in sorted(d.labels() - excluded_labels):
         try:
-            forward_swap(d, label, excluded_labels)
+            forward_swap(d, label)
         except SwapError:
             continue
         out.append(label)
@@ -270,20 +264,15 @@ def reverse_moves(d: DecoratedType,
 
 @dataclass(frozen=True, slots=True)
 class CascadeNode:
-    """One node of a cascade.  The root keeps its own type; every other
-    node, classified in graph form, keeps its parent's, and ``dtype``
-    builds its own from the move on every read."""
+    """One node of a cascade: its depth, its parent's key, the move that
+    made it from the parent, its status and lhs.  No node keeps a type;
+    the types live only in the frontier."""
 
     depth: int
     parent: bytes | None
     move: tuple[int, int] | None
     status: str  # "ok" | "inadmissible" | "inequality"
     lhs: Fraction | None
-    kept: DecoratedType  # the root's own type, else the parent's
-
-    @property
-    def dtype(self) -> DecoratedType:
-        return self.kept if self.move is None else reverse_swap(self.kept, *self.move)
 
 
 @dataclass
@@ -405,7 +394,7 @@ def cascade(
     if root_check is None or not root_check.satisfied:
         raise SwapError("cascade root must be admissible and satisfy the inequality")
     root_key = canonical_form(root)
-    nodes = {root_key: CascadeNode(0, None, None, "ok", root_check.lhs, root)}
+    nodes = {root_key: CascadeNode(0, None, None, "ok", root_check.lhs)}
     pruned: dict = {}
     frontier = [(root_key, root, ())]
     depth = 0
@@ -421,11 +410,11 @@ def cascade(
             batches = (chain.from_iterable(pool.map(_expand_run_list, runs))
                        if pool is not None else _expand_run(*runs[0]))
             next_frontier = []
-            for (parent_key, parent, _), (records, skips) in zip(frontier, batches):
+            for (parent_key, _, _), (records, skips) in zip(frontier, batches):
                 for key, move, status, lhs, child in records:
                     if key in nodes or key in pruned:
                         continue
-                    node = CascadeNode(depth, parent_key, move, status, lhs, parent)
+                    node = CascadeNode(depth, parent_key, move, status, lhs)
                     (nodes if status == "ok" else pruned)[key] = node
                     if child is not None:
                         next_frontier.append((key, child, skips[move]))

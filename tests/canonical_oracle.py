@@ -64,7 +64,7 @@ def _variant_skeleton(variant) -> tuple:
             if l not in partition:
                 partition[l] = seen
             ids.append(partition[l])
-        local.append((e.skeleton(), tuple(sorted(ids))))
+        local.append((e._skeleton, tuple(sorted(ids))))
     return shape + tuple(local)
 
 
@@ -202,7 +202,7 @@ def graph_automorphisms(d: DecoratedType) -> AutGroup:
                 m
                 for m in maps
                 if all(
-                    src_entries[si].skeleton() == tgt_entries[ti].skeleton()
+                    src_entries[si]._skeleton == tgt_entries[ti]._skeleton
                     for si, ti in enumerate(m)
                 )
             ]

@@ -1,7 +1,8 @@
 """The cascade as it was before level-local deduplication and lean
 records: every child gets a width check, duplicates included, every
 record carries the child's type, and every node keeps its own type.
-Kept as the oracle for ``swaps.cascade``.
+Kept as the oracle for ``swaps.cascade``, whose nodes keep no type:
+``node_types`` replays them from the root.
 
 ``expand_run`` and ``commuting_skips`` are ``swaps._expand_run`` and
 ``swaps._commuting_skips`` as they were before children were classified
@@ -77,8 +78,14 @@ def ok_nodes(result: CascadeResult) -> list:
     return [result.nodes[k] for k in sorted(result.nodes)]
 
 
-def pruned_nodes(result: CascadeResult) -> list:
-    return [result.pruned[k] for k in sorted(result.pruned)]
+def node_types(root: DecoratedType, result: CascadeResult) -> dict:
+    """The type of every node of ``result``, ok and pruned, by key: the
+    root's is ``root``, and every other node's is its move replayed by
+    ``reverse_swap`` on its parent's type, in order of depth."""
+    types: dict = {}
+    for key, node in sorted({**result.nodes, **result.pruned}.items(), key=lambda kv: kv[1].depth):
+        types[key] = root if node.move is None else reverse_swap(types[node.parent], *node.move)
+    return types
 
 
 def part_weights(entries, part):
@@ -170,7 +177,7 @@ def _expand_parent(args):
     out = []
     for move in reverse_moves(parent, excluded):
         try:
-            child = reverse_swap(parent, *move, excluded_labels=excluded)
+            child = reverse_swap(parent, *move)
         except SwapError:
             continue
         key = canonical_form(child)
@@ -240,16 +247,17 @@ def cascade(
 
 def expand_run(parents, excluded, expand, skips):
     """``swaps._expand_run`` with every child built by ``reverse_swap``;
-    the moves come from ``swaps.reverse_moves``, read at each parent."""
+    the moves come from ``swaps.reverse_moves``, read at each parent, and
+    a move on an ``excluded`` label is skipped, as ``_Frame`` rejects it."""
     seen: dict = {}  # key -> whether it was ok
     for parent, skip in zip(parents, skips):
         graph = to_graph(parent)
         records, siblings = [], {}
         for move in swaps.reverse_moves(parent, excluded):
-            if move in skip:
+            if move in skip or move[0] in excluded:
                 continue
             try:
-                child = reverse_swap(parent, *move, excluded_labels=excluded)
+                child = reverse_swap(parent, *move)
             except SwapError:
                 continue
             key = canonical_form(child)

@@ -553,10 +553,10 @@ def test_canonical_form_collision_sweep():
     assert len(buckets) > 1200
     for key, members in buckets.items():
         base = singularity_type_of(members[0])
-        skeletons = sorted(e.skeleton() for e in members[0].entries())
+        skeletons = sorted(e._skeleton for e in members[0].entries())
         for m in members:
             assert singularity_type_of(m) == base
-            assert sorted(e.skeleton() for e in m.entries()) == skeletons
+            assert sorted(e._skeleton for e in m.entries()) == skeletons
 
 
 def test_walk_readers_match_the_fork_readers():
@@ -569,8 +569,8 @@ def test_walk_readers_match_the_fork_readers():
              for stem in fixtures.TABLE_STEMS for row in fixtures.load_table(stem)
              for assignment in fixtures.row_assignments(row, 6)]
     for name in ("w3a", "w3b"):
-        result = verify.load_root(name).cascade(4)
-        types += [node.dtype for node in (*result.nodes.values(), *result.pruned.values())]
+        root = verify.load_root(name)
+        types += cascade_oracle.node_types(root.dtype, root.cascade(4)).values()
     kinds = set()
     for d in types:
         assert singularity_type_of(d) == cascade_oracle.singularity_type(d), d

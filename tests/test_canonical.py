@@ -16,6 +16,7 @@ from collections import Counter
 import block_code_oracle as code_oracle
 import block_search_oracle as block_oracle
 import canonical_oracle as oracle
+import cascade_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -246,7 +247,7 @@ def cascade_types(stem, depth):
     row = fixtures.parse_fixture_file(fixtures.data_dir() / "primitive" / f"{stem}.types")[0]
     root = notation.substitute(row.expr, {})
     result = swaps.cascade(root, depth, excluded_labels=row.node_labels)
-    return [n.dtype for n in (*result.nodes.values(), *result.pruned.values())]
+    return list(cascade_oracle.node_types(root, result).values())
 
 
 def test_cascade_nodes_match_block_search():
@@ -290,12 +291,13 @@ def test_cascade_nodes_same_partition(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(swaps, "canonical_form", oracle.canonical_form)
             old = swaps.cascade(root, 4, excluded_labels=row.node_labels)
+        types = cascade_oracle.node_types(root, new)
         for new_nodes, old_nodes in ((new.nodes, old.nodes), (new.pruned, old.pruned)):
             assert len(new_nodes) == len(old_nodes)
-            for node in new_nodes.values():
-                twin = old_nodes[oracle.canonical_form(node.dtype)]
+            for key, node in new_nodes.items():
+                twin = old_nodes[oracle.canonical_form(types[key])]
                 assert (twin.depth, twin.status, twin.lhs) == (node.depth, node.status, node.lhs)
-        assert_same_partition([n.dtype for n in (*new.nodes.values(), *new.pruned.values())])
+        assert_same_partition(list(types.values()))
 
 
 def test_random_relabelled_copies_same_partition():

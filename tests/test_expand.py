@@ -48,18 +48,24 @@ def cascade_of(stem, depth):
     return swaps.cascade(root, depth, excluded_labels=excluded), excluded
 
 
+def types_of(stem, result) -> dict:
+    """The type of every node of ``result``, the cascade of ``stem``, by key."""
+    return cascade_oracle.node_types(load_primitive(stem)[0], result)
+
+
 ORACLE_ROOTS = [("w3_a", 5), ("w3_b", 5), ("w1_a", 6), ("w1_b", 6), ("w1_c3_notGK", 6)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_cascade_matches_oracle(jobs):
     """The same ok and pruned keys as the cascade that kept every type,
-    each with the same depth, status, lhs, parent, move and type; a
-    pruned node's type is rebuilt from its parent's."""
+    each with the same depth, status, lhs, parent, move and type, every
+    node's type replayed from the root by ``cascade_oracle.node_types``."""
     for stem, depth in ORACLE_ROOTS:
         root, excluded = load_primitive(stem)
         new = swaps.cascade(root, depth, jobs=jobs, excluded_labels=excluded)
         old = cascade_oracle.cascade(root, depth, jobs=jobs, excluded_labels=excluded)
+        types = cascade_oracle.node_types(root, new)
         assert new.nodes.keys() == old.nodes.keys()
         assert new.pruned.keys() == old.pruned.keys()
         for got, expected in ((new.nodes, old.nodes), (new.pruned, old.pruned)):
@@ -68,7 +74,7 @@ def test_cascade_matches_oracle(jobs):
                 assert (node.depth, node.status, node.lhs, node.parent, node.move) == (
                     twin.depth, twin.status, twin.lhs, twin.parent, twin.move
                 )
-                assert node.dtype == twin.dtype
+                assert types[key] == twin.dtype
 
 
 @pytest.mark.parametrize("stem, depth", [("w3_a", 4), ("w3_b", 4), ("w1_b", 6)])
@@ -104,14 +110,15 @@ def test_monotone_check_on_every_ok_edge(stem, depth, monkeypatch):
     root, excluded = load_primitive(stem)
     new = swaps.cascade(root, depth, excluded_labels=excluded)
     cascade_oracle.cascade(root, depth, check_monotone=True, excluded_labels=excluded)
+    types = cascade_oracle.node_types(root, new)
     ok_edges = []
     for level in range(depth):
         for key in sorted(k for k, n in new.nodes.items() if n.depth == level):
-            parent = new.nodes[key].dtype
+            parent = types[key]
             graph = swaps.to_graph(parent)
             for move in swaps.reverse_moves(parent, excluded):
                 try:
-                    child = swaps.reverse_swap(parent, *move, excluded)
+                    child = swaps.reverse_swap(parent, *move)
                 except swaps.SwapError:
                     continue
                 if canonical_form(child) in new.nodes:
@@ -194,7 +201,7 @@ def test_skipped_moves_are_made_by_an_earlier_parent(in_process_pool, monkeypatc
                 level = result.nodes[parent_key].depth
                 for move in skip:
                     try:
-                        child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
+                        child = swaps.reverse_swap(parent, *move)
                     except swaps.SwapError:
                         made[jobs, False] += 1
                         continue
@@ -278,11 +285,12 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
     child that ``reverse_swap`` builds and whose key the run has not
     recorded yet, with the child itself only when it is ok, and no record
     for the others; also with every (label, index) pair tried as a move,
-    where each move ``reverse_swap`` rejects makes no record.  Without
-    ``expand`` no record carries a child."""
+    where each move on an excluded label or that ``reverse_swap`` rejects
+    makes no record.  Without ``expand`` no record carries a child."""
     children = rejected = duplicates = 0
-    for result, excluded in cascades:
-        parents = [n.dtype for n in result.nodes.values() if n.depth < 4]
+    for (result, excluded), stem in zip(cascades, ("w3_a", "w3_b")):
+        types = types_of(stem, result)
+        parents = [types[k] for k, n in result.nodes.items() if n.depth < 4]
         for moves in (swaps.reverse_moves, every_pair):
             with monkeypatch.context() as m:
                 try_moves(m, moves, excluded)
@@ -301,8 +309,10 @@ def test_shared_graph_children_match_reverse_swap(cascades, monkeypatch):
                     recorded = []
                     for move in moves(parent, excluded):
                         try:
-                            child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
+                            child = swaps.reverse_swap(parent, *move)
                         except swaps.SwapError:
+                            child = None
+                        if child is None or move[0] in excluded:
                             assert move not in got
                             rejected += 1
                             continue
@@ -342,7 +352,8 @@ def test_expand_run_matches_decorated_type_oracle(moves, monkeypatch):
     records = skipped = 0
     for stem in ("w3_a", "w3_b", "w1_b", "w1_c3_notGK", "w2_c"):
         result, excluded = cascade_of(stem, 5)
-        parents = [n.dtype for n in result.nodes.values() if n.depth < 5]
+        types = types_of(stem, result)
+        parents = [types[k] for k, n in result.nodes.items() if n.depth < 5]
         no_skips = [()] * len(parents)
         with monkeypatch.context() as m:
             try_moves(m, moves, excluded)
@@ -367,7 +378,8 @@ def test_monotone_check_once_per_parent(cascades, monkeypatch):
 
     monkeypatch.setattr(cascade_oracle, "_check_lds_monotone", recording)
     result, excluded = cascades[0]
-    parents = [n.dtype for n in result.nodes.values() if n.depth < 2]
+    types = types_of("w3_a", result)
+    parents = [types[k] for k, n in result.nodes.items() if n.depth < 2]
     checked = duplicates = 0
     seen = set()
     for parent in parents:
@@ -376,7 +388,7 @@ def test_monotone_check_once_per_parent(cascades, monkeypatch):
         ok_moves = []
         for move in swaps.reverse_moves(parent, excluded):
             try:
-                child = swaps.reverse_swap(parent, *move, excluded_labels=excluded)
+                child = swaps.reverse_swap(parent, *move)
             except swaps.SwapError:
                 continue
             res = width_check(child)
@@ -490,7 +502,7 @@ def test_width_verdict_matches_oracle_on_cascade_nodes():
     types = []
     for stem in verify.ROOTS.values():
         result, _ = cascade_of(stem, 6 if stem.startswith("w1") else 5)
-        types += [n.dtype for n in (*result.nodes.values(), *result.pruned.values())]
+        types += types_of(stem, result).values()
     assert len(types) > 10000
     assert assert_width_verdicts_match(types) > 5500
 
@@ -589,8 +601,9 @@ def test_graph_form_matches_decorated_type(d, excluded):
     form and width check, and that check agrees with the ``Fraction``
     oracle.  A graph that ``from_graph`` rejects (a cycle, or neither a
     chain nor a fork) raises the same error class.  Every other pair
-    raises SwapError, from the frame and from ``reverse_swap``."""
-    moves = swaps.reverse_moves(d, excluded)
+    raises SwapError from the frame, and every pair outside
+    ``reverse_moves(d)``, which excludes no label, from ``reverse_swap``."""
+    moves, legal = swaps.reverse_moves(d, excluded), swaps.reverse_moves(d)
     frame = swaps._Frame(d, moves)
     graph = frame.graph
     entries, layout = d.walk()
@@ -600,7 +613,8 @@ def test_graph_form_matches_decorated_type(d, excluded):
     for label, target in every_pair(d):
         if (label, target) not in moves:
             assert error_class(frame.child, label, target) is swaps.SwapError
-            assert error_class(swaps.reverse_swap, d, label, target, excluded) is swaps.SwapError
+            if (label, target) not in legal:
+                assert error_class(swaps.reverse_swap, d, label, target) is swaps.SwapError
             continue
         blown_up = cascade_oracle.blow_up(graph, label, target)
         args = (*blown_up, d.width, d.char_tag, d.free_labels)

@@ -1,10 +1,11 @@
 """The package holds only code that the engine runs or exports.
 
 Every top-level function of ``src/delpezzo3`` (cached ones included,
-click commands not) must be named by code in ``src/delpezzo3`` or
+click commands not), and every method and property of its classes other
+than dunders, must be named by code in ``src/delpezzo3`` or
 ``perfbench`` outside its own body, or be exported in
-``delpezzo3.__all__``.  Code that only tests call belongs in the oracle
-modules under ``tests/``.
+``delpezzo3.__all__``, alone or in its class.  Code that only tests call
+belongs in the oracle modules under ``tests/``.
 """
 
 import ast
@@ -25,29 +26,35 @@ def is_click_command(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def names_in(node) -> set[str]:
-    out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-    return out
+def definitions(module: ast.Module):
+    """(qualified name, def) of each function and non-dunder method of
+    ``module`` that ``delpezzo3.__all__`` does not export."""
+    for stmt in module.body:
+        if isinstance(stmt, ast.FunctionDef) and not is_click_command(stmt):
+            if stmt.name not in delpezzo3.__all__:
+                yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef) and stmt.name not in delpezzo3.__all__:
+            for fn in stmt.body:
+                if isinstance(fn, ast.FunctionDef) and not (
+                        fn.name.startswith("__") and fn.name.endswith("__")):
+                    yield f"{stmt.name}.{fn.name}", fn
 
 
 def test_every_package_function_is_used_or_exported():
-    functions = []  # (path, line, name) of each top-level package function
-    named: dict[str, set] = {}  # name -> {(path, line)} of the statements naming it
+    defined = []  # (path, qualified name, def) of each package function and method
+    named: dict[str, set] = {}  # name -> {(path, line)} of the nodes naming it
     for path in READERS:
-        for stmt in ast.parse(path.read_text()).body:
-            if (path.parent == PACKAGE and isinstance(stmt, ast.FunctionDef)
-                    and not is_click_command(stmt)):
-                functions.append((path, stmt.lineno, stmt.name))
-            for name in names_in(stmt):
-                named.setdefault(name, set()).add((path, stmt.lineno))
+        module = ast.parse(path.read_text())
+        for node in ast.walk(module):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                named.setdefault(name, set()).add((path, node.lineno))
+        if path.parent == PACKAGE:
+            defined += [(path, qualname, fn) for qualname, fn in definitions(module)]
     unused = [
-        f"{path.stem}.{name}"
-        for path, line, name in functions
-        if not named.get(name, set()) - {(path, line)} and name not in delpezzo3.__all__
+        f"{path.stem}.{qualname}"
+        for path, qualname, fn in defined
+        if all(where == path and fn.lineno <= line <= fn.end_lineno
+               for where, line in named.get(fn.name, ()))
     ]
     assert unused == []

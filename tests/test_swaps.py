@@ -119,9 +119,9 @@ def test_cascade_shuffled_move_order_same_set(monkeypatch):
 def test_pruning_soundness():
     root, _ = load_primitive("w3_a")
     res = swaps.cascade(root, 3)
-    pruned = cascade_oracle.pruned_nodes(res)[:100]
-    for node in pruned:
-        frontier = [node.dtype]
+    types = cascade_oracle.node_types(root, res)
+    for key in sorted(res.pruned)[:100]:
+        frontier = [types[key]]
         for _ in range(2):
             nxt = []
             for d in frontier[:10]:
@@ -133,7 +133,7 @@ def test_pruning_soundness():
                     still_failing = not child.is_admissible()
                     if not still_failing:
                         still_failing = not width_check(child).satisfied
-                    assert still_failing, (node.move, move)
+                    assert still_failing, (res.pruned[key].move, move)
                     nxt.append(child)
             frontier = nxt
 
@@ -232,7 +232,8 @@ def test_swaps_leave_shared_neighbour_lists_unchanged(monkeypatch):
     for stem in ("w3_a", "w3_b", "w1_b"):
         root, excluded = load_primitive(stem)
         result = swaps.cascade(root, 2, excluded_labels=excluded)
-        parents += [(node.dtype, excluded) for node in result.nodes.values()]
+        types = cascade_oracle.node_types(root, result)
+        parents += [(types[key], excluded) for key in result.nodes]
     graphs = []
     original_from_graph, original_to_graph = swaps.from_graph, swaps.to_graph
 
@@ -250,22 +251,24 @@ def test_swaps_leave_shared_neighbour_lists_unchanged(monkeypatch):
             graph if d is parent else child_graph if d is child else original_to_graph(d)))
         for move in swaps.reverse_moves(parent, excluded):
             try:
-                child = swaps.reverse_swap(parent, *move, excluded)
+                child = swaps.reverse_swap(parent, *move)
             except swaps.SwapError:
                 continue
             child_graph = graphs[-1]
             children += 1
             # the child's graph numbers its entries as the blow-up left them:
-            # try each label at each entry it meets there
+            # try each label that is not excluded at each entry it meets there
             for i, e in enumerate(child_graph[0]):
                 for label in e.labels:
+                    if label in excluded:
+                        continue
                     try:
-                        swaps.reverse_swap(child, label, i, excluded)
+                        swaps.reverse_swap(child, label, i)
                     except swaps.SwapError:
                         pass
-        for label in sorted(parent.labels()):
+        for label in sorted(parent.labels() - excluded):
             try:
-                swaps.forward_swap(parent, label, excluded)
+                swaps.forward_swap(parent, label)
             except swaps.SwapError:
                 continue
             forwards += 1
