@@ -38,12 +38,13 @@ def _emit(report: Report, fmt: str) -> None:
 def _load_root(name: str) -> verify.Root:
     if name not in verify.ROOTS:
         raise click.UsageError(f"unknown primitive root {name!r}")
-    return verify.load_root(name)
+    return _read(verify.load_root, name)
 
 
 def _read(step, *args):
-    """Run a parse or substitution ``step`` on user input.  A NotationError,
-    or the validation ValueError of DecoratedType/Entry, becomes one
+    """Run a parse or substitution ``step`` on user input or on the data
+    under ``DP_FIXTURES``.  A NotationError, the validation ValueError of
+    DecoratedType/Entry, or a malformed fixture file becomes one
     ``parse error:`` line and exit 2."""
     try:
         return step(*args)
@@ -92,7 +93,7 @@ def check(source, width, cutoff, strict, fmt):
         rows = [fixtures.FixtureRow(name="arg", text=source, expr=expr)]
     report = Report("check", ("name", "assignment", "admissible", "lhs", "satisfied", "status"))
     for row in rows:
-        for assignment in fixtures.row_assignments(row, cutoff):
+        for assignment in _read(list, fixtures.row_assignments(row, cutoff)):
             d = _read(notation.substitute, row.expr, assignment)
             try:
                 inst = verify.evaluate(row.name, d, tuple(sorted(assignment.items())))
@@ -113,9 +114,9 @@ def check(source, width, cutoff, strict, fmt):
 def enum_abcd(cap, fmt):
     """Enumerate the width-3 two-chain family and verify the (a,b,c,d)
     solution table."""
+    boxes = _read(fixtures.load_abcd_table)
     solutions = fixtures.abcd_enumerate(cap)
     report = Report("enum-abcd", ("column", "box", "instances", "status"))
-    boxes = fixtures.load_abcd_table()
     covered = set()
     ok = True
     for i, box in enumerate(boxes, start=1):
@@ -160,8 +161,8 @@ def cascade(root_name, depth, cutoff, jobs, fmt):
     result against the fixture corpus."""
     root = _load_root(root_name)
     result = root.cascade(depth, jobs)
-    tables = fixtures.load_all_tables(verify.CASCADE_STEMS, root_name)
-    targets, _ = verify.cascade_targets(tables, root, cutoff, depth)
+    tables = _read(fixtures.load_all_tables, verify.CASCADE_STEMS, root_name)
+    targets, _ = _read(verify.cascade_targets, tables, root, cutoff, depth)
     known = {t.key: f"{t.name} {fmt_assignment(t.assignment)}".strip() for t in targets}
     report = Report("cascade", ("canonical", "depth", "status", "lhs", "match"))
     for key, node in sorted(result.nodes.items()):
@@ -196,9 +197,9 @@ def verify_tables(table_name, cutoff, jobs, cascade_depth, fmt):
     if table_name != "all" and table_name not in fixtures.TABLE_STEMS:
         raise click.UsageError(f"unknown table {table_name!r}")
     stems = fixtures.TABLE_STEMS if table_name == "all" else (table_name,)
-    tables = fixtures.load_all_tables(stems)
-    cases = verify.table_cases(tables, cutoff)
-    instances = verify.verify_instances(cases)
+    tables = _read(fixtures.load_all_tables, stems)
+    cases = _read(verify.table_cases, tables, cutoff)
+    instances = _read(verify.verify_instances, cases)
     report = Report("verify-tables", ("row", "assignment", "lhs", "status", "detail"))
     for inst in instances:
         report.add(inst.name, fmt_assignment(inst.assignment), inst.lhs, inst.status, inst.detail)
@@ -211,7 +212,7 @@ def verify_tables(table_name, cutoff, jobs, cascade_depth, fmt):
     if cascade_depth > 0:
         for root_name in verify.table_roots(tables):
             root = _load_root(root_name)
-            targets, beyond = verify.cascade_targets(tables, root, cutoff, cascade_depth)
+            targets, beyond = _read(verify.cascade_targets, tables, root, cutoff, cascade_depth)
             if beyond:
                 report.count(f"cascade-beyond[{root_name}]", beyond)
             if not targets:
@@ -235,11 +236,9 @@ def homology_cmd(fixture_id, construct):
     if (fixture_id is None) == (construct is None):
         raise click.UsageError("choose exactly one of --fixture or --construct")
     if fixture_id:
-        m = homology.IntMatrix(
-            tuple(map(tuple, fixtures.load_matrix(f"exotic_matrix_{fixture_id}")))
-        )
+        m = _read(homology.IntMatrix, _read(fixtures.load_matrix, f"exotic_matrix_{fixture_id}"))
     else:
-        plan = sim.load_plan(fixtures.data_dir() / "plans" / f"{construct}.plan")
+        plan = _read(sim.load_plan, fixtures.data_dir() / "plans" / f"{construct}.plan")
         cfg = sim.replay(plan)
         m = homology.build_restriction_matrix(cfg, plan.fibration)
     group = homology.cokernel(m)

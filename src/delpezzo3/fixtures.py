@@ -7,13 +7,18 @@ per-row directives:
     # sing: <expression>       expected undecorated singularity type
     # root: <model>            primitive model whose cascade reaches the row
     # lhs: <p/q or n>          expected width-form lhs (negative fixtures)
-    # expand: <chain family>   expand {T}/{Trev}/{Tdual} placeholders over
-                               admissible chains (d(T)<=n, d(T)=n, or
-                               d(T) in {..} with an optional "T != (2)_l")
+    # expand: <chain family>   expand {T}/{Trev}/{Tdual} placeholders over the
+                               admissible chains T with d(T)<=n (from 2 to n),
+                               d(T)=n or d(T) in {n,m,...}; a trailing
+                               ", T != (2)_l" leaves out the chains of 2s only
     # abcd-table: 1            parameter assignments come from the stored
                                (a,b,c,d) solution table
     # node-labels: <i,j,...>   labels of vertical (-1)-curves through a
                                crossing of two boundary components
+
+Spaces in a chain family are ignored.  The (a,b,c,d) table and the exotic
+matrices skip blank and ``#`` lines; an (a,b,c,d) line is exactly four
+fields ``n``, ``lo..hi`` or ``lo..inf``.  Malformed data is a ValueError.
 
 The directory can be overridden with the DP_FIXTURES environment variable.
 """
@@ -21,6 +26,7 @@ The directory can be overridden with the DP_FIXTURES environment variable.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -51,29 +57,18 @@ class FixtureRow:
     node_labels: frozenset = frozenset()  # labels meeting the boundary in a node
 
 
+_FAMILY = re.compile(
+    r"d\(T\)(?:<=(?P<le>\d+)|=(?P<eq>\d+)|in\{(?P<ds>\d+(?:,\d+)*)\})(?P<ex>,T!=\(2\)_l)?")
+
+
 def _chain_family(spec: str):
-    """Chains matching an "expand:" directive."""
-    spec = spec.replace(" ", "")
-    exclude_rep = "T!=(2)_l" in spec
-    spec = spec.replace(",T!=(2)_l", "").replace("T!=(2)_l", "")
-    chains = []
-    m = re.fullmatch(r"d\(T\)<=(\d+)", spec)
-    if m:
-        for d in range(2, int(m.group(1)) + 1):
-            chains.extend(chains_with_discriminant(d))
-    else:
-        m = re.fullmatch(r"d\(T\)=(\d+)", spec)
-        if m:
-            chains = chains_with_discriminant(int(m.group(1)))
-        else:
-            m = re.fullmatch(r"d\(T\)in\{([\d,]+)\}", spec)
-            if not m:
-                raise ValueError(f"bad expand directive {spec!r}")
-            for d in (int(x) for x in m.group(1).split(",")):
-                chains.extend(chains_with_discriminant(d))
-    if exclude_rep:
-        chains = [t for t in chains if any(w != 2 for w in t)]
-    return sorted(chains, key=lambda t: (len(t), t))
+    """The chains of an "expand:" directive, ordered by length, then weights."""
+    m = _FAMILY.fullmatch(spec.replace(" ", ""))
+    if m is None:
+        raise ValueError(f"bad expand directive {spec!r}")
+    ds = range(2, int(m["le"]) + 1) if m["le"] else map(int, (m["eq"] or m["ds"]).split(","))
+    return sorted((t for d in ds for t in chains_with_discriminant(d)
+                   if not m["ex"] or any(w != 2 for w in t)), key=lambda t: (len(t), t))
 
 
 def _chain_text(t) -> str:
@@ -81,10 +76,8 @@ def _chain_text(t) -> str:
 
 
 def _expand_placeholders(line: str, t) -> str:
-    out = line.replace("{T}", _chain_text(t))
-    out = out.replace("{Trev}", _chain_text(tuple(reversed(t))))
-    out = out.replace("{Tdual}", _chain_text(dual_chain(t)))
-    return out
+    return (line.replace("{T}", _chain_text(t)).replace("{Trev}", _chain_text(reversed(t)))
+            .replace("{Tdual}", _chain_text(dual_chain(t))))
 
 
 def parse_fixture_file(path: Path, root: str | None = None) -> list[FixtureRow]:
@@ -111,13 +104,12 @@ def parse_fixture_file(path: Path, root: str | None = None) -> list[FixtureRow]:
         if root is not None and pending.get("root") != root:
             pending = {}
             continue
-        lhs = None
-        if "lhs" in pending:
-            lhs = Fraction(pending["lhs"])
+        try:
+            lhs = Fraction(pending["lhs"]) if "lhs" in pending else None
+        except ZeroDivisionError as err:  # "1/0"; other text Fraction rejects is a ValueError
+            raise ValueError(f"bad lhs {pending['lhs']!r}: {err}") from None
         abcd = pending.get("abcd-table") == "1"
-        nodes = frozenset(
-            int(x) for x in pending.get("node-labels", "").split(",") if x.strip()
-        )
+        nodes = frozenset(int(x) for x in pending.get("node-labels", "").split(",") if x.strip())
         sing_text = pending.get("sing")
         if family is not None:
             variants = [
@@ -171,34 +163,28 @@ class AbcdBox:
     hi: tuple[int | None, int | None, int | None, int | None]
 
     def expand(self, cap: int):
-        ranges = []
-        for lo, hi in zip(self.lo, self.hi):
-            top = cap if hi is None else min(hi, cap)
-            ranges.append(range(lo, top + 1))
-        for a in ranges[0]:
-            for b in ranges[1]:
-                for c in ranges[2]:
-                    for d in ranges[3]:
-                        yield (a, b, c, d)
+        return itertools.product(*(range(lo, (cap if hi is None else min(hi, cap)) + 1)
+                                   for lo, hi in zip(self.lo, self.hi)))
+
+
+def _data_lines(stem: str) -> list[str]:
+    """The stripped lines of ``fixtures/<stem>.txt`` except blank and ``#`` lines."""
+    lines = (data_dir() / "fixtures" / f"{stem}.txt").read_text().splitlines()
+    return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+
+
+_ABCD_LINE = re.compile(r"\s+".join([r"(\d+)(?:\.\.(\d+|inf))?"] * 4))
 
 
 def load_abcd_table() -> list[AbcdBox]:
-    path = data_dir() / "fixtures" / "table1_abcd.txt"
     boxes = []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lo, hi = [], []
-        for fieldtext in line.split():
-            if ".." in fieldtext:
-                a, b = fieldtext.split("..")
-                lo.append(int(a))
-                hi.append(None if b == "inf" else int(b))
-            else:
-                lo.append(int(fieldtext))
-                hi.append(int(fieldtext))
-        boxes.append(AbcdBox(tuple(lo), tuple(hi)))
+    for line in _data_lines("table1_abcd"):
+        m = _ABCD_LINE.fullmatch(line)
+        if m is None:
+            raise ValueError(f"table1_abcd: {line!r} is not four fields n, lo..hi or lo..inf")
+        lo, hi = m.groups()[::2], m.groups()[1::2]
+        boxes.append(AbcdBox(tuple(map(int, lo)),
+                             tuple(None if h == "inf" else int(h or l) for l, h in zip(lo, hi))))
     return boxes
 
 
@@ -219,12 +205,7 @@ def row_assignments(row: FixtureRow, cutoff: int):
 
 
 def load_matrix(stem: str) -> list[list[int]]:
-    path = data_dir() / "fixtures" / f"{stem}.txt"
-    return [
-        [int(x) for x in line.split()]
-        for line in path.read_text().splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    return [[int(x) for x in line.split()] for line in _data_lines(stem)]
 
 
 _ABCD_EXPR = (

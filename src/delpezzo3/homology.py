@@ -137,15 +137,6 @@ class AbelianGroup:
             parts.append(f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
         return " + ".join(parts) if parts else "0"
 
-    @property
-    def order(self) -> int | None:
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """The quotient of the row space Z^rows by the image of the matrix

@@ -428,7 +428,6 @@ def minus_one_curves(cfg: SurfaceConfig) -> list[str]:
 
 @dataclass(frozen=True)
 class FiberData:
-    base_fiber: str
     components: dict  # curve -> multiplicity
     sigma: int
     shape: tuple  # weights of the reduced fiber as a chain, if a chain
@@ -443,7 +442,7 @@ def analyze_fiber(cfg: SurfaceConfig, fibration: Fibration, base_fiber: str) -> 
     sigma = len(minus_ones)
     mu = vec[minus_ones[0]] if sigma == 1 else None
     shape = _chain_shape({c: cfg.curves[c].self_int for c in vec}, cfg.intersection)
-    return FiberData(base_fiber, vec, sigma, shape, mu)
+    return FiberData(vec, sigma, shape, mu)
 
 
 def _chain_shape(self_ints: dict, intersection) -> tuple:

@@ -1,9 +1,10 @@
 """The verification pipeline over the fixture tables.  ``dp3
 verify-tables``, ``dp3 check``, the fixture matching of ``dp3 cascade``
-and the acceptance suite only render or assert on its records.  Each
-table instance is substituted once into an ``Instance`` that keeps no
-``DecoratedType``; ``distinctness`` substitutes again only the few
-instances whose singularity type another row shares.
+and the acceptance suite only render or assert on its records.
+``verify_instances`` substitutes each table instance once into an
+``Instance`` that keeps no ``DecoratedType``; ``distinctness`` substitutes
+again only the few instances whose singularity type another row shares,
+and ``cascade_targets`` each instance of the rows that name its root.
 """
 
 from __future__ import annotations
@@ -62,10 +63,13 @@ class Root:
 
 
 def load_root(name: str) -> Root:
-    row = fixtures.parse_fixture_file(
-        fixtures.data_dir() / "primitive" / f"{ROOTS[name]}.types"
-    )[0]
-    return Root(name, notation.substitute(row.expr, {}), row.node_labels)
+    """The one type of ``primitive/<stem>.types``; any other number of
+    rows is a ValueError."""
+    path = fixtures.data_dir() / "primitive" / f"{ROOTS[name]}.types"
+    rows = fixtures.parse_fixture_file(path)
+    if len(rows) != 1:
+        raise ValueError(f"{path.name} holds {len(rows)} types, not one")
+    return Root(name, notation.substitute(rows[0].expr, {}), rows[0].node_labels)
 
 
 # -- per-instance verdicts ---------------------------------------------------------

@@ -4,6 +4,7 @@ import shutil
 import signal
 from contextlib import contextmanager
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -391,6 +392,88 @@ def test_distinctness_on_a_copied_corpus(tmp_path, monkeypatch):
     fail_rows = [line for line in res.output.splitlines() if line.startswith("distinctness,")]
     assert len(fail_rows) == 1
     assert fail_rows[0].endswith(",,FAIL,w3.rivet_A_renamed k=3; w3.nu_3=1_c2 k=3")
+
+
+# -- malformed data under DP_FIXTURES is a parse error in every command --------
+
+
+def truncate(path, marker):
+    """Cut the file at ``path`` just before the first ``marker``."""
+    text = path.read_text()
+    assert marker in text, marker
+    path.write_text(text[:text.index(marker)])
+
+
+def append(path, text):
+    path.write_text(path.read_text() + text)
+
+
+def replace_once(path, old, new):
+    text = path.read_text()
+    assert text.count(old) == 1, old
+    path.write_text(text.replace(old, new))
+
+
+CORRUPTIONS = {
+    "verify-tables row": (
+        lambda d: append(d / "tables" / "char3.types", "[2,,3]\n"),
+        ("verify-tables", "--table", "char3", "--cutoff", "3")),
+    "verify-tables root cut in its type": (
+        lambda d: truncate(d / "primitive" / "w1_b.types", "2@1,2]"),
+        ("verify-tables", "--table", "char3", "--cutoff", "3", "--cascade-depth", "1")),
+    "verify-tables root cut before its type": (
+        lambda d: truncate(d / "primitive" / "w1_b.types", "[3@1]"),
+        ("verify-tables", "--table", "char3", "--cutoff", "3", "--cascade-depth", "1")),
+    "cascade row of its root": (
+        lambda d: append(d / "tables" / "char3.types", "# root: w1b\n[2,,3]\n"),
+        ("cascade", "--root", "w1b", "--depth", "1")),
+    "cascade root cut in its type": (
+        lambda d: truncate(d / "primitive" / "w3_b.types", "2@4,2@5]"),
+        ("cascade", "--root", "w3b", "--depth", "1")),
+    "enum-abcd field": (
+        lambda d: append(d / "fixtures" / "table1_abcd.txt", "2 3 x 4\n"),
+        ("enum-abcd", "--max", "3")),
+    "enum-abcd five fields": (
+        lambda d: append(d / "fixtures" / "table1_abcd.txt", "2 3 3 3 9\n"),
+        ("enum-abcd", "--max", "10")),
+    "homology matrix row": (
+        lambda d: append(d / "fixtures" / "exotic_matrix_1.txt", "1 x\n"),
+        ("homology", "--fixture", "1")),
+    "homology ragged matrix": (
+        lambda d: append(d / "fixtures" / "exotic_matrix_1.txt", "1 0\n"),
+        ("homology", "--fixture", "1")),
+    "homology plan": (
+        lambda d: replace_once(d / "plans" / "x1.plan", "curve V1 selfint 0", "curve V1 selfint x"),
+        ("homology", "--construct", "x1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_malformed_fixture_data_is_a_parse_error(case, tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(fixtures.DATA_DIR, data)
+    monkeypatch.setenv("DP_FIXTURES", str(data))
+    corrupt, args = CORRUPTIONS[case]
+    assert run(*args).exit_code == 0
+    corrupt(data)
+    assert_one_line_error(run(*args), 2, "parse error:")
+
+
+def test_check_reads_malformed_data_as_a_parse_error(tmp_path, monkeypatch):
+    """An lhs that ``Fraction`` rejects, a zero denominator included, and
+    an abcd-table row over a malformed (a,b,c,d) table."""
+    data = tmp_path / "data"
+    shutil.copytree(fixtures.DATA_DIR, data)
+    monkeypatch.setenv("DP_FIXTURES", str(data))
+    for lhs in ("1/0", "x"):
+        path = tmp_path / "lhs.types"
+        path.write_text(f"# lhs: {lhs}\n[2h,3h,2h] ; width=3\n")
+        assert_one_line_error(run("check", str(path)), 2, "parse error:")
+    path = tmp_path / "abcd.types"
+    path.write_text(f"# abcd-table: 1\n{fixtures._ABCD_EXPR}\n")
+    assert run("check", str(path), "--cutoff", "3").exit_code == 0
+    append(data / "fixtures" / "table1_abcd.txt", "2 3 x 4\n")
+    assert_one_line_error(run("check", str(path), "--cutoff", "3"), 2, "parse error:")
 
 
 # -- --jobs is at least 1 and capped at the core count ---------------------------

@@ -1,5 +1,10 @@
+import itertools
+import re
 from fractions import Fraction
 
+import pytest
+
+import fixtures_oracle as oracle
 from delpezzo3 import fixtures, notation
 from delpezzo3.boundary import width_check
 
@@ -103,3 +108,90 @@ def test_abcd_family_is_the_abcd_table_row():
     rows = [r for r in fixtures.load_table("char0") if r.abcd_table]
     assert [r.name for r in rows] == ["w3.chains"]
     assert rows[0].expr == notation.parse(fixtures._ABCD_EXPR)
+
+
+# -- the one-grammar readers against the readers they replaced -------------------
+
+
+def bundled_expand_specs():
+    """The spec of every ``expand:`` directive in the bundled corpus."""
+    return [line.split("expand:", 1)[1].strip()
+            for path in sorted(fixtures.DATA_DIR.rglob("*.types"))
+            for line in path.read_text().splitlines()
+            if line.startswith("#") and re.match(r"#\s*expand:", line)]
+
+
+def test_chain_family_matches_the_oracle_on_the_bundled_directives():
+    specs = bundled_expand_specs()
+    assert len(specs) == 11 and "d(T) in {4,5}, T != (2)_l" in specs
+    for spec in specs:
+        assert fixtures._chain_family(spec) == oracle.chain_family(spec), spec
+
+
+def test_chain_family_matches_the_oracle_on_a_grid():
+    """``<=``, ``=`` and ``in`` with bounds 0 to 7, with and without the
+    exclusion clause, with and without spaces: equal lists, equal order."""
+    sets = ["{" + ",".join(map(str, ds)) + "}"
+            for k in (1, 2) for ds in itertools.combinations(range(8), k)]
+    for body in [f"<={n}" for n in range(8)] + [f"={n}" for n in range(8)] + [
+            f" in {s}" for s in sets]:
+        for tail in ("", ", T != (2)_l"):
+            spaced = "d(T)" + body + tail
+            for spec in (spaced, spaced.replace(" ", ""), spaced.replace(",", " , ")):
+                assert fixtures._chain_family(spec) == oracle.chain_family(spec), spec
+    assert fixtures._chain_family("d(T) in {3,5,4}, T != (2)_l") == [
+        (3,), (4,), (5,), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("spec", [
+    "d(T)<=x", "d(T)<5", "d(T) in {}", "d(T) in {4,}", "d(T)<=3, T != (2)_k", ""])
+def test_malformed_chain_families_are_value_errors(spec):
+    for read in (fixtures._chain_family, oracle.chain_family):
+        with pytest.raises(ValueError):
+            read(spec)
+
+
+def test_exclusion_clause_needs_its_comma():
+    """The one intended difference: the old reader cut ``T!=(2)_l`` out
+    wherever it stood, so it took the clause without its comma."""
+    spec = "d(T)<=3T!=(2)_l"
+    assert oracle.chain_family(spec) == [(3,)]
+    with pytest.raises(ValueError):
+        fixtures._chain_family(spec)
+
+
+def test_abcd_table_matches_the_oracle():
+    text = (fixtures.DATA_DIR / "fixtures" / "table1_abcd.txt").read_text()
+    boxes = fixtures.load_abcd_table()
+    assert [(box.lo, box.hi) for box in boxes] == oracle.abcd_table(text)
+    for cap in (2, 7):  # 7 clips the box 6..8 and the unbounded ones
+        for box in boxes:
+            assert list(box.expand(cap)) == [
+                t for t in itertools.product(range(cap + 1), repeat=4)
+                if all(l <= x and (h is None or x <= h) for l, x, h in zip(box.lo, t, box.hi))]
+
+
+@pytest.mark.parametrize("line", [
+    "2 3 3", "2 3 3 3 9", "1..2..3 2 2 2", "..5 2 2 2", "x 2 2 2", "2 3 x 4"])
+def test_malformed_abcd_lines_are_value_errors(line, tmp_path, monkeypatch):
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "fixtures" / "table1_abcd.txt").write_text(f"# a comment\n\n3..inf 2 2 2\n{line}\n")
+    monkeypatch.setenv("DP_FIXTURES", str(tmp_path))
+    with pytest.raises(ValueError):
+        fixtures.load_abcd_table()
+
+
+def test_data_lines_skip_blank_and_comment_lines(tmp_path, monkeypatch):
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "fixtures" / "m.txt").write_text("# head\n 1 2 \n\n  # indented\n3 -4\n")
+    monkeypatch.setenv("DP_FIXTURES", str(tmp_path))
+    assert fixtures._data_lines("m") == ["1 2", "3 -4"]
+    assert fixtures.load_matrix("m") == [[1, 2], [3, -4]]
+
+
+@pytest.mark.parametrize("lhs", ["1/0", "x", ""])
+def test_malformed_lhs_is_a_value_error(lhs, tmp_path):
+    path = tmp_path / "bad.types"
+    path.write_text(f"# lhs: {lhs}\n[2h,3h,2h] ; width=3\n")
+    with pytest.raises(ValueError):
+        fixtures.parse_fixture_file(path)
