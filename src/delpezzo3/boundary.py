@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from delpezzo3.chains import chain_ld_terms, fork_terms, twig_key
+from delpezzo3.chains import chain_terms, fork_terms, twig_key
 
 CHAR_TAGS = ("any", "ne2", "eq2", "ne23", "eq3")
 
@@ -397,37 +397,35 @@ def width_check(d: DecoratedType | BoundaryGraph) -> CheckResult | None:
     Width 3: ld(H1)+ld(H2)+ld(H3) > 1; width 2: ld(H1)+2 ld(H2) > 1 with
     H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
     these normalizations.  Only an admissible type with a width outside
-    1-3 raises ValueError.  One pass over the parts of ``d.walk()``: the
-    lhs is summed as one integer fraction from one pass of continuants
-    per marked chain and per fork (``chains.fork_terms``, which also
-    gives the fork's excess), and reduced once.  Every weight of ``d`` is
-    at least 2 (a DecoratedType checks its weights, and a BoundaryGraph is
-    a blow-up of one), so chains are always admissible and no weight is
+    1-3 raises ValueError.  One pass over the parts of ``d.walk()``: each
+    component gives every entry's ld over its discriminant
+    (``chains.chain_terms``, ``chains.fork_terms``, which also decides a
+    fork's admissibility), its marked numerators are summed, the
+    2-section's twice, and the lhs gains one integer fraction per
+    component, reduced once at the end.  Every weight of ``d`` is at least
+    2 (a DecoratedType checks its weights, and a BoundaryGraph is a
+    blow-up of one), so chains are always admissible and no weight is
     checked again."""
     entries, layout = d.walk()
     num, den = 0, 1
     for part in layout:
+        ids = comp_entries(part)
+        marked = [(k, entries[i].two_section) for k, i in enumerate(ids) if entries[i].horizontal]
         if part[0] == "chain":
-            marked = [(j, entries[i]) for j, i in enumerate(part[1], start=1) if entries[i].horizontal]
             if not marked:
                 continue
-            terms = chain_ld_terms([entries[i].weight for i in part[1]], [j for j, _ in marked])
+            disc, nums = chain_terms([entries[i].weight for i in ids])
         else:
-            branch = entries[part[1]]
-            marked = [("branch", branch)] if branch.horizontal else []
-            twigs = []
-            for ti, twig in enumerate(part[2], start=1):
-                twigs.append([entries[i].weight for i in twig])
-                marked += [((ti, j), entries[i]) for j, i in enumerate(twig, start=1) if entries[i].horizontal]
-            terms = fork_terms(branch.weight, twigs, [pos for pos, _ in marked])[2]
-            if terms is None:
+            twigs = [[entries[i].weight for i in t] for t in part[2]]
+            _, disc, nums = fork_terms(entries[part[1]].weight, twigs)
+            if nums is None:
                 return None
-        for (x, y), (_, e) in zip(terms, marked):
-            num, den = num * y + (2 * x if e.two_section else x) * den, den * y
+        total = sum([2 * nums[k] if two else nums[k] for k, two in marked])
+        num, den = num * disc + total * den, den * disc
     if d.width not in (1, 2, 3):
         raise ValueError("decorated type carries no usable width")
     rhs = RHS_WIDTH_1 if d.width == 1 else RHS_WIDTH_2_3
-    # den > 0: every term's denominator is a positive discriminant
+    # den > 0: a product of positive discriminants
     satisfied = 3 * num > den if d.width == 1 else num > den
     return CheckResult(satisfied, Fraction(num, den), rhs)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import add
 
 Chain = tuple[int, ...]
 
@@ -165,29 +166,31 @@ def continuants(t: Chain) -> tuple[list[int], list[int]]:
     return _prefixes(t), suffix
 
 
-def chain_ld_terms(t: Chain, js) -> list[tuple[int, int]]:
-    """The log discrepancy of the j-th component (1-based) of an
-    admissible chain, (d(T^{>j}) + d(T^{<j})) / d(T), as a pair
-    (numerator, denominator) of integers for each j of ``js``."""
+def chain_terms(t: Chain) -> tuple[int, list[int]]:
+    """Every entry's log discrepancy over d(T) of an admissible chain, in
+    one pass of continuants: ``(d, nums)`` with d = d(T) and
+    ``nums[j - 1] = d(T^{>j}) + d(T^{<j})``, so ld_j = nums[j - 1] / d."""
     prefix, suffix = continuants(t)
-    return [(suffix[j] + prefix[j - 1], prefix[-1]) for j in js]
+    return prefix[-1], list(map(add, prefix, suffix[1:]))
 
 
-def fork_terms(branch: int, twigs, positions=()) -> tuple[int, int, list[tuple[int, int]] | None]:
+def fork_terms(branch: int, twigs) -> tuple[int, int, list[int] | None]:
     """One pass of continuants over the twigs of ``<branch; twigs>``,
     whose weights it does not check: the excess D (sum of 1/d(T_i) - 1)
     with D = d(T_1) d(T_2) d(T_3), an integer of the sign of
     sum 1/d(T_i) - 1; the discriminant d(fork); and, if the excess is
-    positive, the log discrepancy at each of ``positions`` (``"branch"``
-    or an in-range pair ``(twig_index, j)``, both 1-based) as a pair
-    (numerator, denominator) of integers, else None.
+    positive and no twig discriminant is 0, every entry's log discrepancy
+    times d(fork), in ``boundary.comp_entries`` order (the branch, then
+    each twig as stored), else None.
 
     A twig T is stored from its far tip, so d(T) = prefix[-1] and
     d(T minus its branch-adjacent entry) = prefix[-2].  Peeling the fork
     at the branch gives d(fork) = b D - sum of d(T_i minus that entry)
     D/d(T_i); as delta - 1 = excess / D and branch - e = d(fork) / D,
     ld(branch) = excess / d(fork), and the j-th entry of T_i has
-    ld = (ld(branch) d(T_i^{<j}) + d(T_i^{>j})) / d(T_i).
+    ld = (ld(branch) d(T_i^{<j}) + d(T_i^{>j})) / d(T_i).  The division
+    by d(T) is exact for any weights, as d(T^{<j}) is congruent to
+    d(T minus its last entry) d(T^{>j}) modulo d(T).
     """
     conts = [continuants(t) for t in twigs]
     (p1, _), (p2, _), (p3, _) = conts
@@ -195,17 +198,12 @@ def fork_terms(branch: int, twigs, positions=()) -> tuple[int, int, list[tuple[i
     q1, q2, q3 = d2 * d3, d1 * d3, d1 * d2  # D / d(T_i)
     excess = q1 + q2 + q3 - d1 * q1
     disc = branch * d1 * q1 - p1[-2] * q1 - p2[-2] * q2 - p3[-2] * q3
-    if excess <= 0:
+    if excess <= 0 or d1 * q1 == 0:  # d1 q1 = D: a twig of discriminant 0
         return excess, disc, None
-    terms = []
-    for position in positions:
-        if position == "branch":
-            terms.append((excess, disc))
-            continue
-        i, j = position
-        prefix, suffix = conts[i - 1]
-        terms.append((excess * prefix[j - 1] + disc * suffix[j], disc * prefix[-1]))
-    return excess, disc, terms
+    nums = [excess]
+    for prefix, suffix in conts:
+        nums += [(excess * p + disc * s) // prefix[-1] for p, s in zip(prefix, suffix[1:])]
+    return excess, disc, nums
 
 
 def ld_chain(t: Chain, j: int) -> Fraction:
@@ -216,8 +214,8 @@ def ld_chain(t: Chain, j: int) -> Fraction:
         raise IndexError(f"position {j} out of range for chain of length {len(t)}")
     if not is_admissible(t):
         raise ValueError(f"log discrepancies need an admissible chain, got {list(t)}")
-    (num, den), = chain_ld_terms(t, [j])
-    return Fraction(num, den)
+    d, nums = chain_terms(t)
+    return Fraction(nums[j - 1], d)
 
 
 def ld_fork(f: Fork, position: str | tuple[int, int]) -> Fraction:
@@ -225,23 +223,13 @@ def ld_fork(f: Fork, position: str | tuple[int, int]) -> Fraction:
 
     ``position`` is either ``"branch"`` or a pair ``(twig_index, j)``
     with both indices 1-based; twig entries are counted from the far tip,
-    as they are stored, so ``(i, len(T_i))`` meets the branch.
+    as they are stored, so ``(i, len(T_i))`` meets the branch.  A twig
+    index outside 1..3 or an entry index outside its twig raises
+    IndexError; a position that is neither ``"branch"`` nor a pair, or a
+    fork that is not admissible, raises ValueError.
     """
-    lds = fork_lds(f, [position])
-    if lds is None:
-        raise ValueError("log discrepancies need an admissible fork")
-    return lds[0]
-
-
-def fork_lds(f: Fork, positions) -> list[Fraction] | None:
-    """``ld_fork`` at each of ``positions``; None if the fork is not
-    admissible.  A twig index outside 1..3 or an entry index outside its
-    twig raises IndexError; a position that is neither ``"branch"`` nor
-    a pair raises ValueError."""
-    positions = list(positions)
-    for position in positions:
-        if position == "branch":
-            continue
+    k = 0  # the position's index in fork_terms' nums
+    if position != "branch":
         if not isinstance(position, (tuple, list)) or len(position) != 2:
             raise ValueError(f"fork position {position!r} is neither 'branch' nor a pair (twig, j)")
         i, j = position
@@ -250,7 +238,8 @@ def fork_lds(f: Fork, positions) -> list[Fraction] | None:
         t = f.twigs[i - 1]
         if not 1 <= j <= len(t):
             raise IndexError(f"position {j} out of range for twig of length {len(t)}")
-    if not _fork_weights_ok(f):
-        return None
-    terms = fork_terms(f.branch, f.twigs, positions)[2]
-    return None if terms is None else [Fraction(num, den) for num, den in terms]
+        k = sum(map(len, f.twigs[:i - 1])) + j
+    _, disc, nums = fork_terms(f.branch, f.twigs)
+    if nums is None or not _fork_weights_ok(f):
+        raise ValueError("log discrepancies need an admissible fork")
+    return Fraction(nums[k], disc)

@@ -239,8 +239,11 @@ def homology_cmd(fixture_id, construct):
         m = _read(homology.IntMatrix, _read(fixtures.load_matrix, f"exotic_matrix_{fixture_id}"))
     else:
         plan = _read(sim.load_plan, fixtures.data_dir() / "plans" / f"{construct}.plan")
-        cfg = sim.replay(plan)
-        m = homology.build_restriction_matrix(cfg, plan.fibration)
+        try:
+            m = homology.build_restriction_matrix(sim.replay(plan), plan.fibration)
+        except ValueError as err:  # SimulationError: a plan that parses but does not replay
+            click.echo(f"simulation error: {err}", err=True)
+            sys.exit(1)
     group = homology.cokernel(m)
     click.echo(group.render())
 

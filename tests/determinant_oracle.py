@@ -1,6 +1,7 @@
 """Determinants and invariant factors by their definitions: the oracles
-for the discriminant recursions of ``chains`` and for the Smith normal
-form of ``homology``.
+for the discriminant recursions of ``chains``, for its log discrepancy
+numerators (by Cramer's rule) and for the Smith normal form of
+``homology``.
 
 ``minors_invariant_factors`` takes gcds of minors, each by Gaussian
 elimination over ``Fraction`` (``_det_fraction``), not ``chains.det``:
@@ -16,11 +17,9 @@ from math import gcd
 from delpezzo3.chains import det
 
 
-def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
-    """det(-intersection matrix) of an arbitrary weighted graph: the
-    matrix with ``weights`` on the diagonal and -1 for each edge.  Used as
-    the independent oracle for the chain/fork recursions.
-    """
+def neg_intersection_matrix(weights: list[int], edges: list[tuple[int, int]]) -> list[list[int]]:
+    """-M for an arbitrary weighted graph: the matrix with ``weights`` on
+    the diagonal and -1 for each edge."""
     n = len(weights)
     m = [[0] * n for _ in range(n)]
     for i, w in enumerate(weights):
@@ -28,7 +27,31 @@ def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
     for i, j in edges:
         m[i][j] -= 1
         m[j][i] -= 1
-    return det(m)
+    return m
+
+
+def tree_determinant(weights: list[int], edges: list[tuple[int, int]]) -> int:
+    """det(-intersection matrix) of an arbitrary weighted graph.  Used as
+    the independent oracle for the chain/fork recursions.
+    """
+    return det(neg_intersection_matrix(weights, edges))
+
+
+def cramer_ld_numerators(weights: list[int], edges: list[tuple[int, int]]) -> list[int]:
+    """Each entry's log discrepancy times det(-M), by Cramer's rule.
+
+    Adjunction gives K·E_k = w_k - 2, so the discrepancies a solve
+    M a = w - 2 and ld_k = 1 + a_k (Kollár & Mori, *Birational Geometry of
+    Algebraic Varieties*, §4.1); with N = -M, N a = 2 - w and
+    ld_k det(N) = det(N) + det(N with column k replaced by 2 - w).
+    """
+    n = neg_intersection_matrix(weights, edges)
+    d = det(n)
+    out = []
+    for k in range(len(weights)):
+        replaced = [row[:k] + [2 - w] + row[k + 1:] for row, w in zip(n, weights)]
+        out.append(d + det(replaced))
+    return out
 
 
 def minors_invariant_factors(m) -> tuple[int, ...]:

@@ -2,22 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import width_oracle
 from blowdown_oracle import contract_marker_gain, contracts_to_zero_curve, smooth_point_extension
-from determinant_oracle import _det_exact, tree_determinant
+from determinant_oracle import _det_exact, cramer_ld_numerators, tree_determinant
 
 from delpezzo3 import notation, star_compose
 from delpezzo3.chains import (
     Fork,
+    chain_terms,
     chains_with_discriminant,
     continuants,
     det,
     discriminant,
     dual_chain,
-    fork_lds,
     fork_terms,
     fork_triples,
     hirzebruch_jung,
@@ -34,7 +34,9 @@ def det_oracle_chain(weights):
     return tree_determinant(list(weights), [(i, i + 1) for i in range(n - 1)])
 
 
-def det_oracle_fork(fork):
+def fork_graph(fork):
+    """The fork's weights, the branch and then each twig as stored, and
+    its edges: a twig's LAST entry meets the branch."""
     weights = [fork.branch]
     edges = []
     for twig in fork.twigs:
@@ -42,7 +44,11 @@ def det_oracle_fork(fork):
         weights.extend(twig)
         edges.append((0, first + len(twig) - 1))
         edges.extend((i, i + 1) for i in range(first, first + len(twig) - 1))
-    return tree_determinant(weights, edges)
+    return weights, edges
+
+
+def det_oracle_fork(fork):
+    return tree_determinant(*fork_graph(fork))
 
 
 chains = st.lists(st.integers(2, 6), min_size=0, max_size=8).map(tuple)
@@ -62,9 +68,34 @@ def test_discriminant_matches_determinant(t):
 
 
 @given(st.integers(2, 5), nonempty_chains, nonempty_chains, nonempty_chains)
+@example(2, (1, 1), (2,), (2,))  # a twig of discriminant 0 beside a positive excess
+@example(1, (2,), (2,), (2,))  # a weight-1 branch
 def test_fork_discriminant_matches_determinant(b, t1, t2, t3):
+    """``discriminant`` is total on forks, weights below 2 included."""
     fork = Fork(b, (t1[:4], t2[:4], t3[:4]))
     assert discriminant(fork) == det_oracle_fork(fork)
+
+
+any_weights = st.lists(st.integers(-1, 4), min_size=1, max_size=4).map(tuple)
+
+
+@given(st.integers(-1, 4), any_weights, any_weights, any_weights)
+def test_terms_match_cramers_rule(b, t1, t2, t3):
+    """For any integer weights, ``fork_terms`` gives the determinant, and
+    each numerator of ``fork_terms`` and ``chain_terms`` is the entry's
+    ld times the determinant by Cramer's rule wherever that is not 0."""
+    fork = Fork(b, (t1, t2, t3))
+    weights, edges = fork_graph(fork)
+    _, disc, nums = fork_terms(b, fork.twigs)
+    assert discriminant(fork) == disc == tree_determinant(weights, edges)
+    if nums is not None and disc:
+        assert nums == cramer_ld_numerators(weights, edges)
+    chain = t1 + t2
+    d, nums = chain_terms(chain)
+    path = [(i, i + 1) for i in range(len(chain) - 1)]
+    assert d == tree_determinant(list(chain), path)
+    if d:
+        assert nums == cramer_ld_numerators(list(chain), path)
 
 
 @given(st.lists(st.integers(2, 6), min_size=2, max_size=8).map(tuple), st.data())
@@ -225,7 +256,9 @@ def test_ld_fork_examples():
         ld_fork(Fork(2, ((3,), (3,), (3,))), "branch")
     # (i, j) reads twig i: twig 2 of <2;[2],[3],[4]> is [3]
     assert [ld_fork(FORK_234, (i, 1)) for i in (1, 2, 3)] == [F(6, 11), F(4, 11), F(3, 11)]
-    assert fork_lds(FORK_234, [(2, 1), "branch"]) == [F(4, 11), F(1, 11)]
+    assert [ld_fork(FORK_234, p) for p in [(2, 1), "branch"]] == [F(4, 11), F(1, 11)]
+    # every entry's ld over d(fork) = 22, the branch first
+    assert fork_terms(FORK_234.branch, FORK_234.twigs) == (2, 22, [2, 12, 8, 6])
 
 
 @pytest.mark.parametrize("ld", [ld_fork, width_oracle.ld_fork])
@@ -237,13 +270,15 @@ def test_ld_fork_examples():
 def test_ld_fork_rejects_bad_positions(ld, position, error):
     """A twig index outside 1..3 or an entry index outside its twig is an
     IndexError; a position that is neither "branch" nor a pair is a
-    ValueError naming the position."""
+    ValueError naming the position, on a fork that is not admissible too."""
     with pytest.raises(error) as info:
         ld(FORK_234, position)
     if error is ValueError:
         assert repr(position) in str(info.value)
-    with pytest.raises(error):
-        fork_lds(FORK_234, ["branch", position])
+    with pytest.raises(error) as info:
+        ld(Fork(2, ((3,), (3,), (3,))), position)
+    if error is ValueError:
+        assert repr(position) in str(info.value)
 
 
 def test_ld_range_and_canonical_configurations():
@@ -278,6 +313,21 @@ def test_ld_fork_range():
         assert (max(values) == 1) == canonical or not canonical
 
 
+def test_affine_e7_fork_is_log_canonical_without_log_discrepancies():
+    """The affine E~7 fork <2;[2,2,2],[2,2,2],[2]>, of ``nonlt.3(T=[2,2,2])``
+    at k = 2, is not negative definite: its excess and discriminant are
+    both 0, so it has no log discrepancies.  ``is_log_canonical`` reads
+    only the sign of the excess and accepts it.  Whether it should also
+    ask for a positive discriminant is the open question of the lattice
+    invariants item of ROADMAP.md; an answer changes this test."""
+    fork = Fork(2, ((2, 2, 2), (2, 2, 2), (2,)))
+    assert fork_terms(fork.branch, fork.twigs) == (0, 0, None)
+    with pytest.raises(ValueError):
+        ld_fork(fork, "branch")
+    d = notation.substitute(notation.parse("<2;[2,2,2],[2,2,2],[2]>"), {})
+    assert d.is_log_canonical() and not d.is_admissible()
+
+
 def test_is_admissible_examples():
     assert is_admissible(Fork(2, ((2,), (2,), (2,) * 7)))
     assert not is_admissible(Fork(2, ((3,), (3,), (3,))))
@@ -287,7 +337,7 @@ def test_is_admissible_examples():
 
 
 def test_fork_rule_matches_the_fraction_definitions():
-    """``is_admissible``, ``fork_lds`` and the sign of ``fork_terms``'
+    """``is_admissible``, ``ld_fork`` and the sign of ``fork_terms``'
     excess read the sum of 1/d(T_i) as one integer; each agrees with the
     sum taken in Fractions, on seeded random forks and on forks whose sum
     is exactly 1 (log canonical, not admissible)."""
@@ -310,10 +360,14 @@ def test_fork_rule_matches_the_fraction_definitions():
                                   for j in range(1, len(t) + 1)]
         if valid and total > 1:
             admissible += 1
-            assert fork_lds(f, positions) == [width_oracle.ld_fork(f, p) for p in positions]
+            expected = [width_oracle.ld_fork(f, p) for p in positions]
+            assert [ld_fork(f, p) for p in positions] == expected, f
         else:
             lc_only += valid and total == 1
-            assert fork_lds(f, positions) is None, f
+            assert not valid or fork_terms(f.branch, f.twigs)[2] is None, f
+            for p in positions:
+                with pytest.raises(ValueError):
+                    ld_fork(f, p)
     assert admissible > 300 and lc_only > len(boundary)
 
 

@@ -38,6 +38,7 @@ def test_homology_command():
     assert run("homology", "--fixture", "1").output.strip() == "Z/3"
     assert run("homology", "--fixture", "2").output.strip() == "0"
     assert run("homology", "--construct", "x1").output.strip() == "Z/3"
+    assert run("homology", "--construct", "x2").output.strip() == "0"
 
 
 def test_exit_codes():
@@ -457,6 +458,20 @@ def test_malformed_fixture_data_is_a_parse_error(case, tmp_path, monkeypatch):
     assert run(*args).exit_code == 0
     corrupt(data)
     assert_one_line_error(run(*args), 2, "parse error:")
+
+
+@pytest.mark.parametrize("plan, old, new", [
+    ("x1", "blowup p13", "blowup p99"),  # a point that no curve carries
+    ("x2", "base P1xP1", "base P2"),  # a base whose degree cannot be inferred
+])
+def test_homology_replay_errors_are_one_line(plan, old, new, tmp_path, monkeypatch):
+    """A construction plan that parses but does not replay is one
+    ``simulation error:`` line and exit 1, as in ``simulate``."""
+    data = tmp_path / "data"
+    shutil.copytree(fixtures.DATA_DIR, data)
+    monkeypatch.setenv("DP_FIXTURES", str(data))
+    replace_once(data / "plans" / f"{plan}.plan", old, new)
+    assert_one_line_error(run("homology", "--construct", plan), 1, "simulation error:")
 
 
 def test_check_reads_malformed_data_as_a_parse_error(tmp_path, monkeypatch):

@@ -40,7 +40,7 @@ from delpezzo3.boundary import (
     walk_components,
     width_check,
 )
-from delpezzo3.chains import Fork, fork_lds, ld_chain, ld_fork
+from delpezzo3.chains import Fork, chain_terms, fork_terms, is_admissible, ld_chain, ld_fork
 
 
 def cascade_of(stem, depth):
@@ -660,20 +660,22 @@ def test_legal_forward_labels_raise_nothing(d):
 
 
 def test_ld_chain_matches_oracle():
-    """Every position of every admissible chain of length 1-6 with
-    weights 2-4."""
+    """Every entry of ``chain_terms``, and ``ld_chain`` at every
+    position, of every admissible chain of length 1-6 with weights 2-4."""
     chains = [()]
     for _ in range(6):
         chains = [t + (w,) for t in chains for w in (2, 3, 4)]
         for t in chains:
-            assert [ld_chain(t, j) for j in range(1, len(t) + 1)] == [
-                oracle.ld_chain(t, j) for j in range(1, len(t) + 1)
-            ]
+            expected = [oracle.ld_chain(t, j) for j in range(1, len(t) + 1)]
+            d, nums = chain_terms(t)
+            assert [F(n, d) for n in nums] == expected
+            assert [ld_chain(t, j) for j in range(1, len(t) + 1)] == expected
 
 
 def test_fork_lds_match_oracle():
-    """Every position of every fork in the fixture instances, and of
-    random forks, admissible or not."""
+    """Every entry of ``fork_terms``, and ``ld_fork`` at every position,
+    of every fork in the fixture instances and of random forks,
+    admissible or not."""
     rng = random.Random(77)
     forks = {
         oracle.comp_weights(c) for d in fixture_instances(6) for c in d.components if c[0] == "fork"
@@ -687,14 +689,15 @@ def test_fork_lds_match_oracle():
         positions = ["branch"] + [
             (i, j) for i, t in enumerate(f.twigs, start=1) for j in range(1, len(t) + 1)
         ]
-        lds = fork_lds(f, positions)
-        if lds is None:
+        if not is_admissible(f):
             with pytest.raises(ValueError):
                 oracle.ld_fork(f, "branch")
             with pytest.raises(ValueError):
                 ld_fork(f, "branch")
             continue
         admissible += 1
-        assert lds == [oracle.ld_fork(f, p) for p in positions]
-        assert lds == [ld_fork(f, p) for p in positions]
+        expected = [oracle.ld_fork(f, p) for p in positions]
+        _, disc, nums = fork_terms(f.branch, f.twigs)
+        assert [F(n, disc) for n in nums] == expected
+        assert [ld_fork(f, p) for p in positions] == expected
     assert admissible > 100 and len(forks) - admissible > 100

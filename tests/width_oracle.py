@@ -11,7 +11,9 @@ The second is the integer width check that one pass of twig continuants
 replaced (``width_check``): each fork built as a ``chains.Fork``, its
 twigs checked again and its discriminants looked up per twig and per
 twig minus its branch-adjacent entry (``_fork_excess``, ``_disc_fork``),
-and its marked entries' terms read in ``fork_ld_terms``.
+its marked entries' terms read in ``fork_ld_terms``, and each marked
+chain's terms in ``chain_ld_terms``, the position-selecting form that
+``chains.chain_terms`` replaced.
 
 Every discriminant here comes from ``disc_chain``, a continuant
 recurrence of this module's own, which with ``dual_chain`` is also the
@@ -21,7 +23,7 @@ oracle for ``chains.discriminant``, ``continuants`` and ``dual_chain``.
 from fractions import Fraction
 
 from delpezzo3.boundary import BoundaryGraph, CheckResult, DecoratedType, Entry
-from delpezzo3.chains import Fork, chain_ld_terms, continuants, hirzebruch_jung, is_admissible
+from delpezzo3.chains import Fork, continuants, hirzebruch_jung, is_admissible
 
 
 def disc_chain(t) -> int:
@@ -204,6 +206,14 @@ def _fork_excess(f: Fork) -> int | None:
     ds = [disc_chain(t) for t in f.twigs]
     big_d = ds[0] * ds[1] * ds[2]
     return sum(big_d // d for d in ds) - big_d
+
+
+def chain_ld_terms(t, js) -> list[tuple[int, int]]:
+    """The log discrepancy of the j-th component (1-based) of an
+    admissible chain, (d(T^{>j}) + d(T^{<j})) / d(T), as a pair
+    (numerator, denominator) of integers for each j of ``js``."""
+    prefix, suffix = continuants(t)
+    return [(suffix[j] + prefix[j - 1], prefix[-1]) for j in js]
 
 
 def fork_ld_terms(f: Fork, positions) -> list[tuple[int, int]] | None:
