@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from delpezzo3.chains import chain_terms, fork_terms, twig_key
+from delpezzo3.chains import chain_terms, fork_excess, fork_terms, twig_key
 
 CHAR_TAGS = ("any", "ne2", "eq2", "ne23", "eq3")
 
@@ -342,13 +342,13 @@ class DecoratedType:
         return self._labels
 
     def _fork_excesses(self):
-        """Each fork's ``fork_terms`` excess, of the sign of sum 1/d(T_i) - 1;
+        """Each fork's ``fork_excess``, of the sign of sum 1/d(T_i) - 1;
         every weight is at least 2, so chains and twigs are admissible."""
         entries = self._entries
         for part in self._layout:
             if part[0] == "fork":
                 twigs = [[entries[i].weight for i in t] for t in part[2]]
-                yield fork_terms(entries[part[1]].weight, twigs)[0]
+                yield fork_excess(entries[part[1]].weight, twigs)[0]
 
     def is_admissible(self) -> bool:
         return all(x > 0 for x in self._fork_excesses())

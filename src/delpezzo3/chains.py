@@ -48,7 +48,7 @@ def discriminant(t: Chain | Fork | list) -> int:
     where the discriminant is the product over components).
     """
     if isinstance(t, Fork):
-        return fork_terms(t.branch, t.twigs)[1]
+        return fork_excess(t.branch, t.twigs)[1]
     if isinstance(t, list):
         return prod(map(discriminant, t))
     return _prefixes(t)[-1]
@@ -102,7 +102,7 @@ def is_admissible(t: Chain | Fork) -> bool:
     """Chains: all weights >= 2. Forks: branch >= 2, admissible twigs and
     sum of reciprocal twig discriminants > 1."""
     if isinstance(t, Fork):
-        return _fork_weights_ok(t) and fork_terms(t.branch, t.twigs)[0] > 0
+        return _fork_weights_ok(t) and fork_excess(t.branch, t.twigs)[0] > 0
     return all(a >= 2 for a in t)
 
 
@@ -166,12 +166,62 @@ def continuants(t: Chain) -> tuple[list[int], list[int]]:
     return _prefixes(t), suffix
 
 
+def run_prefixes(runs) -> list[int]:
+    """``_prefixes`` stepped over runs ``(weight, count)``, each ``count``
+    (at least 0) entries of one weight: ``[d(R_1 ... R_k) for k =
+    0..len(runs)]``.  A run of n 2s is one step: along it d grows by the
+    constant difference d - d', with d' the discriminant before the last
+    entry, so (d, d') -> ((n+1) d - n d', n d - (n-1) d').  A run of
+    another weight steps entry by entry."""
+    out, prev2, prev1 = [1], 0, 1
+    for w, n in runs:
+        if w == 2:
+            prev2, prev1 = n * prev1 - (n - 1) * prev2, (n + 1) * prev1 - n * prev2
+        else:
+            for _ in range(n):
+                prev2, prev1 = prev1, w * prev1 - prev2
+        out.append(prev1)
+    return out
+
+
+def run_chain_terms(runs: list, marked) -> tuple[int, list[int]]:
+    """``chain_terms`` of the chain that ``runs`` expands to, read at the
+    single entries ``marked`` (indices into ``runs`` of runs of count 1):
+    ``(d, nums)`` with d = d(T) and ``nums[i] = d(T^{<j}) + d(T^{>j})``
+    for the entry j of run ``marked[i]``, in one pass of ``run_prefixes``
+    each way, so in time linear in the number of runs.  A marked run of
+    another count raises ValueError."""
+    prefix = run_prefixes(runs)
+    suffix = run_prefixes(reversed(runs))  # suffix[m]: the last m runs
+    last = len(runs) - 1
+    nums = []
+    for k in marked:
+        if runs[k][1] != 1:
+            raise ValueError(f"run {k} of {runs} is not a single entry")
+        nums.append(prefix[k] + suffix[last - k])
+    return prefix[-1], nums
+
+
 def chain_terms(t: Chain) -> tuple[int, list[int]]:
     """Every entry's log discrepancy over d(T) of an admissible chain, in
     one pass of continuants: ``(d, nums)`` with d = d(T) and
     ``nums[j - 1] = d(T^{>j}) + d(T^{<j})``, so ld_j = nums[j - 1] / d."""
     prefix, suffix = continuants(t)
     return prefix[-1], list(map(add, prefix, suffix[1:]))
+
+
+def fork_excess(branch: int, twigs) -> tuple[int, int]:
+    """The excess and the discriminant of ``fork_terms``, from the last
+    two prefix discriminants of each twig alone."""
+    return _excess_and_disc(branch, *[_prefixes(t)[-2:] for t in twigs])
+
+
+def _excess_and_disc(branch: int, t1, t2, t3) -> tuple[int, int]:
+    """``fork_excess`` from each twig's (d(T minus its branch-adjacent
+    entry), d(T))."""
+    (e1, d1), (e2, d2), (e3, d3) = t1, t2, t3
+    q1, q2, q3 = d2 * d3, d1 * d3, d1 * d2  # D / d(T_i)
+    return q1 + q2 + q3 - d1 * q1, branch * d1 * q1 - e1 * q1 - e2 * q2 - e3 * q3
 
 
 def fork_terms(branch: int, twigs) -> tuple[int, int, list[int] | None]:
@@ -186,19 +236,15 @@ def fork_terms(branch: int, twigs) -> tuple[int, int, list[int] | None]:
     A twig T is stored from its far tip, so d(T) = prefix[-1] and
     d(T minus its branch-adjacent entry) = prefix[-2].  Peeling the fork
     at the branch gives d(fork) = b D - sum of d(T_i minus that entry)
-    D/d(T_i); as delta - 1 = excess / D and branch - e = d(fork) / D,
-    ld(branch) = excess / d(fork), and the j-th entry of T_i has
-    ld = (ld(branch) d(T_i^{<j}) + d(T_i^{>j})) / d(T_i).  The division
-    by d(T) is exact for any weights, as d(T^{<j}) is congruent to
-    d(T minus its last entry) d(T^{>j}) modulo d(T).
+    D/d(T_i) (``fork_excess``); as delta - 1 = excess / D and
+    branch - e = d(fork) / D, ld(branch) = excess / d(fork), and the j-th
+    entry of T_i has ld = (ld(branch) d(T_i^{<j}) + d(T_i^{>j})) / d(T_i).
+    The division by d(T) is exact for any weights, as d(T^{<j}) is
+    congruent to d(T minus its last entry) d(T^{>j}) modulo d(T).
     """
     conts = [continuants(t) for t in twigs]
-    (p1, _), (p2, _), (p3, _) = conts
-    d1, d2, d3 = p1[-1], p2[-1], p3[-1]
-    q1, q2, q3 = d2 * d3, d1 * d3, d1 * d2  # D / d(T_i)
-    excess = q1 + q2 + q3 - d1 * q1
-    disc = branch * d1 * q1 - p1[-2] * q1 - p2[-2] * q2 - p3[-2] * q3
-    if excess <= 0 or d1 * q1 == 0:  # d1 q1 = D: a twig of discriminant 0
+    excess, disc = _excess_and_disc(branch, *[prefix[-2:] for prefix, _ in conts])
+    if excess <= 0 or 0 in [prefix[-1] for prefix, _ in conts]:  # D = 0
         return excess, disc, None
     nums = [excess]
     for prefix, suffix in conts:

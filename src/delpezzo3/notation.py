@@ -617,6 +617,42 @@ class _Run:
             merged = _attach(merged, self.prefix, self.suffix)
         return merged
 
+    def runs(self, assignment: dict[str, int]) -> tuple[list[tuple[int, int]], list[tuple[int, bool]]]:
+        """The entries ``build`` gives, read as runs ``(weight, count)``
+        without building one, and its horizontal entries as pairs (run
+        index, two_section); labels are left out.  An entry of a constant
+        piece or an ``EntryExpr`` is a run of one, and a ``(2)_{e}`` the
+        run (2, e).  A ``*`` composition, a ``(2)_{-1}`` sentinel or a
+        weight below 2 raises NotationError, a ValueError: the first two
+        change the entries around them, which no run reading follows."""
+        if len(self.parts) != 1:
+            raise NotationError("a * composition is not read as runs")
+        runs: list[tuple[int, int]] = []
+        marks: list[tuple[int, bool]] = []
+        for item in self.parts[0]:
+            kind = type(item)
+            if kind is EntryExpr:
+                if item.horizontal:
+                    marks.append((len(runs), item.two_section))
+                runs.append((item.value.evaluate(assignment), 1))
+            elif kind is tuple:
+                for e in item:
+                    if e is _MARKER:
+                        raise NotationError("a (2)_{-1} sentinel is not read as runs")
+                    if e.horizontal:
+                        marks.append((len(runs), e.two_section))
+                    runs.append((e.weight, 1))
+            else:
+                n = item.count.evaluate(assignment)
+                if n < 0:
+                    raise NotationError(f"repetition count {n}: a (2)_{{-1}} sentinel"
+                                        " or below is not read as runs")
+                runs.append((2, n))
+        for w, _ in runs:
+            if w < 2:
+                raise NotationError(f"weight {w} < 2 in a boundary position")
+        return runs, marks
+
 
 class _Chain(_Run):
     __slots__ = ()
@@ -692,9 +728,9 @@ class _Plan:
         self.params = tuple(sorted(params))
 
 
-def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
-    """Instantiate the expression at a parameter assignment satisfying all
-    constraints; empty chains vanish."""
+def _check_assignment(expr: TypeExpr, assignment: dict[str, int]) -> _Plan:
+    """The plan of ``expr``, once ``assignment`` satisfies every constraint
+    and gives every parameter a value."""
     for c in expr.constraints:
         if c.param in assignment and not c.admits(assignment[c.param]):
             raise NotationError(
@@ -704,12 +740,41 @@ def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
     for p in plan.params:
         if p not in assignment:
             raise NotationError(f"no value for parameter {p!r}")
+    return plan
+
+
+def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
+    """Instantiate the expression at a parameter assignment satisfying all
+    constraints; empty chains vanish."""
+    plan = _check_assignment(expr, assignment)
     components = []
     for step in plan.steps:
         comp = step if type(step) is tuple else step.build(assignment)
         if comp:
             components.append(comp)
     return DecoratedType(tuple(components), expr.width, expr.char_tag)
+
+
+def chain_runs(expr: TypeExpr, assignment: dict[str, int]) -> list[tuple[list, list]]:
+    """The chains of ``substitute(expr, assignment)`` read straight from
+    the plan, without building a DecoratedType: per component, in order,
+    its runs and horizontal marks as ``_Run.runs`` gives them (a constant
+    chain's entries each a run of one); a vanished chain's runs hold no
+    entry.  The assignment is checked as ``substitute`` checks it, but
+    not the type as a DecoratedType checks it (marks for the width,
+    labels).  A fork, or a chain that ``_Run.runs`` does not read, raises
+    NotationError; nothing falls back to ``substitute``."""
+    out = []
+    for step in _check_assignment(expr, assignment).steps:
+        if type(step) is _Chain:
+            out.append(step.runs(assignment))
+            continue
+        if type(step) is not tuple or (step and step[0] == "fork"):
+            raise NotationError("a fork is not read as runs")
+        entries = step[1] if step else ()
+        out.append(([(e.weight, 1) for e in entries],
+                    [(k, e.two_section) for k, e in enumerate(entries) if e.horizontal]))
+    return out
 
 
 def assignments(expr: TypeExpr, cutoff: int):

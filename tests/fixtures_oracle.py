@@ -1,10 +1,13 @@
-"""The fixture readers that ``delpezzo3.fixtures`` replaced, kept to check
-the one-grammar readers against: the ``expand:`` chain family read by
-three regular expressions and string surgery, and the (a,b,c,d) table
-line read field by field."""
+"""The fixture code that ``delpezzo3.fixtures`` replaced, kept to check
+it against: the ``expand:`` chain family read by three regular
+expressions and string surgery, the (a,b,c,d) table line read field by
+field, and the (a,b,c,d) family decided by substituting each point and
+running ``width_check`` on it."""
 
 import re
 
+from delpezzo3 import fixtures, notation
+from delpezzo3.boundary import width_check
 from delpezzo3.chains import chains_with_discriminant
 
 
@@ -52,3 +55,42 @@ def abcd_table(text: str):
     """The (lo, hi) bounds of each line of an (a,b,c,d) table file."""
     return [abcd_box(line.strip()) for line in text.splitlines()
             if line.strip() and not line.strip().startswith("#")]
+
+
+def abcd_passes(a, b, c, d):
+    """The width-3 verdict of ``fixtures._ABCD_EXPR`` at (a, b, c, d), by
+    ``width_check`` on the substituted type."""
+    dec = notation.substitute(fixtures._abcd_expr(), {"a": a, "b": b, "c": c, "d": d})
+    res = width_check(dec)
+    return res is not None and res.satisfied
+
+
+def abcd_enumerate(cap):
+    """``fixtures.abcd_enumerate``'s scan of [2,cap]^4 with this module's
+    ``abcd_passes``: each axis until its first failure."""
+    out = set()
+    for a in range(2, cap + 1):
+        b_seen = False
+        for b in range(2, cap + 1):
+            if (a, b) == (2, 2):
+                continue
+            c_seen = False
+            for c in range(2, cap + 1):
+                d_count = 0
+                for d in range(2, cap + 1):
+                    if abcd_passes(a, b, c, d):
+                        out.add((a, b, c, d))
+                        d_count += 1
+                    else:
+                        break
+                if d_count:
+                    c_seen = True
+                else:
+                    break
+            if c_seen:
+                b_seen = True
+            elif b > 2:
+                break
+        if not b_seen and a > 3:
+            break
+    return out

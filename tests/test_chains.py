@@ -22,8 +22,11 @@ from delpezzo3.chains import (
     fork_triples,
     hirzebruch_jung,
     is_admissible,
+    _prefixes,
     ld_chain,
     ld_fork,
+    run_chain_terms,
+    run_prefixes,
 )
 
 F = Fraction
@@ -161,6 +164,52 @@ def test_continuants_match_the_oracle_recurrence():
         assert continuants(t) == ([width_oracle.disc_chain(t[:k]) for k in range(len(t) + 1)],
                                   [width_oracle.disc_chain(t[k:]) for k in range(len(t) + 1)])
         assert dual_chain(t) == width_oracle.dual_chain(t)
+
+
+# runs (weight, count): single entries, runs of 2s up to 40 long, and
+# short runs of any weight, weights 1 to 6
+runs_lists = st.lists(st.one_of(
+    st.tuples(st.integers(1, 6), st.just(1)),
+    st.tuples(st.just(2), st.integers(0, 40)),
+    st.tuples(st.integers(1, 6), st.integers(0, 4)),
+), max_size=10)
+
+
+def expand_runs(runs):
+    """The weights of the chain ``runs`` stands for, and where each run
+    starts in it."""
+    weights, starts = [], []
+    for w, n in runs:
+        starts.append(len(weights))
+        weights += [w] * n
+    return tuple(weights), starts
+
+
+@given(runs_lists)
+@example([(2, 0)])
+@example([(1, 1), (2, 40), (1, 1)])
+def test_run_prefixes_match_prefixes(runs):
+    weights, starts = expand_runs(runs)
+    prefix = _prefixes(weights)
+    assert run_prefixes(runs) == [prefix[k] for k in starts + [len(weights)]]
+
+
+@given(runs_lists, st.data())
+def test_run_chain_terms_match_chain_terms(runs, data):
+    """Each marked single entry's numerator, and the discriminant, are
+    ``chain_terms``' on the expanded chain."""
+    weights, starts = expand_runs(runs)
+    singles = [k for k, (_, n) in enumerate(runs) if n == 1]
+    marked = data.draw(st.lists(st.sampled_from(singles), unique=True) if singles else st.just([]))
+    d, nums = chain_terms(weights)
+    assert run_chain_terms(runs, marked) == (d, [nums[starts[k]] for k in marked])
+
+
+def test_run_chain_terms_marks_only_single_entries():
+    assert run_chain_terms([(2, 3), (3, 1), (2, 1)], [1, 2]) == (14, [6, 10])  # [2,2,2,3,2]
+    for count in (0, 2):
+        with pytest.raises(ValueError):
+            run_chain_terms([(3, 1), (2, count)], [1])
 
 
 def test_dual_chain_blowdown_oracle():

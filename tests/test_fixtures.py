@@ -60,6 +60,24 @@ def test_abcd_enumeration_matches_table():
     assert (3, 2, 2, 2) in sols
 
 
+def test_abcd_enumeration_matches_table_at_cap_1000():
+    solutions = fixtures.abcd_enumerate(1000)
+    assert solutions == fixtures.abcd_solutions(1000)
+    assert len(solutions) == 3033
+
+
+def test_abcd_passes_matches_the_oracle():
+    """The run-continuant verdict is ``width_check(substitute(...))``'s on
+    every point of [2,12]^4."""
+    points = list(itertools.product(range(2, 13), repeat=4))
+    assert [fixtures.abcd_passes(*p) for p in points] == [oracle.abcd_passes(*p) for p in points]
+
+
+@pytest.mark.parametrize("cap", [50, 400])
+def test_abcd_enumerate_matches_the_oracle_scan(cap):
+    assert fixtures.abcd_enumerate(cap) == oracle.abcd_enumerate(cap)
+
+
 def test_fixture_directory_override(tmp_path, monkeypatch):
     custom = tmp_path / "tables"
     custom.mkdir()

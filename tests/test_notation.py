@@ -27,6 +27,7 @@ from delpezzo3.notation import (
     TwigExpr,
     TypeExpr,
     assignments,
+    chain_runs,
     parse,
     render,
     substitute,
@@ -283,6 +284,85 @@ def test_substitute_matches_oracle_on_abcd_expression():
         assert_substitutes_like_oracle(expr, assignment)
         count += 1
     assert count == 11 ** 4
+
+
+def runs_as_components(runs_per_chain):
+    """``chain_runs``' output as the chains ``substitute`` builds: per
+    nonempty chain, its weights and its horizontal entries as (index,
+    two_section)."""
+    out = []
+    for runs, marks in runs_per_chain:
+        weights, starts = [], []
+        for w, n in runs:
+            starts.append(len(weights))
+            weights += [w] * n
+        if weights:
+            out.append((weights, [(starts[k], two) for k, two in marks]))
+    return out
+
+
+def chains_of(d):
+    return [([e.weight for e in comp[1]],
+             [(i, e.two_section) for i, e in enumerate(comp[1]) if e.horizontal])
+            for comp in d.components]
+
+
+def test_chain_runs_read_the_chains_substitute_builds():
+    """On every chain-only table row without a ``*``, at every assignment
+    to cutoff 6, and on the (a,b,c,d) family on [2,12]^4, the runs expand
+    to the chains and marks of ``substitute``, or the reader refuses a
+    ``(2)_{-1}`` sentinel, or both refuse the assignment."""
+    rows = 0
+    for row in itertools.chain(*fixtures.load_all_tables().values()):
+        text = render(row.expr)
+        if "<" in text or "*" in text or row.abcd_table:
+            continue
+        rows += 1
+        for assignment in fixtures.row_assignments(row, 6):
+            try:
+                d = substitute(row.expr, assignment)
+            except NotationError:
+                with pytest.raises(NotationError):
+                    chain_runs(row.expr, assignment)
+                continue
+            try:
+                runs = chain_runs(row.expr, assignment)
+            except NotationError as exc:  # only a sentinel
+                assert "(2)_{-1}" in str(exc), (text, assignment)
+                continue
+            assert runs_as_components(runs) == chains_of(d), (text, assignment)
+    assert rows > 50
+    expr = parse(fixtures._ABCD_EXPR)
+    for assignment in assignments(expr, 12):
+        assert runs_as_components(chain_runs(expr, assignment)) == chains_of(substitute(expr, assignment))
+
+
+@pytest.mark.parametrize("text, assignment", [
+    ("[(2)_{k-2},3,4h] ; k>=1 ; width=1", {"k": 1}),  # the (2)_{-1} sentinel
+    ("[2,(2)_{-1},3,4h,(2)_{k}] ; k>=0 ; width=1", {"k": 2}),  # a constant sentinel
+    ("[2,3h]*[k,2] ; k>=2 ; width=1", {"k": 2}),  # a * literal
+    ("[k,3h] ; k>=0 ; width=1", {"k": 1}),  # a weight below 2
+    ("[1,2h,(2)_{k}] ; k>=0 ; width=1", {"k": 2}),  # a constant weight below 2
+    ("<2;[2],[2],[k]> ; k>=2 ; width=1", {"k": 2}),  # a fork
+    ("<2;[2],[2],[2]> + [k,2h] ; k>=2 ; width=1", {"k": 2}),  # a constant fork
+    ("[k,2h] ; k>=3 ; width=1", {"k": 2}),  # a violated constraint
+    ("[k,2h] ; k>=2 ; width=1", {}),  # a missing parameter
+])
+def test_chain_runs_refuse_what_they_do_not_read(text, assignment, monkeypatch):
+    """A sentinel, a ``*`` literal, a weight below 2, a fork or an
+    assignment ``substitute`` refuses is a ValueError of the runs reader
+    itself, which never builds the type instead: ``substitute`` and the
+    entry evaluation fail the test if called."""
+    expr = parse(text)
+
+    def refuse(*args):
+        pytest.fail("chain_runs fell back to building the type")
+
+    monkeypatch.setattr(notation, "substitute", refuse)
+    monkeypatch.setattr(notation, "_eval", refuse)
+    monkeypatch.setattr(notation._Chain, "build", refuse)
+    with pytest.raises(ValueError):
+        chain_runs(expr, assignment)
 
 
 def test_width_override_is_compiled_like_parsed():
