@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from delpezzo3.chains import chain_terms, fork_excess, fork_terms, twig_key
 
@@ -357,8 +358,7 @@ class DecoratedType:
         return all(x >= 0 for x in self._fork_excesses())
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryGraph:
+class BoundaryGraph(NamedTuple):
     """A boundary read as a DecoratedType without being one: ``entries``,
     their ``walk_components`` layout and its ``_label_blocks``.  Nothing
     is checked; the cascade builds it from a blow-up of a checked type
@@ -378,8 +378,7 @@ class BoundaryGraph:
         return self.entries, self.blocks
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     satisfied: bool
     lhs: Fraction
     rhs: Fraction
@@ -670,8 +669,7 @@ def canonical_form(d: DecoratedType | BoundaryGraph) -> bytes:
     return marshal.dumps((tuple(codes), len(d.free_labels)), 0)
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(NamedTuple):
     order: int
 
 

@@ -29,9 +29,9 @@ import functools
 import itertools
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from delpezzo3 import notation
 from delpezzo3.chains import chains_with_discriminant, dual_chain, run_chain_terms
@@ -44,8 +44,7 @@ def data_dir() -> Path:
     return Path(override) if override else DATA_DIR
 
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(NamedTuple):
     name: str
     text: str
     expr: notation.TypeExpr
@@ -157,8 +156,7 @@ def load_all_tables(stems=TABLE_STEMS, root: str | None = None) -> dict[str, lis
 # The (a,b,c,d) table.
 
 
-@dataclass(frozen=True)
-class AbcdBox:
+class AbcdBox(NamedTuple):
     lo: tuple[int, int, int, int]
     hi: tuple[int | None, int | None, int | None, int | None]
 

@@ -10,6 +10,7 @@ curves.  Its cokernel computes the first homology of the smooth locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from delpezzo3 import simulator as sim
 from delpezzo3.chains import det
@@ -33,8 +34,7 @@ class IntMatrix:
         return len(self.entries[0])
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     diagonal: tuple[int, ...]  # d_1 | d_2 | ... including zeros
     u: tuple  # unimodular row transform
     v: tuple  # unimodular column transform
@@ -126,8 +126,7 @@ def _mat_mul(a, b):
     return out
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...]  # nontrivial invariant factors > 1
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from delpezzo3.boundary import Component, DecoratedType, Entry, chain_comp, fork_comp
 
@@ -94,26 +95,22 @@ class RepExpr:
 ChainLit = tuple  # of EntryExpr | RepExpr
 
 
-@dataclass(frozen=True, slots=True)
-class ChainExprNode:
+class ChainExprNode(NamedTuple):
     parts: tuple[ChainLit, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class TwigExpr:
+class TwigExpr(NamedTuple):
     chain: ChainLit
     prefix: tuple[int, ...] = ()
     suffix: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ForkExprNode:
+class ForkExprNode(NamedTuple):
     branch: EntryExpr
     twigs: tuple[TwigExpr, TwigExpr, TwigExpr]
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentExpr:
+class ComponentExpr(NamedTuple):
     body: ChainExprNode | ForkExprNode
     prefix: tuple[int, ...] = ()
     suffix: tuple[int, ...] = ()

@@ -6,7 +6,6 @@ printed exactly as p/q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -20,12 +19,18 @@ def fmt(value) -> str:
     return str(value)
 
 
-@dataclass
 class Report:
-    command: str
-    columns: tuple[str, ...]
-    items: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    """A command's report: its columns, its rows of rendered cells and its
+    summary counts.  The rows and counts are filled in place, so each
+    report makes its own list and dict in ``__init__``."""
+
+    __slots__ = ("command", "columns", "items", "summary")
+
+    def __init__(self, command: str, columns: tuple[str, ...]) -> None:
+        self.command = command
+        self.columns = columns
+        self.items: list = []
+        self.summary: dict = {}
 
     def add(self, *values) -> None:
         if len(values) != len(self.columns):

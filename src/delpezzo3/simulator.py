@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from delpezzo3.boundary import DecoratedType, Entry, walk_components
 
@@ -53,8 +54,7 @@ class Point:
         object.__setattr__(self, "branches", tuple(sorted(self.branches)))
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     name: str
     point: str
     exceptional: str
@@ -252,8 +252,7 @@ def blow_up_free(cfg: SurfaceConfig, on: tuple = ()) -> SurfaceConfig:
 # Plans.
 
 
-@dataclass(frozen=True)
-class Fibration:
+class Fibration(NamedTuple):
     width: int
     horizontal: tuple[str, ...]
     base_fibers: tuple[str, ...]
@@ -426,8 +425,7 @@ def minus_one_curves(cfg: SurfaceConfig) -> list[str]:
     return sorted(n for n, c in cfg.curves.items() if c.self_int == -1)
 
 
-@dataclass(frozen=True)
-class FiberData:
+class FiberData(NamedTuple):
     components: dict  # curve -> multiplicity
     sigma: int
     shape: tuple  # weights of the reduced fiber as a chain, if a chain

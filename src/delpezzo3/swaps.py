@@ -23,9 +23,9 @@ of Concurrent Systems", LNCS 1032, 1996).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from delpezzo3.boundary import (
     BoundaryGraph,
@@ -262,8 +262,7 @@ def reverse_moves(d: DecoratedType,
 # -- cascade -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CascadeNode:
+class CascadeNode(NamedTuple):
     """One node of a cascade: its depth, its parent's key, the move that
     made it from the parent, its status and lhs.  No node keeps a type;
     the types live only in the frontier."""
@@ -275,8 +274,7 @@ class CascadeNode:
     lhs: Fraction | None
 
 
-@dataclass
-class CascadeResult:
+class CascadeResult(NamedTuple):
     nodes: dict  # canonical_form -> CascadeNode
     pruned: dict  # canonical_form -> CascadeNode
 

@@ -9,8 +9,8 @@ and ``cascade_targets`` each instance of the rows that name its root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from delpezzo3 import fixtures, notation, swaps
 from delpezzo3.boundary import (
@@ -52,8 +52,7 @@ def fmt_assignment(assignment) -> str:
 # -- primitive roots -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     name: str
     dtype: DecoratedType
     node_labels: frozenset  # labels meeting the boundary in a node
@@ -86,8 +85,7 @@ def table_cases(tables: dict, cutoff: int) -> list[tuple[str, fixtures.FixtureRo
     ]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     name: str
     assignment: tuple  # sorted (parameter, value) pairs
     admissible: bool
@@ -132,8 +130,7 @@ def verify_instances(cases) -> list[Instance]:
 # -- distinctness ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coincidence:
+class Coincidence(NamedTuple):
     sing: tuple
     hits: tuple  # (row name without its "(T=...)" suffix, assignment) per instance
     rows: frozenset  # the row names of the hits
@@ -171,8 +168,7 @@ def table_roots(tables: dict) -> list[str]:
                    for row in tables.get(stem, ()) if row.root})
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(NamedTuple):
     name: str
     assignment: tuple  # sorted (parameter, value) pairs
     depth: int  # boundary entries beyond the root's

@@ -6,6 +6,9 @@ than dunders, must be named by code in ``src/delpezzo3`` or
 ``perfbench`` outside its own body, or be exported in
 ``delpezzo3.__all__``, alone or in its class.  Code that only tests call
 belongs in the oracle modules under ``tests/``.
+
+Only the classes in ``DATACLASSES`` use ``@dataclass``, whose generated
+methods are built at every import.
 """
 
 import ast
@@ -58,3 +61,46 @@ def test_every_package_function_is_used_or_exported():
                for where, line in named.get(fn.name, ()))
     ]
     assert unused == []
+
+
+# The classes that keep @dataclass, each for what a NamedTuple cannot give;
+# every other record is a NamedTuple, which generates no code at import.
+DATACLASSES = {
+    # tests call dataclasses.replace on it and expect FrozenInstanceError
+    "boundary.DecoratedType",
+    # builds its plan in __post_init__, into a field that equality ignores
+    "notation.TypeExpr",
+    # exported; checks its twigs in __post_init__
+    "chains.Fork",
+    # __post_init__ checks the shape and makes the rows tuples
+    "homology.IntMatrix",
+    # __post_init__ sorts the branches
+    "simulator.Point",
+    # dataclasses.replace in simulator.py, tests/blowdown_oracle.py and
+    # tests/test_simulator.py
+    "simulator.Curve",
+    "simulator.SurfaceConfig",
+    "simulator.Plan",
+    # read once per instance by substitution (_eval, _Run.runs,
+    # _check_assignment), where a slot read is faster than a NamedTuple's
+    "notation.IExpr",
+    "notation.EntryExpr",
+    "notation.RepExpr",
+    "notation.Constraint",
+}
+
+
+def is_dataclass_decorator(dec: ast.expr) -> bool:
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_dataclasses_only_where_needed():
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list))
+    }
+    assert found == DATACLASSES
