@@ -44,11 +44,11 @@ def _load_root(name: str) -> verify.Root:
 def _read(step, *args):
     """Run a parse or substitution ``step`` on user input or on the data
     under ``DP_FIXTURES``.  A NotationError, the validation ValueError of
-    DecoratedType/Entry, or a malformed fixture file becomes one
-    ``parse error:`` line and exit 2."""
+    DecoratedType/Entry, or a malformed or unreadable fixture file becomes
+    one ``parse error:`` line and exit 2."""
     try:
         return step(*args)
-    except ValueError as err:  # NotationError is a ValueError
+    except (ValueError, OSError) as err:  # NotationError is a ValueError
         click.echo(f"parse error: {err}", err=True)
         sys.exit(2)
 
@@ -249,13 +249,13 @@ def homology_cmd(fixture_id, construct):
 
 
 @main.command()
-@click.argument("planfile", type=click.Path(exists=True))
+@click.argument("planfile", type=click.Path(exists=True, dir_okay=False))
 @format_option
 def simulate(planfile, fmt):
     """Replay a blowup plan and report the resulting configuration."""
     try:
         plan = sim.load_plan(Path(planfile))
-    except sim.SimulationError as err:
+    except ValueError as err:  # SimulationError, or a plan that is not UTF-8
         click.echo(f"plan error: {err}", err=True)
         sys.exit(2)
     try:

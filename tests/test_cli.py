@@ -159,6 +159,12 @@ def test_simulate_plan_errors_exit_2(tmp_path):
     for name, text in broken.items():
         res = run("simulate", plan_file(tmp_path, text))
         assert_one_line_error(res, 2, "plan error:")
+    not_utf8 = tmp_path / "latin1.plan"
+    not_utf8.write_bytes(b"\xff" + good.encode())
+    assert_one_line_error(run("simulate", str(not_utf8)), 2, "plan error:")
+    res = run("simulate", str(tmp_path))  # a directory is a usage error
+    assert res.exit_code == 2 and "directory" in res.output, res.output
+    assert "Traceback" not in res.output
 
 
 def test_simulate_width_mismatch_is_one_line(tmp_path):
@@ -446,6 +452,27 @@ CORRUPTIONS = {
     "homology plan": (
         lambda d: replace_once(d / "plans" / "x1.plan", "curve V1 selfint 0", "curve V1 selfint x"),
         ("homology", "--construct", "x1")),
+    "verify-tables table deleted": (
+        lambda d: (d / "tables" / "char3.types").unlink(),
+        ("verify-tables", "--table", "char3", "--cutoff", "3")),
+    "verify-tables root deleted": (
+        lambda d: (d / "primitive" / "w1_b.types").unlink(),
+        ("verify-tables", "--table", "char3", "--cutoff", "3", "--cascade-depth", "1")),
+    "cascade table deleted": (
+        lambda d: (d / "tables" / "char0.types").unlink(),
+        ("cascade", "--root", "w1b", "--depth", "1")),
+    "cascade root deleted": (
+        lambda d: (d / "primitive" / "w3_b.types").unlink(),
+        ("cascade", "--root", "w3b", "--depth", "1")),
+    "enum-abcd table deleted": (
+        lambda d: (d / "fixtures" / "table1_abcd.txt").unlink(),
+        ("enum-abcd", "--max", "3")),
+    "homology matrix deleted": (
+        lambda d: (d / "fixtures" / "exotic_matrix_1.txt").unlink(),
+        ("homology", "--fixture", "1")),
+    "homology plan deleted": (
+        lambda d: (d / "plans" / "x1.plan").unlink(),
+        ("homology", "--construct", "x1")),
 }
 
 
@@ -476,7 +503,7 @@ def test_homology_replay_errors_are_one_line(plan, old, new, tmp_path, monkeypat
 
 def test_check_reads_malformed_data_as_a_parse_error(tmp_path, monkeypatch):
     """An lhs that ``Fraction`` rejects, a zero denominator included, and
-    an abcd-table row over a malformed (a,b,c,d) table."""
+    an abcd-table row over a malformed or a deleted (a,b,c,d) table."""
     data = tmp_path / "data"
     shutil.copytree(fixtures.DATA_DIR, data)
     monkeypatch.setenv("DP_FIXTURES", str(data))
@@ -488,6 +515,8 @@ def test_check_reads_malformed_data_as_a_parse_error(tmp_path, monkeypatch):
     path.write_text(f"# abcd-table: 1\n{fixtures._ABCD_EXPR}\n")
     assert run("check", str(path), "--cutoff", "3").exit_code == 0
     append(data / "fixtures" / "table1_abcd.txt", "2 3 x 4\n")
+    assert_one_line_error(run("check", str(path), "--cutoff", "3"), 2, "parse error:")
+    (data / "fixtures" / "table1_abcd.txt").unlink()
     assert_one_line_error(run("check", str(path), "--cutoff", "3"), 2, "parse error:")
 
 
