@@ -15,9 +15,8 @@ import math
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from delpezzo3.chains import chain_terms, fork_excess, fork_terms, twig_key
+from delpezzo3.chains import chain_terms, fork_excess, fork_terms, tuple_record, twig_key
 
 CHAR_TAGS = ("any", "ne2", "eq2", "ne23", "eq3")
 
@@ -358,7 +357,8 @@ class DecoratedType:
         return all(x >= 0 for x in self._fork_excesses())
 
 
-class BoundaryGraph(NamedTuple):
+@tuple_record
+class BoundaryGraph:
     """A boundary read as a DecoratedType without being one: ``entries``,
     their ``walk_components`` layout and its ``_label_blocks``.  Nothing
     is checked; the cascade builds it from a blow-up of a checked type
@@ -378,7 +378,8 @@ class BoundaryGraph(NamedTuple):
         return self.entries, self.blocks
 
 
-class CheckResult(NamedTuple):
+@tuple_record
+class CheckResult:
     satisfied: bool
     lhs: Fraction
     rhs: Fraction
@@ -669,7 +670,8 @@ def canonical_form(d: DecoratedType | BoundaryGraph) -> bytes:
     return marshal.dumps((tuple(codes), len(d.free_labels)), 0)
 
 
-class AutGroup(NamedTuple):
+@tuple_record
+class AutGroup:
     order: int
 
 

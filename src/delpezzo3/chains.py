@@ -7,29 +7,104 @@ each ordered from its far tip, so its last entry is adjacent to the branch.
 
 Everything here is exact: discriminants are Python integers, log
 discrepancies are ``fractions.Fraction``.
+
+The two kinds of record that the package's modules define are made here,
+so that importing them compiles little: ``tuple_record`` turns a class
+body into a ``collections.namedtuple``, which compiles only its
+``__new__``, and ``Record`` is the frozen base of the slotted value
+classes, ``Fork`` the first of them, which compile nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, prod
 from operator import add
 
 Chain = tuple[int, ...]
 
+# what a class body holds besides its fields, defaults, docstring and methods
+_NOT_COPIED = frozenset(("__module__", "__annotations__", "__dict__", "__weakref__"))
 
-@dataclass(frozen=True)
-class Fork:
+
+def tuple_record(cls):
+    """The ``collections.namedtuple`` of the fields annotated in ``cls``,
+    in order, with the defaults, docstring and methods of its body: the
+    class that ``typing.NamedTuple`` builds, without evaluating the
+    annotations.  A field without a default after one with a default
+    raises TypeError."""
+    fields = list(cls.__annotations__)
+    body = {k: v for k, v in vars(cls).items() if k not in _NOT_COPIED}
+    if body["__doc__"] is None:
+        del body["__doc__"]  # keep the namedtuple's own
+    defaults = [body.pop(f) for f in fields if f in body]
+    if any(f in cls.__dict__ for f in fields[:len(fields) - len(defaults)]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    out = namedtuple(cls.__name__, fields, defaults=defaults, module=cls.__module__)
+    out.__qualname__ = cls.__qualname__
+    for name, value in body.items():
+        setattr(out, name, value)
+    return out
+
+
+class Record:
+    """A frozen value whose fields, ``_fields``, are slots set once by the
+    subclass's own ``__init__`` (with ``object.__setattr__``).  Records
+    of one class with equal fields are equal and hash alike (a record
+    with an unhashable field is unhashable); ``repr`` reads
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``; a copy or an unpickled record is
+    built again by the constructor from the fields, as ``replace`` is."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """The record with the fields named in ``changes`` replaced, built
+        by the constructor; an unknown field is a TypeError."""
+        for f in self._fields:
+            if f not in changes:
+                changes[f] = getattr(self, f)
+        return type(self)(**changes)
+
+
+class Fork(Record):
     """A fork; each twig is ordered from its far tip toward the branch,
     so the LAST entry of a twig is the one meeting the branch."""
 
-    branch: int
-    twigs: tuple[Chain, Chain, Chain]
+    __slots__ = _fields = ("branch", "twigs")
 
-    def __post_init__(self) -> None:
-        if len(self.twigs) != 3 or any(len(t) == 0 for t in self.twigs):
+    def __init__(self, branch: int, twigs: tuple[Chain, Chain, Chain]) -> None:
+        if len(twigs) != 3 or any(len(t) == 0 for t in twigs):
             raise ValueError("a fork needs exactly three nonempty twigs")
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "twigs", twigs)
 
     def sorted_twigs(self) -> tuple[Chain, Chain, Chain]:
         """Twigs in a canonical order (``twig_key``)."""

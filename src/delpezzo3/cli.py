@@ -160,9 +160,9 @@ def cascade(root_name, depth, cutoff, jobs, fmt):
     """Close a primitive model under reverse vertical swaps and match the
     result against the fixture corpus."""
     root = _load_root(root_name)
-    result = root.cascade(depth, jobs)
     tables = _read(fixtures.load_all_tables, verify.CASCADE_STEMS, root_name)
     targets, _ = _read(verify.cascade_targets, tables, root, cutoff, depth)
+    result = root.cascade(depth, jobs)
     known = {t.key: f"{t.name} {fmt_assignment(t.assignment)}".strip() for t in targets}
     report = Report("cascade", ("canonical", "depth", "status", "lhs", "match"))
     for key, node in sorted(result.nodes.items()):

@@ -31,10 +31,9 @@ import os
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 from delpezzo3 import notation
-from delpezzo3.chains import chains_with_discriminant, dual_chain, run_chain_terms
+from delpezzo3.chains import chains_with_discriminant, dual_chain, run_chain_terms, tuple_record
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -44,7 +43,8 @@ def data_dir() -> Path:
     return Path(override) if override else DATA_DIR
 
 
-class FixtureRow(NamedTuple):
+@tuple_record
+class FixtureRow:
     name: str
     text: str
     expr: notation.TypeExpr
@@ -156,7 +156,8 @@ def load_all_tables(stems=TABLE_STEMS, root: str | None = None) -> dict[str, lis
 # The (a,b,c,d) table.
 
 
-class AbcdBox(NamedTuple):
+@tuple_record
+class AbcdBox:
     lo: tuple[int, int, int, int]
     hi: tuple[int | None, int | None, int | None, int | None]
 

@@ -9,21 +9,17 @@ curves.  Its cokernel computes the first homology of the smooth locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 from delpezzo3 import simulator as sim
-from delpezzo3.chains import det
+from delpezzo3.chains import Record, det, tuple_record
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple  # tuple of row tuples
+class IntMatrix(Record):
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        if len({len(r) for r in self.entries}) != 1 or not self.entries[0]:
+    def __init__(self, entries) -> None:
+        if len({len(r) for r in entries}) != 1 or not entries[0]:
             raise ValueError("matrix needs a positive rectangular shape")
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))  # row tuples
 
     @property
     def rows(self) -> int:
@@ -34,7 +30,8 @@ class IntMatrix:
         return len(self.entries[0])
 
 
-class SmithForm(NamedTuple):
+@tuple_record
+class SmithForm:
     diagonal: tuple[int, ...]  # d_1 | d_2 | ... including zeros
     u: tuple  # unimodular row transform
     v: tuple  # unimodular column transform
@@ -126,7 +123,8 @@ def _mat_mul(a, b):
     return out
 
 
-class AbelianGroup(NamedTuple):
+@tuple_record
+class AbelianGroup:
     free_rank: int
     torsion: tuple[int, ...]  # nontrivial invariant factors > 1
 

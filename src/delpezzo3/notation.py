@@ -40,12 +40,15 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from delpezzo3.boundary import Component, DecoratedType, Entry, chain_comp, fork_comp
+from delpezzo3.chains import Record, tuple_record
 
 PARAMS = set("klmabcdst")
+
+# sets a field in a Record's __init__: a global, so that the per-entry
+# constructors look up no attribute
+_set = object.__setattr__
 
 
 class NotationError(ValueError):
@@ -57,12 +60,14 @@ class NotationError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
-class IExpr:
+class IExpr(Record):
     """Integer expression: a constant or parameter +/- constant."""
 
-    param: str | None
-    offset: int
+    __slots__ = _fields = ("param", "offset")
+
+    def __init__(self, param: str | None, offset: int) -> None:
+        _set(self, "param", param)
+        _set(self, "offset", offset)
 
     def evaluate(self, assignment: dict[str, int]) -> int:
         if self.param is None:
@@ -79,48 +84,59 @@ class IExpr:
         return f"{self.param}{'+' if self.offset > 0 else '-'}{abs(self.offset)}"
 
 
-@dataclass(frozen=True, slots=True)
-class EntryExpr:
-    value: IExpr
-    horizontal: bool = False
-    two_section: bool = False
-    labels: tuple[int, ...] = ()
+class EntryExpr(Record):
+    __slots__ = _fields = ("value", "horizontal", "two_section", "labels")
+
+    def __init__(self, value: IExpr, horizontal: bool = False, two_section: bool = False,
+                 labels: tuple[int, ...] = ()) -> None:
+        _set(self, "value", value)
+        _set(self, "horizontal", horizontal)
+        _set(self, "two_section", two_section)
+        _set(self, "labels", labels)
 
 
-@dataclass(frozen=True, slots=True)
-class RepExpr:
-    count: IExpr
+class RepExpr(Record):
+    __slots__ = _fields = ("count",)
+
+    def __init__(self, count: IExpr) -> None:
+        _set(self, "count", count)
 
 
 ChainLit = tuple  # of EntryExpr | RepExpr
 
 
-class ChainExprNode(NamedTuple):
+@tuple_record
+class ChainExprNode:
     parts: tuple[ChainLit, ...]
 
 
-class TwigExpr(NamedTuple):
+@tuple_record
+class TwigExpr:
     chain: ChainLit
     prefix: tuple[int, ...] = ()
     suffix: tuple[int, ...] = ()
 
 
-class ForkExprNode(NamedTuple):
+@tuple_record
+class ForkExprNode:
     branch: EntryExpr
     twigs: tuple[TwigExpr, TwigExpr, TwigExpr]
 
 
-class ComponentExpr(NamedTuple):
+@tuple_record
+class ComponentExpr:
     body: ChainExprNode | ForkExprNode
     prefix: tuple[int, ...] = ()
     suffix: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    param: str
-    op: str  # ">=", "<=", "=", "in"
-    values: tuple[int, ...]
+class Constraint(Record):
+    __slots__ = _fields = ("param", "op", "values")
+
+    def __init__(self, param: str, op: str, values: tuple[int, ...]) -> None:
+        _set(self, "param", param)
+        _set(self, "op", op)  # ">=", "<=", "=", "in"
+        _set(self, "values", values)
 
     def admits(self, v: int) -> bool:
         if self.op == ">=":
@@ -137,18 +153,22 @@ class Constraint:
         return f"{self.param}{self.op}{self.values[0]}"
 
 
-@dataclass(frozen=True, slots=True)
-class TypeExpr:
-    """A type expression, compiled into its ``_Plan`` when it is built."""
+class TypeExpr(Record):
+    """A type expression, compiled into its ``_Plan`` when it is built;
+    the plan is not a field, so equality, hashing and ``repr`` leave it
+    out."""
 
-    components: tuple[ComponentExpr, ...]
-    constraints: tuple[Constraint, ...] = ()
-    width: int | None = None
-    char_tag: str = "any"
-    _plan: _Plan = field(init=False, compare=False, repr=False)
+    _fields = ("components", "constraints", "width", "char_tag")
+    __slots__ = _fields + ("_plan",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_plan", _Plan(self.components))
+    def __init__(self, components: tuple[ComponentExpr, ...],
+                 constraints: tuple[Constraint, ...] = (), width: int | None = None,
+                 char_tag: str = "any") -> None:
+        _set(self, "components", components)
+        _set(self, "constraints", constraints)
+        _set(self, "width", width)
+        _set(self, "char_tag", char_tag)
+        _set(self, "_plan", _Plan(components))
 
     def parameters(self) -> list[str]:
         return list(self._plan.params)
@@ -474,8 +494,7 @@ def render(expr: TypeExpr) -> str:
 # ---------------------------------------------------------------------------
 # Substitution.
 
-# the (2)_{-1} sentinel inside an evaluated chain (None, so that it keeps
-# its identity when a compiled expression is copied or pickled)
+# the (2)_{-1} sentinel inside an evaluated chain
 _MARKER = None
 
 

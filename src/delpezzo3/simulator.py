@@ -21,53 +21,61 @@ is named EN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 from delpezzo3.boundary import DecoratedType, Entry, walk_components
+from delpezzo3.chains import Record, tuple_record
 
 
 class SimulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Curve:
-    name: str
-    self_int: int
-    exceptional: bool = False
-    # class of the strict transform on the base: (v, h) bidegree for
-    # P1xP1, (degree, 0) for P2, (0, 0) for exceptional curves
-    base_class: tuple[int, int] = (0, 0)
+class Curve(Record):
+    __slots__ = _fields = ("name", "self_int", "exceptional", "base_class")
+
+    def __init__(self, name: str, self_int: int, exceptional: bool = False,
+                 base_class: tuple[int, int] = (0, 0)) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "self_int", self_int)
+        object.__setattr__(self, "exceptional", exceptional)
+        # class of the strict transform on the base: (v, h) bidegree for
+        # P1xP1, (degree, 0) for P2, (0, 0) for exceptional curves
+        object.__setattr__(self, "base_class", base_class)
 
 
-@dataclass(frozen=True)
-class Point:
-    name: str
-    branches: tuple[str, ...]
-    contacts: dict  # frozenset({a, b}) -> local intersection multiplicity
-    mults: dict  # curve -> multiplicity of the branch (2 at a cusp)
-    on_exceptional: str | None = None  # the E the point lies on
+class Point(Record):
+    __slots__ = _fields = ("name", "branches", "contacts", "mults", "on_exceptional")
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(sorted(self.branches)))
+    def __init__(self, name: str, branches: tuple[str, ...], contacts: dict, mults: dict,
+                 on_exceptional: str | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "branches", tuple(sorted(branches)))
+        # frozenset({a, b}) -> local intersection multiplicity
+        object.__setattr__(self, "contacts", contacts)
+        # curve -> multiplicity of the branch (2 at a cusp)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "on_exceptional", on_exceptional)  # the E the point lies on
 
 
-class Step(NamedTuple):
+@tuple_record
+class Step:
     name: str
     point: str
     exceptional: str
     branch_mults: dict  # curve -> multiplicity at the center
 
 
-@dataclass(frozen=True)
-class SurfaceConfig:
-    base: str
-    curves: dict
-    points: dict
-    inter: dict  # frozenset({a, b}) -> total intersection number
-    history: tuple[Step, ...] = ()
+class SurfaceConfig(Record):
+    __slots__ = _fields = ("base", "curves", "points", "inter", "history")
+
+    def __init__(self, base: str, curves: dict, points: dict, inter: dict,
+                 history: tuple[Step, ...] = ()) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "inter", inter)  # frozenset({a, b}) -> total intersection number
+        object.__setattr__(self, "history", history)
 
     @property
     def picard_rank(self) -> int:
@@ -121,11 +129,11 @@ def assign_base_classes(cfg: SurfaceConfig, base_fibers: list[str]) -> SurfaceCo
             deg = {1: 1, 4: 2, 9: 3}.get(c.self_int)
             if deg is None:
                 raise SimulationError(f"cannot infer a degree for {name}")
-            curves[name] = replace(c, base_class=(deg, 0))
+            curves[name] = c.replace(base_class=(deg, 0))
         else:
             cls = (1, 0) if name in base_fibers else (0, 1)
-            curves[name] = replace(c, base_class=cls)
-    return replace(cfg, curves=curves)
+            curves[name] = c.replace(base_class=cls)
+    return cfg.replace(curves=curves)
 
 
 def validate_plane_intersections(cfg: SurfaceConfig) -> None:
@@ -163,7 +171,7 @@ def blow_up(cfg: SurfaceConfig, point_name: str) -> SurfaceConfig:
 
     for b in pt.branches:
         m = pt.mults[b]
-        curves[b] = replace(curves[b], self_int=curves[b].self_int - m * m)
+        curves[b] = curves[b].replace(self_int=curves[b].self_int - m * m)
         inter[frozenset((b, e_name))] = m
     curves[e_name] = Curve(e_name, -1, exceptional=True)
 
@@ -245,27 +253,32 @@ def blow_up_free(cfg: SurfaceConfig, on: tuple = ()) -> SurfaceConfig:
     name = ":".join(("free", *on, str(len(cfg.history))))
     points = dict(cfg.points)
     points[name] = Point(name, tuple(on), {}, dict.fromkeys(on, 1))
-    return blow_up(replace(cfg, points=points), name)
+    return blow_up(cfg.replace(points=points), name)
 
 
 # ---------------------------------------------------------------------------
 # Plans.
 
 
-class Fibration(NamedTuple):
+@tuple_record
+class Fibration:
     width: int
     horizontal: tuple[str, ...]
     base_fibers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Plan:
-    name: str
-    base: str
-    curves: list
-    points: list
-    steps: list  # ("point", name) | ("near", step, curve) | ("free-on", c) | ("free",)
-    fibration: Fibration
+class Plan(Record):
+    __slots__ = _fields = ("name", "base", "curves", "points", "steps", "fibration")
+
+    def __init__(self, name: str, base: str, curves: list, points: list, steps: list,
+                 fibration: Fibration) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "points", points)
+        # ("point", name) | ("near", step, curve) | ("free-on", c) | ("free",)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "fibration", fibration)
 
 
 def parse_plan(text: str, name: str = "plan") -> Plan:
@@ -425,7 +438,8 @@ def minus_one_curves(cfg: SurfaceConfig) -> list[str]:
     return sorted(n for n, c in cfg.curves.items() if c.self_int == -1)
 
 
-class FiberData(NamedTuple):
+@tuple_record
+class FiberData:
     components: dict  # curve -> multiplicity
     sigma: int
     shape: tuple  # weights of the reduced fiber as a chain, if a chain

@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
 
 from delpezzo3.boundary import (
     BoundaryGraph,
@@ -38,6 +37,7 @@ from delpezzo3.boundary import (
     walk_components,
     width_check,
 )
+from delpezzo3.chains import tuple_record
 
 
 class SwapError(ValueError):
@@ -262,7 +262,8 @@ def reverse_moves(d: DecoratedType,
 # -- cascade -----------------------------------------------------------------
 
 
-class CascadeNode(NamedTuple):
+@tuple_record
+class CascadeNode:
     """One node of a cascade: its depth, its parent's key, the move that
     made it from the parent, its status and lhs.  No node keeps a type;
     the types live only in the frontier."""
@@ -274,7 +275,8 @@ class CascadeNode(NamedTuple):
     lhs: Fraction | None
 
 
-class CascadeResult(NamedTuple):
+@tuple_record
+class CascadeResult:
     nodes: dict  # canonical_form -> CascadeNode
     pruned: dict  # canonical_form -> CascadeNode
 

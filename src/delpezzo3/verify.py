@@ -10,7 +10,6 @@ and ``cascade_targets`` each instance of the rows that name its root.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from delpezzo3 import fixtures, notation, swaps
 from delpezzo3.boundary import (
@@ -19,6 +18,7 @@ from delpezzo3.boundary import (
     singularity_type_of,
     width_check,
 )
+from delpezzo3.chains import tuple_record
 
 # primitive models: name used by "# root:" directives -> file stem under data/primitive
 ROOTS = {
@@ -52,7 +52,8 @@ def fmt_assignment(assignment) -> str:
 # -- primitive roots -------------------------------------------------------------
 
 
-class Root(NamedTuple):
+@tuple_record
+class Root:
     name: str
     dtype: DecoratedType
     node_labels: frozenset  # labels meeting the boundary in a node
@@ -85,7 +86,8 @@ def table_cases(tables: dict, cutoff: int) -> list[tuple[str, fixtures.FixtureRo
     ]
 
 
-class Instance(NamedTuple):
+@tuple_record
+class Instance:
     name: str
     assignment: tuple  # sorted (parameter, value) pairs
     admissible: bool
@@ -130,7 +132,8 @@ def verify_instances(cases) -> list[Instance]:
 # -- distinctness ------------------------------------------------------------------
 
 
-class Coincidence(NamedTuple):
+@tuple_record
+class Coincidence:
     sing: tuple
     hits: tuple  # (row name without its "(T=...)" suffix, assignment) per instance
     rows: frozenset  # the row names of the hits
@@ -168,7 +171,8 @@ def table_roots(tables: dict) -> list[str]:
                    for row in tables.get(stem, ()) if row.root})
 
 
-class Target(NamedTuple):
+@tuple_record
+class Target:
     name: str
     assignment: tuple  # sorted (parameter, value) pairs
     depth: int  # boundary entries beyond the root's

@@ -6,7 +6,6 @@ On weight chains: contracting (-1)-entries one at a time, the oracle for
 ``tau_shape`` reads the stabilizing contraction of one fiber.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 
 from delpezzo3 import simulator as sim
@@ -107,7 +106,7 @@ def contract_last(cfg: sim.SurfaceConfig) -> sim.SurfaceConfig:
     contacts = {}
     mults = dict(step.branch_mults)
     for b, m in step.branch_mults.items():
-        curves[b] = replace(curves[b], self_int=curves[b].self_int + m * m)
+        curves[b] = curves[b].replace(self_int=curves[b].self_int + m * m)
     old_points = [p for p in cfg.points.values() if p.on_exceptional == e_name]
     for i, a in enumerate(branches):
         for b in branches[i + 1 :]:

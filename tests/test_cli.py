@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo3.cli import main
-from delpezzo3 import fixtures, verify
+from delpezzo3 import fixtures, swaps, verify
 
 
 def run(*args):
@@ -485,6 +485,20 @@ def test_malformed_fixture_data_is_a_parse_error(case, tmp_path, monkeypatch):
     assert run(*args).exit_code == 0
     corrupt(data)
     assert_one_line_error(run(*args), 2, "parse error:")
+
+
+def test_cascade_reads_its_tables_before_it_cascades(tmp_path, monkeypatch):
+    """A missing table is reported before the cascade runs, not after it."""
+    data = tmp_path / "data"
+    shutil.copytree(fixtures.DATA_DIR, data)
+    (data / "tables" / "char0.types").unlink()
+    monkeypatch.setenv("DP_FIXTURES", str(data))
+
+    def no_cascade(*args, **kwargs):
+        raise AssertionError("the cascade ran before the tables were read")
+
+    monkeypatch.setattr(swaps, "cascade", no_cascade)
+    assert_one_line_error(run("cascade", "--root", "w3b", "--depth", "8"), 2, "parse error:")
 
 
 @pytest.mark.parametrize("plan, old, new", [

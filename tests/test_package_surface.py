@@ -8,7 +8,8 @@ than dunders, must be named by code in ``src/delpezzo3`` or
 belongs in the oracle modules under ``tests/``.
 
 Only the classes in ``DATACLASSES`` use ``@dataclass``, whose generated
-methods are built at every import.
+methods are built at every import, and no class derives from
+``typing.NamedTuple``, which compiles its field annotations.
 """
 
 import ast
@@ -63,30 +64,13 @@ def test_every_package_function_is_used_or_exported():
     assert unused == []
 
 
-# The classes that keep @dataclass, each for what a NamedTuple cannot give;
-# every other record is a NamedTuple, which generates no code at import.
+# The classes that keep @dataclass, each for what no other record gives.
+# A dataclass compiles several methods per class at import; a
+# collections.namedtuple (chains.tuple_record) compiles only its __new__,
+# and a chains.Record subclass compiles nothing.
 DATACLASSES = {
     # tests call dataclasses.replace on it and expect FrozenInstanceError
     "boundary.DecoratedType",
-    # builds its plan in __post_init__, into a field that equality ignores
-    "notation.TypeExpr",
-    # exported; checks its twigs in __post_init__
-    "chains.Fork",
-    # __post_init__ checks the shape and makes the rows tuples
-    "homology.IntMatrix",
-    # __post_init__ sorts the branches
-    "simulator.Point",
-    # dataclasses.replace in simulator.py, tests/blowdown_oracle.py and
-    # tests/test_simulator.py
-    "simulator.Curve",
-    "simulator.SurfaceConfig",
-    "simulator.Plan",
-    # read once per instance by substitution (_eval, _Run.runs,
-    # _check_assignment), where a slot read is faster than a NamedTuple's
-    "notation.IExpr",
-    "notation.EntryExpr",
-    "notation.RepExpr",
-    "notation.Constraint",
 }
 
 
@@ -104,3 +88,20 @@ def test_dataclasses_only_where_needed():
         if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list))
     }
     assert found == DATACLASSES
+
+
+def names_named_tuple(base: ast.expr) -> bool:
+    return (isinstance(base, ast.Name) and base.id == "NamedTuple") or (
+        isinstance(base, ast.Attribute) and base.attr == "NamedTuple")
+
+
+def test_no_typing_named_tuples():
+    """``typing.NamedTuple`` compiles a ``ForwardRef`` per field at every
+    import; ``chains.tuple_record`` builds the same class without."""
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and any(map(names_named_tuple, node.bases))
+    }
+    assert found == set()

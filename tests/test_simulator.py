@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ PLANS = Path(__file__).resolve().parents[1] / "src" / "delpezzo3" / "data" / "pl
 
 def replay_steps(plan, n):
     """The configuration after the first ``n`` steps of ``plan``."""
-    return sim.replay(dataclasses.replace(plan, steps=plan.steps[:n]))
+    return sim.replay(plan.replace(steps=plan.steps[:n]))
 
 EXPECTED = {
     "ex31a": (9, 1, 8, "[2]+[2,2]+[2,2,2,2,2]"),
