@@ -216,16 +216,38 @@ def _shared(value):
     return _SHARED.setdefault(value, value)
 
 
+def check_counts(char_tag, width, free_labels, low: bool, horizontals: int,
+                 two_sections: int, mults: dict) -> None:
+    """A DecoratedType's checks, in order, on its counts: ``low`` for a
+    weight below 2, the width's marks, each label's meetings ``mults``."""
+    if char_tag not in CHAR_TAGS:
+        raise ValueError(f"unknown characteristic tag {char_tag!r}")
+    if low:
+        raise ValueError("boundary weights must be >= 2")
+    if width is not None:
+        if horizontals != width:
+            raise ValueError(f"width {width} needs {width} horizontal marks, found {horizontals}")
+        if width == 2 and two_sections != 1:
+            raise ValueError("width 2 needs exactly one 2-section mark")
+        if width != 2 and two_sections:
+            raise ValueError("2-section marks only occur in width 2")
+    for label, total in mults.items():
+        if total > 3:
+            raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
+        if total and label in free_labels:
+            raise ValueError(f"free (-1)-curve {label} meets the boundary")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class DecoratedType:
     """A disjoint union of decorated chains and forks, held as its walk:
     its entries, a tuple in the order ``walk_components`` reads them, and
     their layout, the walk's parts as index ranges (``layout_of``).  The
     constructor builds the walk once, from ``components`` (``from_walk``
-    from walked parts), and checks it and the labels it stores in one
-    pass over the entries; the label blocks are found on the first read
-    and kept.  Layouts, blocks and label sets are shared between the
-    types that have equal ones.
+    from walked parts), and checks it and the labels it stores by
+    ``check_counts`` of one pass over the entries; the label blocks are
+    found on the first read and kept.  Layouts, blocks and label sets are
+    shared between the types that have equal ones.
 
     ``components`` is a view, built from the walk on each read, for
     notation, rendering and the oracles.  A component without entries is
@@ -260,31 +282,18 @@ class DecoratedType:
         return self
 
     def _build(self, entries: tuple, layout: list, width, char_tag, free_labels) -> None:
-        """Check the walk in one pass over its entries, and store it."""
-        if char_tag not in CHAR_TAGS:
-            raise ValueError(f"unknown characteristic tag {char_tag!r}")
+        """Count the walk in one pass, ``check_counts``, and store it."""
         free_labels = frozenset(free_labels)
-        horizontals = two_sections = 0
+        low, horizontals, two_sections = False, 0, 0
         mults = dict.fromkeys(free_labels, 0)
         for e in entries:
             if e.weight < 2:
-                raise ValueError("boundary weights must be >= 2")
+                low = True
             horizontals += e.horizontal
             two_sections += e.two_section
             for l in e.labels:
                 mults[l] = mults.get(l, 0) + 1
-        if width is not None:
-            if horizontals != width:
-                raise ValueError(f"width {width} needs {width} horizontal marks, found {horizontals}")
-            if width == 2 and two_sections != 1:
-                raise ValueError("width 2 needs exactly one 2-section mark")
-            if width != 2 and two_sections:
-                raise ValueError("2-section marks only occur in width 2")
-        for label, total in mults.items():
-            if total > 3:
-                raise ValueError(f"(-1)-curve {label} meets the boundary {total} > 3 times")
-            if total and label in free_labels:
-                raise ValueError(f"free (-1)-curve {label} meets the boundary")
+        check_counts(char_tag, width, free_labels, low, horizontals, two_sections, mults)
         # the label blocks are found on the first read of label_blocks
         self.__setstate__((entries, tuple(layout), None, frozenset(mults), width, char_tag,
                            free_labels))
@@ -341,20 +350,9 @@ class DecoratedType:
     def labels(self) -> frozenset[int]:
         return self._labels
 
-    def _fork_excesses(self):
-        """Each fork's ``fork_excess``, of the sign of sum 1/d(T_i) - 1;
-        every weight is at least 2, so chains and twigs are admissible."""
-        entries = self._entries
-        for part in self._layout:
-            if part[0] == "fork":
-                twigs = [[entries[i].weight for i in t] for t in part[2]]
-                yield fork_excess(entries[part[1]].weight, twigs)[0]
-
     def is_admissible(self) -> bool:
-        return all(x > 0 for x in self._fork_excesses())
-
-    def is_log_canonical(self) -> bool:
-        return all(x >= 0 for x in self._fork_excesses())
+        """Whether every fork's ``_term`` excess is positive."""
+        return all(term[0] > 0 for term in _walk_terms(self._entries, self._layout))
 
 
 @tuple_record
@@ -390,44 +388,78 @@ RHS_WIDTH_1 = Fraction(1, 3)
 RHS_WIDTH_2_3 = Fraction(1)
 
 
-def width_check(d: DecoratedType | BoundaryGraph) -> CheckResult | None:
-    """The width form of the ampleness criterion, or None if a component
-    is not admissible, so the result also decides admissibility.
+def _walk_terms(entries, layout):
+    """The ``_term`` of each part of a walk over ``entries``, in order; an
+    unmarked chain's weights are not read."""
+    for part in layout:
+        ids = part[1] if part[0] == "chain" else comp_entries(part)
+        marked = [(k, entries[i].two_section) for k, i in enumerate(ids) if entries[i].horizontal]
+        if part[0] == "chain":
+            yield _term(None, marked and ([entries[i].weight for i in ids],), marked)
+        else:
+            twigs = [[entries[i].weight for i in t] for t in part[2]]
+            yield _term(entries[part[1]].weight, twigs, marked)
+
+
+def _term(branch, arms, marked) -> tuple[int, int, int | None]:
+    """The width term of a chain (``branch`` None, ``arms`` its weights
+    alone) or a fork (its branch weight and twigs) whose horizontal
+    entries are ``marked``, as pairs (index in ``comp_entries`` order,
+    two_section): its excess (1 for a chain), discriminant d and the sum
+    over ``marked`` of ld times d, the 2-section's twice, or None for a
+    fork that is not admissible.  Unmarked, a chain adds nothing and a
+    fork reads only its ``fork_excess``."""
+    if branch is None:
+        if not marked:
+            return 1, 1, 0
+        excess, (disc, nums) = 1, chain_terms(arms[0])
+    elif not marked:
+        excess, disc = fork_excess(branch, arms)
+        return excess, disc, 0 if excess > 0 else None
+    else:
+        excess, disc, nums = fork_terms(branch, arms)
+        if nums is None:
+            return excess, disc, None
+    return excess, disc, sum([2 * nums[k] if two else nums[k] for k, two in marked])
+
+
+def width_form(terms, width) -> CheckResult | None:
+    """The width form of the ampleness criterion on a type's ``_term``s,
+    or None at the first that is not admissible.
 
     Width 3: ld(H1)+ld(H2)+ld(H3) > 1; width 2: ld(H1)+2 ld(H2) > 1 with
     H2 the 2-section; width 1: ld(H) > 1/3.  The returned lhs/rhs follow
     these normalizations.  Only an admissible type with a width outside
-    1-3 raises ValueError.  One pass over the parts of ``d.walk()``: each
-    component gives every entry's ld over its discriminant
-    (``chains.chain_terms``, ``chains.fork_terms``, which also decides a
-    fork's admissibility), its marked numerators are summed, the
-    2-section's twice, and the lhs gains one integer fraction per
-    component, reduced once at the end.  Every weight of ``d`` is at least
-    2 (a DecoratedType checks its weights, and a BoundaryGraph is a
-    blow-up of one), so chains are always admissible and no weight is
-    checked again."""
-    entries, layout = d.walk()
+    1-3 raises ValueError.  The lhs gains one integer fraction per term,
+    reduced once at the end."""
     num, den = 0, 1
-    for part in layout:
-        ids = comp_entries(part)
-        marked = [(k, entries[i].two_section) for k, i in enumerate(ids) if entries[i].horizontal]
-        if part[0] == "chain":
-            if not marked:
-                continue
-            disc, nums = chain_terms([entries[i].weight for i in ids])
-        else:
-            twigs = [[entries[i].weight for i in t] for t in part[2]]
-            _, disc, nums = fork_terms(entries[part[1]].weight, twigs)
-            if nums is None:
-                return None
-        total = sum([2 * nums[k] if two else nums[k] for k, two in marked])
+    for _, disc, total in terms:
+        if total is None:
+            return None
         num, den = num * disc + total * den, den * disc
-    if d.width not in (1, 2, 3):
+    if width not in (1, 2, 3):
         raise ValueError("decorated type carries no usable width")
-    rhs = RHS_WIDTH_1 if d.width == 1 else RHS_WIDTH_2_3
+    rhs = RHS_WIDTH_1 if width == 1 else RHS_WIDTH_2_3
     # den > 0: a product of positive discriminants
-    satisfied = 3 * num > den if d.width == 1 else num > den
+    satisfied = 3 * num > den if width == 1 else num > den
     return CheckResult(satisfied, Fraction(num, den), rhs)
+
+
+def width_check(d: DecoratedType | BoundaryGraph) -> CheckResult | None:
+    """``width_form`` of the parts of ``d.walk()``, so None exactly when a
+    component is not admissible.  Every weight of ``d`` is at least 2 (a
+    BoundaryGraph is a blow-up of a checked type), so its chains are."""
+    entries, layout = d.walk()
+    return width_form(_walk_terms(entries, layout), d.width)
+
+
+def _sing(branch, arms) -> tuple:
+    """The undecorated type of a chain (``branch`` None, ``arms`` its
+    weights alone) or a fork (its branch weight and twigs), weights in
+    tuples: a chain up to reversal, a fork's twigs in ``twig_key`` order."""
+    if branch is None:
+        return ("chain", min(arms[0], arms[0][::-1]))
+    return ("fork", branch, tuple(sorted(arms, key=twig_key)))
 
 
 def singularity_type_of(d: DecoratedType) -> tuple:
@@ -437,12 +469,30 @@ def singularity_type_of(d: DecoratedType) -> tuple:
     entries, layout = d.walk()
     for part in layout:
         if part[0] == "chain":
-            weights = tuple([entries[i].weight for i in part[1]])
-            out.append(("chain", min(weights, weights[::-1])))
+            out.append(_sing(None, (tuple([entries[i].weight for i in part[1]]),)))
         else:
             twigs = [tuple([entries[i].weight for i in t]) for t in part[2]]
-            out.append(("fork", entries[part[1]].weight, tuple(sorted(twigs, key=twig_key))))
+            out.append(_sing(entries[part[1]].weight, twigs))
     return tuple(sorted(out))
+
+
+def read_component(comp: Component) -> tuple:
+    """A component's ``_sing``, ``_term``, marks, 2-section marks and label
+    meetings, as (label, count) pairs in order of first meeting, read in
+    one pass over its entries."""
+    entries = comp_entries(comp)
+    marked, mults = [], {}
+    for k, e in enumerate(entries):
+        if e.horizontal:
+            marked.append((k, e.two_section))
+        for l in e.labels:
+            mults[l] = mults.get(l, 0) + 1
+    if comp[0] == "chain":
+        branch, arms = None, (tuple([e.weight for e in entries]),)
+    else:
+        branch, arms = comp[1].weight, tuple([tuple([e.weight for e in t]) for t in comp[2]])
+    return (_sing(branch, arms), _term(branch, arms, marked), len(marked),
+            sum([two for _, two in marked]), tuple(mults.items()))
 
 
 def render_singularity_type(sing: tuple) -> str:

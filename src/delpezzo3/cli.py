@@ -94,9 +94,10 @@ def check(source, width, cutoff, strict, fmt):
     report = Report("check", ("name", "assignment", "admissible", "lhs", "satisfied", "status"))
     for row in rows:
         for assignment in _read(list, fixtures.row_assignments(row, cutoff)):
-            d = _read(notation.substitute, row.expr, assignment)
+            parts = _read(notation.readings, row.expr, assignment)
             try:
-                inst = verify.evaluate(row.name, d, tuple(sorted(assignment.items())))
+                inst = verify.evaluate(row.name, parts, row.expr.width,
+                                       tuple(sorted(assignment.items())))
             except ValueError as err:
                 click.echo(f"cannot check {row.name}: {err}", err=True)
                 sys.exit(2)

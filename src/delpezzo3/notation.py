@@ -24,7 +24,7 @@ the sentinel of the star-composition conventions.  A characteristic tag
 ne23, eq3.
 
 A ``TypeExpr`` is compiled in one step when it is built, into an
-instantiation plan (``_Plan``) that never changes afterwards: its sorted
+instantiation plan (``_Plan``) whose steps never change afterwards: its sorted
 parameters and, per component, a ``_Chain`` or ``_Fork`` built with its
 constant runs as tuples of interned entries and its parametric weights
 and ``(2)_{e}`` runs as the syntax nodes themselves; a fork's constant
@@ -32,8 +32,9 @@ branch and twigs, and a component that names no parameter, are replaced
 by what they build.  ``substitute`` evaluates only the parametric nodes,
 and runs the star, sentinel and attach steps only where they can change
 something, with the checks, messages and order of checks of a walk over
-the whole tree.  ``assignments`` reads each parameter's domain from its
-constraints alone.
+the whole tree; ``readings`` reads an instance from the plan, in the same
+order, with no type built.  ``assignments`` reads each parameter's
+domain from its constraints alone.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from __future__ import annotations
 import itertools
 import re
 
-from delpezzo3.boundary import Component, DecoratedType, Entry, chain_comp, fork_comp
+from delpezzo3.boundary import (Component, DecoratedType, Entry, chain_comp, check_counts,
+                                fork_comp, read_component)
 from delpezzo3.chains import Record, tuple_record
 
 PARAMS = set("klmabcdst")
@@ -697,7 +699,7 @@ class _Fork:
                                     branch.two_section, branch.labels)
             except ValueError:
                 pass
-        self.twigs = tuple([_constant(_Run((t.chain,), t.prefix, t.suffix, params))
+        self.twigs = tuple([_compile(_Run, params, (t.chain,), t.prefix, t.suffix)
                             for t in comp.body.twigs])
         self.labelled = bool(comp.prefix or comp.suffix)
 
@@ -717,10 +719,16 @@ class _Fork:
         return fork
 
 
-def _constant(plan):
-    """``plan.build({})`` as a tuple when that succeeds, which it does only
-    when nothing in the plan names a parameter; otherwise the plan, to
-    build at each assignment (where a broken piece fails in its turn)."""
+def _compile(cls, params: set[str], *args):
+    """The step ``cls(*args, own)``, whose parameters, added to ``own``,
+    join ``params``.  One that names none is built once, into a tuple, if
+    that succeeds; else it builds at each assignment, where a broken piece
+    fails in its turn."""
+    own: set[str] = set()
+    plan = cls(*args, own)
+    if own:
+        params |= own
+        return plan
     try:
         return tuple(plan.build({}))
     except ValueError:
@@ -730,18 +738,20 @@ def _constant(plan):
 class _Plan:
     """How ``substitute`` instantiates a TypeExpr: its sorted parameters,
     and per component the component itself when it names no parameter,
-    else its ``_Chain`` or ``_Fork``."""
+    else its ``_Chain`` or ``_Fork``; and, from its first ``readings``,
+    the ``read_component`` of each constant component."""
 
-    __slots__ = ("params", "steps")
+    __slots__ = ("params", "steps", "reads")
 
     def __init__(self, components: tuple[ComponentExpr, ...]):
         params: set[str] = set()
         self.steps = tuple([
-            _constant(_Chain(comp.body.parts, comp.prefix, comp.suffix, params)
-                      if isinstance(comp.body, ChainExprNode) else _Fork(comp, params))
+            _compile(_Chain, params, comp.body.parts, comp.prefix, comp.suffix)
+            if isinstance(comp.body, ChainExprNode) else _compile(_Fork, params, comp)
             for comp in components
         ])
         self.params = tuple(sorted(params))
+        self.reads = None
 
 
 def _check_assignment(expr: TypeExpr, assignment: dict[str, int]) -> _Plan:
@@ -769,6 +779,31 @@ def substitute(expr: TypeExpr, assignment: dict[str, int]) -> DecoratedType:
         if comp:
             components.append(comp)
     return DecoratedType(tuple(components), expr.width, expr.char_tag)
+
+
+def readings(expr: TypeExpr, assignment: dict[str, int]) -> list[tuple]:
+    """The ``read_component`` of each component of ``substitute(expr,
+    assignment)``, in order, with no DecoratedType built: the constant
+    components are read at the plan's first ``readings`` and kept, and
+    only the parametric ones are built.  It raises what ``substitute``
+    raises, in its order, the type's ``check_counts`` last."""
+    plan = _check_assignment(expr, assignment)
+    if plan.reads is None:
+        plan.reads = [s and read_component(s) if type(s) is tuple else None for s in plan.steps]
+    out = []
+    for step, read in zip(plan.steps, plan.reads):
+        if read is None:
+            comp = step.build(assignment)
+            read = comp and read_component(comp)
+        if read:
+            out.append(read)
+    mults: dict = {}
+    for read in out:
+        for l, c in read[4]:
+            mults[l] = mults.get(l, 0) + c
+    check_counts(expr.char_tag, expr.width, frozenset(), False, sum([r[2] for r in out]),
+                 sum([r[3] for r in out]), mults)
+    return out
 
 
 def chain_runs(expr: TypeExpr, assignment: dict[str, int]) -> list[tuple[list, list]]:

@@ -1,10 +1,11 @@
 """The verification pipeline over the fixture tables.  ``dp3
 verify-tables``, ``dp3 check``, the fixture matching of ``dp3 cascade``
-and the acceptance suite only render or assert on its records.
-``verify_instances`` substitutes each table instance once into an
-``Instance`` that keeps no ``DecoratedType``; ``distinctness`` substitutes
-again only the few instances whose singularity type another row shares,
-and ``cascade_targets`` each instance of the rows that name its root.
+and the acceptance suite only render or assert on its records.  The one
+instance evaluator, ``evaluate``, reads an instance, and a row's
+``sing:`` annotation, from the row's compiled plan (``notation.readings``)
+with no ``DecoratedType`` built; only ``distinctness``, for the few
+instances whose singularity type another row shares, and
+``cascade_targets`` substitute instances into types, to key them.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from delpezzo3 import fixtures, notation, swaps
-from delpezzo3.boundary import (
-    DecoratedType,
-    canonical_form,
-    singularity_type_of,
-    width_check,
-)
+from delpezzo3.boundary import DecoratedType, canonical_form, width_form
 from delpezzo3.chains import tuple_record
 
 # primitive models: name used by "# root:" directives -> file stem under data/primitive
@@ -97,25 +93,26 @@ class Instance:
     sing: tuple  # singularity_type_of the instance
 
 
-def evaluate(name: str, d: DecoratedType, assignment: tuple,
+def evaluate(name: str, parts: list, width: int | None, assignment: tuple,
              expected: notation.TypeExpr | None = None, lc_only: bool = False) -> Instance:
-    """The verdict on the instance ``d`` of row ``name``.  It passes when
-    admissible and satisfying the width inequality or, with ``lc_only``,
-    when log canonical and not admissible; and, given the ``expected``
-    singularity type expression, only if the types agree."""
-    sing = singularity_type_of(d)
+    """The verdict on the instance of row ``name`` whose components read
+    as ``parts`` (``notation.readings``).  It passes when admissible and
+    satisfying the inequality of ``width`` or, with ``lc_only``, when log
+    canonical and not admissible; and, given the ``expected`` singularity
+    type expression, only if the types agree."""
+    sing = tuple(sorted([p[0] for p in parts]))
     lhs = None
-    if lc_only:
-        admissible = d.is_admissible()
-        ok = d.is_log_canonical() and not admissible
+    if lc_only:  # by the sign of each fork's excess
+        admissible = all(p[1][0] > 0 for p in parts)
+        ok = not admissible and all(p[1][0] >= 0 for p in parts)
     else:
-        res = width_check(d)
+        res = width_form([p[1] for p in parts], width)
         if res is None:
             return Instance(name, assignment, False, None, "FAIL", "not admissible", sing)
         admissible, ok, lhs = True, res.satisfied, res.lhs
     detail = ""
-    if expected is not None and singularity_type_of(
-            notation.substitute(expected, dict(assignment))) != sing:
+    if expected is not None and tuple(sorted(
+            [p[0] for p in notation.readings(expected, dict(assignment))])) != sing:
         ok, detail = False, "singularity type mismatch"
     return Instance(name, assignment, admissible, lhs, "PASS" if ok else "FAIL", detail, sing)
 
@@ -123,8 +120,8 @@ def evaluate(name: str, d: DecoratedType, assignment: tuple,
 def verify_instances(cases) -> list[Instance]:
     """One ``Instance`` per case, in case order."""
     return [
-        evaluate(row.name, notation.substitute(row.expr, dict(assignment)), assignment,
-                 row.sing, stem == LC_ONLY_STEM)
+        evaluate(row.name, notation.readings(row.expr, dict(assignment)), row.expr.width,
+                 assignment, row.sing, stem == LC_ONLY_STEM)
         for stem, row, assignment in cases
     ]
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import cascade_oracle
 import pytest
+import verify_oracle
 import width_oracle
 from hypothesis import given
 from hypothesis import strategies as st
@@ -560,8 +561,10 @@ def test_canonical_form_collision_sweep():
 
 
 def test_walk_readers_match_the_fork_readers():
-    """``singularity_type_of``, ``is_admissible`` and ``is_log_canonical``,
-    which read weights from the walk, agree with the readers that built a
+    """``singularity_type_of``, ``is_admissible`` and log canonicity (the
+    sign of each part's ``_term`` excess, which ``verify.evaluate`` reads
+    for the lc-only table; ``verify_oracle.is_log_canonical``), which read
+    weights from the walk, agree with the readers that built a
     ``chains.Fork`` per fork (``cascade_oracle``) on every table instance at
     cutoff 6, the ``nonlt_char2`` rows among them, and on every node of the
     depth-4 cascades of w3a and w3b, pruned ones included."""
@@ -574,7 +577,7 @@ def test_walk_readers_match_the_fork_readers():
     kinds = set()
     for d in types:
         assert singularity_type_of(d) == cascade_oracle.singularity_type(d), d
-        admissible, lc = d.is_admissible(), d.is_log_canonical()
+        admissible, lc = d.is_admissible(), verify_oracle.is_log_canonical(d)
         assert (admissible, lc) == (cascade_oracle.is_admissible_type(d),
                                     cascade_oracle.is_log_canonical_type(d)), d
         kinds.add((admissible, lc))

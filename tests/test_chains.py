@@ -9,7 +9,7 @@ import width_oracle
 from blowdown_oracle import contract_marker_gain, contracts_to_zero_curve, smooth_point_extension
 from determinant_oracle import _det_exact, cramer_ld_numerators, tree_determinant
 
-from delpezzo3 import notation, star_compose
+from delpezzo3 import notation, star_compose, verify
 from delpezzo3.chains import (
     Fork,
     chain_terms,
@@ -365,16 +365,19 @@ def test_ld_fork_range():
 def test_affine_e7_fork_is_log_canonical_without_log_discrepancies():
     """The affine E~7 fork <2;[2,2,2],[2,2,2],[2]>, of ``nonlt.3(T=[2,2,2])``
     at k = 2, is not negative definite: its excess and discriminant are
-    both 0, so it has no log discrepancies.  ``is_log_canonical`` reads
-    only the sign of the excess and accepts it.  Whether it should also
+    both 0, so it has no log discrepancies.  The lc-only verdict of
+    ``verify.evaluate`` reads only the sign of the excess and passes it
+    as log canonical and not admissible.  Whether it should also
     ask for a positive discriminant is the open question of the lattice
     invariants item of ROADMAP.md; an answer changes this test."""
     fork = Fork(2, ((2, 2, 2), (2, 2, 2), (2,)))
     assert fork_terms(fork.branch, fork.twigs) == (0, 0, None)
     with pytest.raises(ValueError):
         ld_fork(fork, "branch")
-    d = notation.substitute(notation.parse("<2;[2,2,2],[2,2,2],[2]>"), {})
-    assert d.is_log_canonical() and not d.is_admissible()
+    expr = notation.parse("<2;[2,2,2],[2,2,2],[2]>")
+    inst = verify.evaluate("nonlt", notation.readings(expr, {}), None, (), lc_only=True)
+    assert inst.status == "PASS" and not inst.admissible
+    assert not notation.substitute(expr, {}).is_admissible()
 
 
 def test_is_admissible_examples():

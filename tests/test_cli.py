@@ -240,6 +240,15 @@ def test_type_text_commands_exit_cleanly(text, position):
         assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
 
 
+def test_a_type_without_a_usable_width_cannot_be_checked():
+    """A type that builds but carries no width for the criterion is not a
+    parse error: ``check`` prints one ``cannot check`` line and exits 2."""
+    for text in ("[3,2]", "<2;[2],[2],[2]>"):
+        res = run("check", text)
+        assert res.exit_code == 2, res.output
+        assert res.output == "cannot check arg: decorated type carries no usable width\n"
+
+
 def test_validation_errors_are_parse_errors():
     for args in (
         ("check", "[2]+[2];width=5"),
